@@ -193,13 +193,7 @@ func writeBundleSummary(w *bufio.Writer, path string) error {
 		}
 		return nil
 	}
-	var err error
-	if store.IsSegmented(path) {
-		err = store.ForEachSegmented(path, count)
-	} else {
-		err = store.ForEach(path, count)
-	}
-	if err != nil {
+	if err := store.ForEach(path, count); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nBundle-scan summary\n")

@@ -9,9 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"clientres/internal/alexa"
@@ -136,13 +134,6 @@ type Config struct {
 	Progress func(format string, args ...any)
 	// SkipPoC skips the version-validation experiment.
 	SkipPoC bool
-
-	// startWeek and resumeFrom carry the resume state from Run into the
-	// collect paths: collection restarts at startWeek after the committed
-	// prefix recorded in resumeFrom has been replayed and verified.
-	startWeek  int
-	resumeFrom store.Checkpoint
-	resuming   bool
 }
 
 // runID is the identity stamped into the checkpoint journal; a resume
@@ -213,39 +204,6 @@ func (r *Results) Merge(o *Results) {
 	r.Regress.Merge(o.Regress)
 }
 
-// shardOf assigns a domain to one of n shards. It is store.ShardOf — the
-// one FNV-1a partition function shared with the segmented store layout,
-// so segment partition and collector-shard partition always agree.
-func shardOf(domain string, n int) int { return store.ShardOf(domain, n) }
-
-// memo builds the crawl path's per-shard fingerprint cache (nil when
-// disabled; a nil Memo degrades to plain fingerprint.Page calls).
-func (cfg Config) memo() *fingerprint.Memo {
-	if cfg.FingerprintCacheSize < 0 {
-		return nil
-	}
-	return fingerprint.NewMemo(cfg.FingerprintCacheSize)
-}
-
-// lockedWrite adapts a sink for concurrent shard writers. The segmented
-// writer locks per segment internally — domain-disjoint shards write
-// different segments, so they proceed in parallel — while the single-file
-// writer needs one global mutex.
-func lockedWrite(w store.Sink) func(store.Observation) error {
-	if w == nil {
-		return nil
-	}
-	if _, ok := w.(*store.SegmentedWriter); ok {
-		return w.Write
-	}
-	var mu sync.Mutex
-	return func(obs store.Observation) error {
-		mu.Lock()
-		defer mu.Unlock()
-		return w.Write(obs)
-	}
-}
-
 // Run executes the pipeline.
 func Run(ctx context.Context, cfg Config) (*Results, error) {
 	if cfg.Domains == 0 {
@@ -260,10 +218,6 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	if cfg.Progress == nil {
 		cfg.Progress = func(string, ...any) {}
 	}
-	eco := webgen.New(webgen.Config{Domains: cfg.Domains, Weeks: cfg.Weeks, Seed: cfg.Seed, Bundling: cfg.Bundling})
-	res := newResults(cfg.Weeks, cfg.Domains)
-	res.Eco = eco
-
 	if cfg.Resume {
 		cfg.Checkpoint = true
 	}
@@ -276,66 +230,52 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	if cfg.RecordBundle != "" && cfg.ReplayBundle != "" {
 		return nil, fmt.Errorf("core: RecordBundle and ReplayBundle are mutually exclusive")
 	}
+	eco := webgen.New(webgen.Config{Domains: cfg.Domains, Weeks: cfg.Weeks, Seed: cfg.Seed, Bundling: cfg.Bundling})
 
+	// resumed is the journal of the crashed run being resumed; its zero
+	// value — no weeks committed — is every other run's starting point.
+	var resumed store.Checkpoint
 	var writer store.Sink
 	if cfg.StorePath != "" {
-		var w store.Sink
 		var err error
 		switch {
 		case cfg.Resume:
-			sw, ck, rerr := store.ResumeSegmented(cfg.StorePath, store.SegmentedOptions{Run: cfg.runID()})
-			if rerr != nil {
-				return nil, rerr
-			}
-			cfg.resumeFrom, cfg.resuming = ck, true
-			cfg.startWeek = ck.CommittedWeeks
-			w = sw
-		case cfg.Checkpoint:
-			segments := cfg.StoreSegments
-			if segments < 1 {
-				segments = 1
-			}
-			w, err = store.CreateSegmentedWith(cfg.StorePath, segments,
-				store.SegmentedOptions{Checkpoint: true, Run: cfg.runID()})
-		case cfg.StoreSegments > 1:
-			w, err = store.CreateSegmented(cfg.StorePath, cfg.StoreSegments)
+			writer, resumed, err = store.ResumeSegmented(cfg.StorePath, store.SegmentedOptions{Run: cfg.runID()})
+		case cfg.Checkpoint || cfg.StoreSegments > 1:
+			writer, err = store.CreateSegmentedWith(cfg.StorePath, cfg.StoreSegments,
+				store.SegmentedOptions{Checkpoint: cfg.Checkpoint, Run: cfg.runID()})
 		default:
-			w, err = store.Create(cfg.StorePath)
+			writer, err = store.Create(cfg.StorePath)
 		}
 		if err != nil {
 			return nil, err
 		}
-		writer = w
 	}
 
-	var err error
-	switch cfg.Mode {
-	case ModeCrawl:
-		err = collectByCrawl(ctx, cfg, eco, res, writer)
-	default:
-		err = collectDirect(ctx, cfg, eco, res, writer)
-	}
-	if writer != nil {
-		if err != nil {
-			// A failed run must never write a manifest — the directory keeps
-			// reading as incomplete, and the last checkpoint (if any) stays
-			// authoritative for salvage and resume. Abort is the deliberate
-			// crash: close without flushing, losing only uncommitted state.
-			if ab, ok := writer.(interface{ Abort() error }); ok {
-				_ = ab.Abort()
-			} else {
-				_ = writer.Close()
+	shards := newShards(cfg.Weeks, cfg.Domains, cfg.Shards)
+	var crawl *crawler.MetricsSnapshot
+	err := func() error {
+		if cfg.Resume {
+			if err := resumePrefix(cfg, resumed, shards); err != nil {
+				return err
 			}
-		} else if cerr := writer.Close(); cerr != nil {
-			// A failed close loses the gzip footer — and with it data the
-			// readers can never recover; never swallow it.
-			err = cerr
 		}
+		if cfg.Mode == ModeCrawl {
+			var err error
+			crawl, err = collectByCrawl(ctx, cfg, eco, shards, resumed.CommittedWeeks, writer)
+			return err
+		}
+		return collect(ctx, cfg, shards, resumed.CommittedWeeks, truthSource(eco, cfg.Shards), writer, nil)
+	}()
+	if writer != nil {
+		err = seal(writer, err)
 	}
 	if err != nil {
 		return nil, err
 	}
 
+	res := mergeShards(shards)
+	res.Eco, res.Crawl = eco, crawl
 	if !cfg.SkipPoC {
 		res.Findings, err = poclab.RunAll()
 		if err != nil {
@@ -345,58 +285,44 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	return res, nil
 }
 
-// commitWeek makes week (0-based) durable on a checkpointed writer — the
-// per-week commit point of a crash-safe run. The caller must have quiesced
-// all writes for the week (every collect loop has a natural per-week
-// barrier). No-op without Checkpoint.
-func commitWeek(cfg Config, writer store.Sink, week int) error {
-	if !cfg.Checkpoint || writer == nil {
-		return nil
+// seal ends a writer's run. A successful run closes it, and a failed close
+// is the run's error: it loses the gzip footer, and with it data the
+// readers can never recover. A failed run must never write a manifest — the
+// directory keeps reading as incomplete, and the last checkpoint (if any)
+// stays authoritative for salvage and resume — so it aborts instead: the
+// deliberate crash, closing without a flush and losing only uncommitted
+// state. (A single-file store has no manifest to withhold and just closes.)
+func seal(w io.Closer, runErr error) error {
+	if runErr == nil {
+		return w.Close()
 	}
-	cw, ok := writer.(interface{ CommitWeek(int) error })
-	if !ok {
-		return fmt.Errorf("core: Checkpoint set but the store writer cannot commit weeks")
+	if ab, ok := w.(interface{ Abort() error }); ok {
+		_ = ab.Abort()
+	} else {
+		_ = w.Close()
 	}
-	if err := cw.CommitWeek(week); err != nil {
+	return runErr
+}
+
+// resumePrefix rebuilds collector state from the committed prefix of a
+// resumed store, exactly as live collection routed it, and verifies the
+// journal: no segment may hold a week past the committed ones, and each
+// must replay exactly the record count the checkpoint committed.
+// Collection then continues at the first incomplete week as if the crash
+// never happened.
+func resumePrefix(cfg Config, ck store.Checkpoint, shards []*shard) error {
+	lanes := make([][]replayUnit, ck.Segments)
+	for s := range lanes {
+		lanes[s] = []replayUnit{{path: store.SegmentPath(cfg.StorePath, s), to: ck.CommittedWeeks}}
+	}
+	counts, err := replay(shards, lanes, func(seg int, obs store.Observation) error {
+		return fmt.Errorf("core: resume: segment %d holds week %d past the %d committed",
+			seg, obs.Week, ck.CommittedWeeks)
+	})
+	if err != nil {
 		return err
 	}
-	cfg.Progress("week %3d/%d committed", week+1, cfg.Weeks)
-	return nil
-}
-
-// commitBundleWeek makes a recorded week's bundle records durable. It runs
-// before the observation store's commitWeek: the bundle must always be
-// able to replay the store's committed prefix, so across a crash the
-// bundle may be ahead of the store (harmless — the resumed run re-records
-// the week and the duplicates supersede in the replay index) but never
-// behind it. No-op without Checkpoint, matching the store's cadence.
-func commitBundleWeek(cfg Config, bw *wexbundle.Writer, week int) error {
-	if bw == nil || !cfg.Checkpoint {
-		return nil
-	}
-	return bw.CommitWeek(week)
-}
-
-// replayCommitted rebuilds collector state from the committed prefix of a
-// resumed store, routing each observation to its shard's runner exactly as
-// live collection would, and verifies the journal: each segment must replay
-// exactly the record count the checkpoint committed. Collection then
-// continues at the first incomplete week as if the crash never happened.
-func replayCommitted(cfg Config, runners []*analysis.Runner) error {
-	ck := cfg.resumeFrom
-	for s := 0; s < ck.Segments; s++ {
-		n := 0
-		if err := store.ForEachSegment(cfg.StorePath, s, func(obs store.Observation) error {
-			if obs.Week >= ck.CommittedWeeks {
-				return fmt.Errorf("core: resume: segment %d holds week %d past the %d committed",
-					s, obs.Week, ck.CommittedWeeks)
-			}
-			runners[shardOf(obs.Domain, len(runners))].Observe(obs)
-			n++
-			return nil
-		}); err != nil {
-			return err
-		}
+	for s, n := range counts {
 		if n != ck.Counts[s] {
 			return fmt.Errorf("core: resume: segment %d replays %d records, checkpoint committed %d",
 				s, n, ck.Counts[s])
@@ -407,101 +333,36 @@ func replayCommitted(cfg Config, runners []*analysis.Runner) error {
 	return nil
 }
 
-// collectDirect streams ground-truth observations, weeks ascending. With
-// Shards > 1 the sites are partitioned by domain hash and each shard folds
-// its partition into a private collector set on its own goroutine, with a
-// barrier per week; the shards merge into res afterwards.
-func collectDirect(ctx context.Context, cfg Config, eco *webgen.Ecosystem, res *Results, writer store.Sink) error {
-	if cfg.Shards == 1 {
-		runner := res.runner()
-		if cfg.resuming {
-			if err := replayCommitted(cfg, []*analysis.Runner{runner}); err != nil {
-				return err
-			}
-		}
-		for w := cfg.startWeek; w < cfg.Weeks; w++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for i := range eco.Sites {
-				obs := analysis.ObservationFromTruth(eco.Sites[i].Domain, eco.Truth(i, w))
-				runner.Observe(obs)
-				if writer != nil {
-					if err := writer.Write(obs); err != nil {
-						return err
-					}
-				}
-			}
-			cfg.Progress("week %3d/%d collected (direct)", w+1, cfg.Weeks)
-			if err := commitWeek(cfg, writer, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	parts := make([][]int, cfg.Shards)
+// truthSource converts generator ground truth straight into observations.
+// Its item is the week: each shard walks its own sites, partitioned once.
+func truthSource(eco *webgen.Ecosystem, shards int) source[int] {
+	sites := make([][]int, shards)
 	for i := range eco.Sites {
-		s := shardOf(eco.Sites[i].Domain.Name, cfg.Shards)
-		parts[s] = append(parts[s], i)
+		s := store.ShardOf(eco.Sites[i].Domain.Name, shards)
+		sites[s] = append(sites[s], i)
 	}
-	shardRes := make([]*Results, cfg.Shards)
-	runners := make([]*analysis.Runner, cfg.Shards)
-	for s := range shardRes {
-		shardRes[s] = newResults(cfg.Weeks, cfg.Domains)
-		runners[s] = shardRes[s].runner()
-	}
-	if cfg.resuming {
-		if err := replayCommitted(cfg, runners); err != nil {
-			return err
-		}
-	}
-	write := lockedWrite(writer)
-	errs := make([]error, cfg.Shards)
-	for w := cfg.startWeek; w < cfg.Weeks; w++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var wg sync.WaitGroup
-		for s := 0; s < cfg.Shards; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for _, i := range parts[s] {
-					obs := analysis.ObservationFromTruth(eco.Sites[i].Domain, eco.Truth(i, w))
-					runners[s].Observe(obs)
-					if write != nil {
-						if err := write(obs); err != nil {
-							errs[s] = err
-							return
-						}
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return e
+	return source[int]{
+		did: "collected (direct)",
+		feed: func(_ context.Context, week int, emit func(int, int)) error {
+			for s := range sites {
+				emit(s, week)
 			}
-		}
-		cfg.Progress("week %3d/%d collected (direct, %d shards)", w+1, cfg.Weeks, cfg.Shards)
-		// The wg barrier above quiesced every shard's writes for the week.
-		if err := commitWeek(cfg, writer, w); err != nil {
-			return err
-		}
+			return nil
+		},
+		observe: func(s, week int, yield func(store.Observation)) {
+			for _, i := range sites[s] {
+				yield(analysis.ObservationFromTruth(eco.Sites[i].Domain, eco.Truth(i, week)))
+			}
+		},
 	}
-	for _, sr := range shardRes {
-		res.Merge(sr)
-	}
-	return nil
 }
 
-// crawlObservation reduces one crawled page to an Observation, running the
-// fingerprint engine on usable bodies. memo, when non-nil, short-circuits
-// unchanged page bodies to their cached Detection; it must be private to
-// the calling goroutine (one memo per shard).
-func crawlObservation(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
+// ObservationFromPage reduces one crawled page to an Observation, running
+// the fingerprint engine on usable bodies. It is exported so distributed
+// workers observe byte-identically to an in-process crawl. memo, when
+// non-nil, short-circuits unchanged page bodies to their cached Detection;
+// it must be private to the calling goroutine (one memo per shard).
+func ObservationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
 	dom := byName[p.Domain]
 	var det fingerprint.Detection
 	status := p.Status
@@ -521,93 +382,63 @@ func crawlObservation(byName map[string]alexa.Domain, memo *fingerprint.Memo, p 
 	return analysis.ObservationFromCrawl(dom, p.Week, status, p.Body, det)
 }
 
-// collectByCrawl serves the ecosystem on a loopback listener, crawls every
-// week, and fingerprints the fetched pages. With Shards > 1 the pages fan
-// out by domain hash to per-shard analysis workers, so fingerprinting and
-// collection run in parallel with the crawl; the per-shard collector sets
-// merge into res afterwards.
+// collectByCrawl crawls every week and fingerprints the fetched pages on
+// the shard workers. It is all set-up — transport, bundle writer, crawler
+// — around the one collect call; how the pages are fetched is the
+// transport's business, not the week loop's.
 //
-// With ReplayBundle no listener or web server exists at all: the crawler's
+// A live crawl serves the ecosystem on a loopback listener. With
+// ReplayBundle no listener or web server exists at all: the crawler's
 // transport is the mounted bundle, and the base URL's host resolves
 // nowhere — nothing in a replayed run can touch the network. With
-// RecordBundle the crawler's transport is wrapped to archive every
-// exchange; the bundle commits each week before the observation store
-// does, so after a crash between the two commits the bundle is never
-// behind the store (wexbundle.Writer.CommitWeek tolerates the re-commit).
-func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, res *Results, writer store.Sink) (retErr error) {
+// RecordBundle the transport is wrapped to archive every exchange.
+func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shards []*shard, start int, writer store.Sink) (_ *crawler.MetricsSnapshot, retErr error) {
 	var wrap func(http.RoundTripper) http.RoundTripper
 	var baseURL string
 	if cfg.ReplayBundle != "" {
 		b, err := wexbundle.Mount(cfg.ReplayBundle)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		wrap = func(http.RoundTripper) http.RoundTripper { return b.Transport() }
 		baseURL = "http://wexbundle.invalid"
 	} else {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
 		ws := webserver.New(eco)
 		if cfg.ChaosRate > 0 {
 			ws.Chaos = &webserver.Chaos{Seed: cfg.ChaosSeed, Rate: cfg.ChaosRate}
 		}
-		srv := &http.Server{Handler: ws}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = srv.Serve(ln)
-		}()
-		defer func() {
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(shutdownCtx)
-			<-done
-		}()
-		baseURL = "http://" + ln.Addr().String()
+		url, stop, err := ws.Start()
+		if err != nil {
+			return nil, err
+		}
+		defer stop()
+		baseURL = url
 	}
 
 	var bw *wexbundle.Writer
 	if cfg.RecordBundle != "" {
-		segments := cfg.StoreSegments
-		if segments < 1 {
-			segments = 1
-		}
 		opt := wexbundle.Options{
-			Segments:   segments,
+			Segments:   cfg.StoreSegments,
 			Checkpoint: cfg.Checkpoint,
 			Run:        cfg.runID(),
 			Meta:       wexbundle.Meta{Domains: cfg.Domains, Weeks: cfg.Weeks, Seed: cfg.Seed, BundleScan: cfg.BundleScan},
 		}
-		if cfg.resuming {
-			w, ck, err := wexbundle.Resume(cfg.RecordBundle, opt)
-			if err != nil {
-				return err
-			}
-			if ck.CommittedWeeks < cfg.startWeek {
-				_ = w.Abort()
-				return fmt.Errorf("core: bundle %s committed %d weeks, store committed %d — the bundle cannot replay the store's committed prefix",
-					cfg.RecordBundle, ck.CommittedWeeks, cfg.startWeek)
-			}
-			bw = w
-		} else {
-			w, err := wexbundle.Create(cfg.RecordBundle, opt)
-			if err != nil {
-				return err
-			}
-			bw = w
-		}
-		defer func() {
-			if retErr != nil {
-				// Same discipline as the observation store: a failed run
-				// never writes a manifest; the last bundle checkpoint stays
-				// authoritative for resume and salvage.
+		var err error
+		if cfg.Resume {
+			var ck store.Checkpoint
+			bw, ck, err = wexbundle.Resume(cfg.RecordBundle, opt)
+			if err == nil && ck.CommittedWeeks < start {
 				_ = bw.Abort()
-			} else if cerr := bw.Close(); cerr != nil {
-				retErr = cerr
+				err = fmt.Errorf("core: bundle %s committed %d weeks, store committed %d — the bundle cannot replay the store's committed prefix",
+					cfg.RecordBundle, ck.CommittedWeeks, start)
 			}
-		}()
+		} else {
+			bw, err = wexbundle.Create(cfg.RecordBundle, opt)
+		}
+		if err != nil {
+			return nil, err
+		}
+		defer func() { retErr = seal(bw, retErr) }()
 		wrap = func(inner http.RoundTripper) http.RoundTripper {
 			return &wexbundle.RecordingTransport{Inner: inner, W: bw}
 		}
@@ -626,176 +457,49 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, res 
 		FetchScripts:  cfg.BundleScan,
 		WrapTransport: wrap,
 	})
-	defer func() {
-		snap := cr.Metrics()
-		res.Crawl = &snap
-	}()
 	byName := eco.List.ByName()
 	domains := make([]string, len(eco.Sites))
 	for i, s := range eco.Sites {
 		domains[i] = s.Domain.Name
 	}
-
-	if cfg.Shards == 1 {
-		runner := res.runner()
-		memo := cfg.memo()
-		if cfg.resuming {
-			if err := replayCommitted(cfg, []*analysis.Runner{runner}); err != nil {
-				return err
-			}
+	// One fingerprint memo per shard, private to its worker (nil when
+	// disabled; a nil Memo degrades to plain fingerprint.Page calls).
+	memos := make([]*fingerprint.Memo, len(shards))
+	if cfg.FingerprintCacheSize >= 0 {
+		for s := range memos {
+			memos[s] = fingerprint.NewMemo(cfg.FingerprintCacheSize)
 		}
-		for w := cfg.startWeek; w < cfg.Weeks; w++ {
-			// CrawlWeek invokes the callback from a single goroutine (its
-			// documented contract, asserted by the crawler's contract
-			// tests), so the plain obsErr capture and the memo use are
-			// race-free by construction.
-			var obsErr error
-			err := cr.CrawlWeek(ctx, w, domains, func(p crawler.Page) {
-				obs := crawlObservation(byName, memo, p)
-				runner.Observe(obs)
-				if writer != nil && obsErr == nil {
-					obsErr = writer.Write(obs)
-				}
+	}
+	err := collect(ctx, cfg, shards, start, source[crawler.Page]{
+		did: "crawled",
+		feed: func(ctx context.Context, week int, emit func(int, crawler.Page)) error {
+			// CrawlWeek calls back from a single goroutine and returns only
+			// after every page of the week has been delivered — the two
+			// properties feed promises (asserted by the crawler's contract
+			// tests).
+			return cr.CrawlWeek(ctx, week, domains, func(p crawler.Page) {
+				emit(store.ShardOf(p.Domain, len(shards)), p)
 			})
-			if err != nil {
-				return err
-			}
-			if obsErr != nil {
-				return obsErr
-			}
-			cfg.Progress("week %3d/%d crawled", w+1, cfg.Weeks)
-			if err := commitBundleWeek(cfg, bw, w); err != nil {
-				return err
-			}
-			if err := commitWeek(cfg, writer, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	shardRes := make([]*Results, cfg.Shards)
-	runners := make([]*analysis.Runner, cfg.Shards)
-	for s := range shardRes {
-		shardRes[s] = newResults(cfg.Weeks, cfg.Domains)
-		runners[s] = shardRes[s].runner()
-	}
-	if cfg.resuming {
-		// Replay happens-before the shard workers start, so the runners need
-		// no locking here.
-		if err := replayCommitted(cfg, runners); err != nil {
-			return err
-		}
-	}
-	chans := make([]chan crawler.Page, cfg.Shards)
-	errs := make([]error, cfg.Shards)
-	write := lockedWrite(writer)
-	// pending, on checkpointed runs, is the per-week drain barrier: the
-	// shard workers consume pages asynchronously, so CrawlWeek returning
-	// does not mean the week's observations reached the store. Every page
-	// handed to a channel is Add-ed, every processed page Done-d; waiting
-	// on it after CrawlWeek quiesces all writes before CommitWeek.
-	var pending *sync.WaitGroup
-	if cfg.Checkpoint {
-		pending = new(sync.WaitGroup)
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < cfg.Shards; s++ {
-		chans[s] = make(chan crawler.Page, 128)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			runner := runners[s]
-			memo := cfg.memo()
-			for p := range chans[s] {
-				if errs[s] == nil {
-					obs := crawlObservation(byName, memo, p)
-					runner.Observe(obs)
-					if write != nil {
-						if err := write(obs); err != nil {
-							errs[s] = err
-						}
-					}
-				} // else: drain after a failure so the feeder never blocks
-				if pending != nil {
-					pending.Done()
-				}
-			}
-		}(s)
-	}
-	crawlErr := func() error {
-		for w := cfg.startWeek; w < cfg.Weeks; w++ {
-			// CrawlWeek returns only after every page of the week has been
-			// handed to the callback, so each domain's pages enter its
-			// shard channel in week-ascending order.
-			err := cr.CrawlWeek(ctx, w, domains, func(p crawler.Page) {
-				if pending != nil {
-					pending.Add(1)
-				}
-				chans[shardOf(p.Domain, cfg.Shards)] <- p
-			})
-			if err != nil {
-				return err
-			}
-			cfg.Progress("week %3d/%d crawled (%d shards)", w+1, cfg.Weeks, cfg.Shards)
-			if pending != nil {
-				pending.Wait()
-				// The barrier synchronizes the workers' errs writes too.
-				for _, e := range errs {
-					if e != nil {
-						return e
-					}
-				}
-				if err := commitBundleWeek(cfg, bw, w); err != nil {
-					return err
-				}
-				if err := commitWeek(cfg, writer, w); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}()
-	for _, c := range chans {
-		close(c)
-	}
-	wg.Wait()
-	if crawlErr != nil {
-		return crawlErr
-	}
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	for _, sr := range shardRes {
-		res.Merge(sr)
-	}
-	return nil
+		},
+		observe: func(s int, p crawler.Page, yield func(store.Observation)) {
+			yield(ObservationFromPage(byName, memos[s], p))
+		},
+	}, writer, bw)
+	snap := cr.Metrics()
+	return &snap, err
 }
 
 // RunFromStore replays a stored observation dataset through the analyses
 // (Findings still come from the PoC lab, which is dataset-independent).
 // The path may be a single gzip JSONL file or a segmented store directory
 // (see store.CreateSegmented); both formats are read transparently and
-// replay to byte-identical reports. With shards > 1 the observations fan
-// out by domain hash to per-shard collector sets, merged afterwards — the
-// stored per-domain week ordering is preserved inside each shard, so the
-// result is identical to a serial replay. When the store's segment count
-// equals the shard count the replay takes the aligned fast path: one
-// decoder goroutine per segment feeds its shard's collectors directly,
-// with no cross-goroutine handoff and pooled decode buffers.
+// replay to byte-identical reports. Segments decode concurrently, and with
+// shards > 1 the observations go by domain hash to per-shard collector
+// sets, merged afterwards — the stored per-domain week ordering is
+// preserved inside each shard, so the result is identical to a serial
+// replay whatever the segment and shard counts are.
 func RunFromStore(path string, weeks, domains, shards int) (*Results, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	res := newResults(weeks, domains)
-	var err error
-	if store.IsSegmented(path) {
-		err = replaySegmented(path, weeks, domains, shards, res)
-	} else {
-		err = replayFile(path, weeks, domains, shards, res)
-	}
+	res, err := replayStore(path, weeks, domains, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -803,134 +507,26 @@ func RunFromStore(path string, weeks, domains, shards int) (*Results, error) {
 	return res, err
 }
 
-// replayFile replays a single-file store, fanning out to shard channels
-// from the one decoder goroutine the sequential gzip stream allows.
-func replayFile(path string, weeks, domains, shards int, res *Results) error {
-	if shards == 1 {
-		runner := res.runner()
-		return store.ForEach(path, func(obs store.Observation) error {
-			runner.Observe(obs)
-			return nil
-		})
-	}
-	shardRes := make([]*Results, shards)
-	chans := make([]chan store.Observation, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		shardRes[s] = newResults(weeks, domains)
-		chans[s] = make(chan store.Observation, 256)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			runner := shardRes[s].runner()
-			for obs := range chans[s] {
-				runner.Observe(obs)
-			}
-		}(s)
-	}
-	err := store.ForEach(path, func(obs store.Observation) error {
-		// The channel send retains obs past the callback, but every
-		// ForEach path reuses its decode buffers — hand over a clone.
-		chans[shardOf(obs.Domain, shards)] <- obs.Clone()
-		return nil
-	})
-	for _, c := range chans {
-		close(c)
-	}
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-	for _, sr := range shardRes {
-		res.Merge(sr)
-	}
-	return nil
-}
-
-// replaySegmented replays a segmented store. Three shapes:
-//
-//   - shards == 1: segments decoded sequentially into one collector set
-//     (per-domain week order holds inside each segment, which is all the
-//     collectors need — whole-stream order is irrelevant to the report).
-//   - shards == segment count: the aligned fast path. Segment partition
-//     and shard partition are the same FNV-1a domain hash, so segment s
-//     holds exactly shard s's domains; each segment's decoder goroutine
-//     feeds its shard's collectors directly. No channels, and the decoder
-//     may reuse its Libs buffers because collectors never retain them.
-//   - otherwise: segments still decode concurrently, re-routing each
-//     observation to its shard channel by domain hash (a channel send
-//     retains the observation, so this path clones out of the decoder's
-//     reused buffers).
-func replaySegmented(dir string, weeks, domains, shards int, res *Results) error {
-	man, err := store.ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	if shards == 1 {
-		runner := res.runner()
-		return store.ForEachSegmented(dir, func(obs store.Observation) error {
-			runner.Observe(obs)
-			return nil
-		})
-	}
-	shardRes := make([]*Results, shards)
-	for s := range shardRes {
-		shardRes[s] = newResults(weeks, domains)
-	}
-	if man.Segments == shards {
-		runners := make([]*analysis.Runner, shards)
-		for s := range runners {
-			runners[s] = shardRes[s].runner()
+// replayStore is RunFromStore without the PoC lab.
+func replayStore(path string, weeks, domains, shards int) (*Results, error) {
+	// A path without a manifest is a single stream — or not a readable
+	// store at all, which the store says when replay opens it.
+	lanes := [][]replayUnit{{wholeStream(path)}}
+	if store.IsSegmented(path) {
+		man, err := store.ReadManifest(path)
+		if err != nil {
+			return nil, err
 		}
-		if err := store.ForEachSegmentedParallel(dir, func(seg int, obs store.Observation) error {
-			runners[seg].Observe(obs)
-			return nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		chans := make([]chan store.Observation, shards)
-		var collectWG sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			chans[s] = make(chan store.Observation, 256)
-			collectWG.Add(1)
-			go func(s int) {
-				defer collectWG.Done()
-				runner := shardRes[s].runner()
-				for obs := range chans[s] {
-					runner.Observe(obs)
-				}
-			}(s)
-		}
-		errs := make([]error, man.Segments)
-		var readWG sync.WaitGroup
-		for seg := 0; seg < man.Segments; seg++ {
-			readWG.Add(1)
-			go func(seg int) {
-				defer readWG.Done()
-				errs[seg] = store.ForEachSegment(dir, seg, func(obs store.Observation) error {
-					// Channel sends retain obs past the callback; the
-					// pooled decoder reuses its buffers, so clone.
-					chans[shardOf(obs.Domain, shards)] <- obs.Clone()
-					return nil
-				})
-			}(seg)
-		}
-		readWG.Wait()
-		for _, c := range chans {
-			close(c)
-		}
-		collectWG.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
+		lanes = make([][]replayUnit, man.Segments)
+		for s := range lanes {
+			lanes[s] = []replayUnit{wholeStream(store.SegmentPath(path, s))}
 		}
 	}
-	for _, sr := range shardRes {
-		res.Merge(sr)
+	sh := newShards(weeks, domains, max(shards, 1))
+	if _, err := replay(sh, lanes, nil); err != nil {
+		return nil, err
 	}
-	return nil
+	return mergeShards(sh), nil
 }
 
 // WriteReport renders every table and figure of the paper plus the headline

@@ -22,24 +22,10 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"clientres/internal/alexa"
-	"clientres/internal/analysis"
-	"clientres/internal/crawler"
-	"clientres/internal/fingerprint"
 	"clientres/internal/poclab"
 	"clientres/internal/store"
 )
-
-// ObservationFromPage reduces one crawled page to a store Observation,
-// fingerprinting usable bodies — the exact reduction core's own crawl
-// paths apply, exported so distributed workers observe byte-identically
-// to an in-process crawl. memo may be nil (no caching); when non-nil it
-// must be private to the calling goroutine.
-func ObservationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
-	return crawlObservation(byName, memo, p)
-}
 
 // ReplaySpan identifies one worker generation store and the committed
 // week range [FromWeek, ToWeek) it contributes to the merged dataset.
@@ -96,7 +82,9 @@ func MergeWorkerStores(spans []ReplaySpan, cfg MergeConfig) (*Results, error) {
 	}
 	// Every partition must be covered [0, Weeks) by contiguous spans: a
 	// gap means a week nobody's commit was accepted for — merging would
-	// silently produce a short dataset.
+	// silently produce a short dataset. Lane p is partition p's spans in
+	// week order, each span every segment of its generation store.
+	lanes := make([][]replayUnit, cfg.Partitions)
 	for p, ps := range byPart {
 		sort.Slice(ps, func(i, j int) bool { return ps[i].FromWeek < ps[j].FromWeek })
 		next := 0
@@ -105,75 +93,41 @@ func MergeWorkerStores(spans []ReplaySpan, cfg MergeConfig) (*Results, error) {
 				return nil, fmt.Errorf("core: merge: partition %d weeks [%d,%d) uncovered", p, next, sp.FromWeek)
 			}
 			next = sp.ToWeek
+			man, err := store.ReadManifest(sp.Path)
+			if err != nil {
+				return nil, err
+			}
+			for s := 0; s < man.Segments; s++ {
+				lanes[p] = append(lanes[p], replayUnit{store.SegmentPath(sp.Path, s), sp.FromWeek, sp.ToWeek})
+			}
 		}
 		if next != cfg.Weeks {
 			return nil, fmt.Errorf("core: merge: partition %d weeks [%d,%d) uncovered", p, next, cfg.Weeks)
 		}
 	}
 
-	res := newResults(cfg.Weeks, cfg.Domains)
-	partRes := make([]*Results, cfg.Partitions)
-	errs := make([]error, cfg.Partitions)
-	var wg sync.WaitGroup
-	for p := 0; p < cfg.Partitions; p++ {
-		partRes[p] = newResults(cfg.Weeks, cfg.Domains)
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			errs[p] = replayPartition(byPart[p], p, cfg, partRes[p].runner())
-		}(p)
+	// One shard per partition, so replay checks that every observation
+	// hashes to its store's partition; a week outside a span's range is the
+	// fenced surplus, skipped.
+	shards := newShards(cfg.Weeks, cfg.Domains, cfg.Partitions)
+	counts, err := replay(shards, lanes, nil)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+	if cfg.DomainsPerPartition != nil {
+		// The spans of a partition cover every week exactly once.
+		for p, n := range counts {
+			if want := cfg.Weeks * cfg.DomainsPerPartition[p]; n != want {
+				return nil, fmt.Errorf("core: merge: partition %d replayed %d observations, expected %d", p, n, want)
+			}
 		}
 	}
-	for _, pr := range partRes {
-		res.Merge(pr)
-	}
+	res := mergeShards(shards)
 	if !cfg.SkipPoC {
-		var err error
 		res.Findings, err = poclab.RunAll()
 		if err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
-}
-
-// replayPartition streams one partition's spans, in week order, into its
-// collector runner, enforcing the partition invariant and (when the
-// expected per-partition domain counts are known) the exact observation
-// count net of the week filter.
-func replayPartition(spans []ReplaySpan, p int, cfg MergeConfig, runner *analysis.Runner) error {
-	replayed := 0
-	for _, sp := range spans {
-		err := store.ForEachSegmented(sp.Path, func(obs store.Observation) error {
-			if obs.Week < sp.FromWeek || obs.Week >= sp.ToWeek {
-				// Outside the accepted span: a fenced commit's surplus.
-				return nil
-			}
-			if store.ShardOf(obs.Domain, cfg.Partitions) != p {
-				return fmt.Errorf("core: merge: %s: domain %q belongs to partition %d, store claims %d",
-					sp.Path, obs.Domain, store.ShardOf(obs.Domain, cfg.Partitions), p)
-			}
-			runner.Observe(obs)
-			replayed++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if cfg.DomainsPerPartition != nil {
-		want := 0
-		for _, sp := range spans {
-			want += (sp.ToWeek - sp.FromWeek) * cfg.DomainsPerPartition[p]
-		}
-		if replayed != want {
-			return fmt.Errorf("core: merge: partition %d replayed %d observations, expected %d", p, replayed, want)
-		}
-	}
-	return nil
 }

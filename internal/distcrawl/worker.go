@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -85,23 +83,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	eco := webgen.New(webgen.Config{Domains: spec.Domains, Weeks: spec.Weeks, Seed: spec.Seed, Bundling: spec.Bundling})
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	baseURL, stop, err := webserver.New(eco).Start()
 	if err != nil {
 		return fmt.Errorf("distcrawl: %w", err)
 	}
-	srv := &http.Server{Handler: webserver.New(eco)}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = srv.Serve(ln)
-	}()
-	defer func() {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-		<-served
-	}()
-	baseURL := "http://" + ln.Addr().String()
+	defer stop()
 
 	byName := eco.List.ByName()
 	// Partition the domain list once: partition p crawls exactly the

@@ -92,9 +92,9 @@ func SegmentPath(dir string, i int) string {
 }
 
 // SegmentedWriter fans observations out to per-partition segment files.
-// Unlike Writer it is safe for concurrent use: each segment has its own
-// lock, so writers hitting different segments (e.g. domain-disjoint
-// collection shards) proceed in parallel without a global mutex.
+// Each segment's Writer has its own lock, so writers hitting different
+// segments (e.g. domain-disjoint collection shards) proceed in parallel
+// without a global mutex.
 type SegmentedWriter struct {
 	dir  string
 	fsys FS
@@ -103,7 +103,6 @@ type SegmentedWriter struct {
 	// or FormatDelta; resumes inherit the checkpoint's format).
 	format int
 	segs   []*Writer
-	mus    []sync.Mutex
 	// committedWeeks mirrors the last checkpoint written (checkpointed
 	// writers only).
 	committedWeeks int
@@ -162,7 +161,7 @@ func CreateSegmentedWith(dir string, n int, opt SegmentedOptions) (*SegmentedWri
 		return nil, err
 	}
 	w := &SegmentedWriter{dir: dir, fsys: fsys, opt: opt, format: format,
-		segs: make([]*Writer, n), mus: make([]sync.Mutex, n)}
+		segs: make([]*Writer, n)}
 	for i := range w.segs {
 		seg, err := createFile(fsys, SegmentPath(dir, i), format)
 		if err != nil {
@@ -226,10 +225,7 @@ func (w *SegmentedWriter) Segments() int { return len(w.segs) }
 
 // Write routes one observation to its domain's segment.
 func (w *SegmentedWriter) Write(obs Observation) error {
-	s := ShardOf(obs.Domain, len(w.segs))
-	w.mus[s].Lock()
-	defer w.mus[s].Unlock()
-	return w.segs[s].Write(obs)
+	return w.segs[ShardOf(obs.Domain, len(w.segs))].Write(obs)
 }
 
 // WriteRaw routes one raw bundle record line to its domain's segment by
@@ -237,19 +233,14 @@ func (w *SegmentedWriter) Write(obs Observation) error {
 // observation store it was recorded alongside shard identically. Only
 // bundle-format (v4) writers accept it.
 func (w *SegmentedWriter) WriteRaw(domain string, line []byte) error {
-	s := ShardOf(domain, len(w.segs))
-	w.mus[s].Lock()
-	defer w.mus[s].Unlock()
-	return w.segs[s].WriteRaw(line)
+	return w.segs[ShardOf(domain, len(w.segs))].WriteRaw(line)
 }
 
 // Count returns the number of observations written across all segments.
 func (w *SegmentedWriter) Count() int {
 	total := 0
-	for i := range w.segs {
-		w.mus[i].Lock()
-		total += w.segs[i].Count()
-		w.mus[i].Unlock()
+	for _, seg := range w.segs {
+		total += seg.Count()
 	}
 	return total
 }
@@ -292,13 +283,11 @@ func (w *SegmentedWriter) CommitWeek(week int) error {
 		ck.Members = make([][]Member, len(w.segs))
 	}
 	for i, seg := range w.segs {
-		w.mus[i].Lock()
 		off, err := seg.commit()
 		count := seg.Count()
 		if ck.Members != nil {
 			ck.Members[i] = append([]Member(nil), seg.members...)
 		}
-		w.mus[i].Unlock()
 		if err != nil {
 			return fmt.Errorf("store: %s: %w", SegmentPath(w.dir, i), err)
 		}
@@ -429,8 +418,7 @@ func ResumeSegmented(dir string, opt SegmentedOptions) (*SegmentedWriter, Checkp
 	// configuration would have defaulted to — mixing formats mid-segment
 	// would break the per-stream sniff.
 	w := &SegmentedWriter{dir: dir, fsys: fsys, opt: opt, format: ck.Format,
-		segs: make([]*Writer, ck.Segments), mus: make([]sync.Mutex, ck.Segments),
-		committedWeeks: ck.CommittedWeeks}
+		segs: make([]*Writer, ck.Segments), committedWeeks: ck.CommittedWeeks}
 	for i := range w.segs {
 		var members []Member
 		if ck.Members != nil {
@@ -462,6 +450,16 @@ func IsSegmented(path string) bool {
 // ReadManifest loads and validates a segmented store's manifest.
 func ReadManifest(dir string) (Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if os.IsNotExist(err) {
+		// A killed or still-running crawl: say how to get a readable store
+		// out of it instead of failing on the first segment read.
+		journal := "and no " + CheckpointName + ": `fsck -repair` keeps each segment's valid prefix"
+		if _, cerr := os.Stat(CheckpointPath(dir)); cerr == nil {
+			journal = "but a " + CheckpointName + ": `crawl -resume` continues the run, `fsck -repair` seals its committed weeks"
+		}
+		return Manifest{}, fmt.Errorf("store: %s: no %s — the store was never sealed (%s): %w",
+			dir, ManifestName, journal, err)
+	}
 	if err != nil {
 		return Manifest{}, fmt.Errorf("store: %s: %w", dir, err)
 	}

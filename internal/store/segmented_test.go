@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -205,25 +206,59 @@ func TestShardOfAgreesWithFNV(t *testing.T) {
 }
 
 // TestSegmentedNoManifestUnreadable: a directory without a manifest — a
-// crashed writer — must refuse to read rather than return short data.
+// crashed writer — must refuse to read rather than return short data, and
+// the error of every read entry point must name the missing manifest, say
+// whether a checkpoint journal survives, and point at the tool that turns
+// the directory into a readable store.
 func TestSegmentedNoManifestUnreadable(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	w, err := CreateSegmented(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(genObs(3, 1)[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash: segments exist, manifest never written.
-	for i := 0; i < 2; i++ {
-		_ = w.segs[i].Close()
-	}
-	if IsSegmented(dir) {
-		t.Error("directory without manifest must not read as segmented")
-	}
-	if err := ForEachSegmented(dir, func(Observation) error { return nil }); err == nil {
-		t.Error("reading a manifest-less store must error")
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+		want       []string
+	}{
+		{"no-checkpoint", false, []string{"no " + ManifestName, "and no " + CheckpointName, "fsck -repair"}},
+		{"checkpoint", true, []string{"no " + ManifestName, "but a " + CheckpointName, "crawl -resume", "fsck -repair"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			w, err := CreateSegmentedWith(dir, 2, SegmentedOptions{Checkpoint: tc.checkpoint})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(genObs(3, 1)[0]); err != nil {
+				t.Fatal(err)
+			}
+			if tc.checkpoint {
+				if err := w.CommitWeek(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Simulate a crash: segments exist, manifest never written.
+			if err := w.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if IsSegmented(dir) {
+				t.Error("directory without manifest must not read as segmented")
+			}
+			none := func(Observation) error { return nil }
+			for entry, read := range map[string]func() error{
+				"ForEach":          func() error { return ForEach(dir, none) },
+				"ForEachSegmented": func() error { return ForEachSegmented(dir, none) },
+			} {
+				err := read()
+				if err == nil {
+					t.Fatalf("%s: reading a manifest-less store must error", entry)
+				}
+				if !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("%s: error no longer wraps the missing file: %v", entry, err)
+				}
+				for _, want := range tc.want {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s: error %q does not mention %q", entry, err, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -129,8 +129,9 @@ func formatHasMembers(format int) bool {
 	return format == FormatDelta || format == FormatBundle
 }
 
-// Writer streams observations to a gzip JSONL file. It is not safe for
-// concurrent use; callers sharing one Writer must serialize Write.
+// Writer streams observations to a gzip JSONL file. Write, WriteRaw and
+// Count are safe for concurrent use (collection shards share one sink);
+// commit and Close need the writes quiesced.
 //
 // A framed (v2) writer precedes every record with a self-describing frame
 // header — "#<len> <fnv1a-hex>\n" — so readers verify each record's
@@ -142,6 +143,7 @@ func formatHasMembers(format int) bool {
 // point) finishes the open member and fsyncs, and the next Write starts a
 // fresh member, so a crash never tears a committed member.
 type Writer struct {
+	mu  sync.Mutex
 	f   File
 	gz  *gzip.Writer
 	buf *bufio.Writer
@@ -295,6 +297,8 @@ func resumeFile(fsys FS, path string, offset int64, count int, format int, membe
 // Write appends one observation. Failed writes are not counted: Count
 // reflects only observations the encoder accepted.
 func (w *Writer) Write(obs Observation) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.format == FormatBundle {
 		return fmt.Errorf("store: Write on a bundle-format writer; bundles take WriteRaw")
 	}
@@ -332,6 +336,8 @@ func (w *Writer) reopenMember() {
 // newline; the wexbundle package, which owns the payload encoding,
 // guarantees both by construction (JSON never embeds a raw newline).
 func (w *Writer) WriteRaw(line []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.format != FormatBundle {
 		return fmt.Errorf("store: WriteRaw on a format-%d writer; only bundles take raw records", w.format)
 	}
@@ -421,7 +427,11 @@ func (w *Writer) writeDelta(obs Observation) error {
 }
 
 // Count returns the number of observations written so far.
-func (w *Writer) Count() int { return w.n }
+func (w *Writer) Count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.n
+}
 
 // commit makes everything written so far durable and self-delimiting: the
 // buffered bytes are flushed, the open gzip member is finished (its footer
@@ -532,7 +542,9 @@ func (w *Writer) abort() error {
 // before returning — a callback that retains an observation must keep
 // obs.Clone(), not obs.
 func ForEach(path string, fn func(Observation) error) error {
-	if IsSegmented(path) {
+	// Any directory is read as a segmented store, so that one without a
+	// manifest fails in ReadManifest, which says why and what to do.
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		return ForEachSegmented(path, fn)
 	}
 	return forEachFile(path, fn)

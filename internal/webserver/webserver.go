@@ -10,6 +10,7 @@
 package webserver
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -41,6 +42,27 @@ func New(eco *webgen.Ecosystem) *Server {
 		idx[s.Domain.Name] = i
 	}
 	return &Server{eco: eco, index: idx}
+}
+
+// Start serves s on a private loopback listener and returns its base URL
+// and the function that shuts the server down and waits for it to exit.
+func (s *Server) Start() (baseURL string, stop func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	srv := &http.Server{Handler: s}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	return "http://" + ln.Addr().String(), func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		<-done
+	}, nil
 }
 
 // PageURL returns the request path serving a domain at a snapshot week.
