@@ -31,3 +31,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRange$$' -fuzztime 3s ./internal/semver
 	$(GO) test -run '^$$' -fuzz '^FuzzAuditHandler$$' -fuzztime 3s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureScan$$' -fuzztime 3s ./internal/fingerprint
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStream$$' -fuzztime 3s ./internal/store

@@ -1,23 +1,17 @@
 package clientres
 
-// Ablations for the segmented store and the fingerprint memo cache — the
-// two ends of the pipeline PR 1 left serial. BenchmarkStoreReadSegments
-// compares a full archive replay through the single sequential gzip
-// stream against the segmented parallel readers at 1/2/4/8 segments, for
-// both the v2 framed and v3 delta formats (run with -benchmem: the delta
-// decoder skips JSON entirely for week-over-week unchanged records, so
-// allocs/op drop far below the framed decoder's). BenchmarkStoreDecodeSegment
-// isolates the parallelism argument on a single CPU: it decodes ONE
-// segment of an N-segment archive, showing per-segment replay cost shrink
+// The two store/fingerprint ablations the study benchmark (go run ./bench)
+// has no twin for. BenchmarkStoreDecodeSegment isolates the parallelism
+// argument of the segmented store on a single CPU: it decodes ONE segment
+// of an N-segment archive, showing per-segment replay cost shrink
 // proportionally with segment count — the unit of work a parallel replay
-// distributes. BenchmarkFingerprintMemo measures the re-crawl
-// fingerprinting cost with and without the content-hash memo — the
-// week-over-week unchanged-page case the paper's 531-day mean update
-// delay makes dominant. BenchmarkStoreWrite measures the write-path
-// durability tax and the delta size win: plain v1, framed v2, and delta
-// v3, each without and with per-week commit fsyncs, reporting the final
-// archive size as the archive-bytes metric. `make bench-store` runs all
-// of them and appends machine-readable results to BENCH_store.json.
+// distributes (run with -benchmem: the delta decoder skips JSON entirely
+// for week-over-week unchanged records). BenchmarkFingerprintMemo measures
+// the re-crawl fingerprinting cost with and without the content-hash memo
+// — the week-over-week unchanged-page case the paper's 531-day mean update
+// delay makes dominant. Whole-archive write and read cost, archive size
+// and commit latency are the bench's direct-write and store-analyze
+// workloads. Run: go test -run '^$' -bench 'StoreDecodeSegment|FingerprintMemo' -benchmem .
 
 import (
 	"fmt"
@@ -31,243 +25,69 @@ import (
 	"clientres/internal/webgen"
 )
 
-// benchStores materializes the benchmark observation stream as a
-// single-file v1 archive plus v2 (framed) and v3 (delta) segmented
-// archives at several segment counts, once per process.
+// benchStores materializes the benchmark observation stream as stores of
+// several segment counts, once per process.
 var (
 	benchStoreOnce sync.Once
 	benchStoreDir  string
 	benchStoreErr  error
+
+	benchSegmentCounts = []int{1, 2, 4, 8}
 )
 
-func benchStorePaths(b *testing.B) (single string, segmented func(format, segs int) string) {
+func benchStorePath(b *testing.B, segs int) string {
 	obs, _ := benchData(b)
-	benchStoreOnce.Do(func() {
-		// Not b.TempDir: the archives must survive this benchmark's
-		// cleanup so -count=N reruns (and future benchmarks) can reuse
-		// them; the OS reaps the temp dir.
-		dir, err := os.MkdirTemp("", "clientres-bench-store-")
-		if err != nil {
-			benchStoreErr = err
-			return
-		}
-		benchStoreDir = dir
-		w, err := store.Create(filepath.Join(dir, "obs.jsonl.gz"))
-		if err != nil {
-			benchStoreErr = err
-			return
-		}
-		for _, o := range obs {
-			if err := w.Write(o); err != nil {
-				benchStoreErr = err
-				return
-			}
-		}
-		if benchStoreErr = w.Close(); benchStoreErr != nil {
-			return
-		}
-		for _, format := range []int{store.FormatFramed, store.FormatDelta} {
-			for _, segs := range []int{1, 2, 4, 8} {
-				sw, err := store.CreateSegmentedWith(
-					filepath.Join(dir, fmt.Sprintf("obs-v%d-%d.store", format, segs)),
-					segs, store.SegmentedOptions{Format: format})
-				if err != nil {
-					benchStoreErr = err
-					return
-				}
-				for _, o := range obs {
-					if err := sw.Write(o); err != nil {
-						benchStoreErr = err
-						return
-					}
-				}
-				if benchStoreErr = sw.Close(); benchStoreErr != nil {
-					return
-				}
-			}
-		}
-	})
+	benchStoreOnce.Do(func() { benchStoreDir, benchStoreErr = writeBenchStores(obs) })
 	if benchStoreErr != nil {
 		b.Fatal(benchStoreErr)
 	}
-	return filepath.Join(benchStoreDir, "obs.jsonl.gz"),
-		func(format, segs int) string {
-			return filepath.Join(benchStoreDir, fmt.Sprintf("obs-v%d-%d.store", format, segs))
-		}
+	return filepath.Join(benchStoreDir, fmt.Sprintf("obs-%d.store", segs))
 }
 
-// BenchmarkStoreReadSegments replays the full archive: the single-file
-// sequential decoder versus the parallel per-segment decoders (the
-// no-retain fast path core.RunFromStore uses when shards == segments),
-// in both the framed and delta formats.
-func BenchmarkStoreReadSegments(b *testing.B) {
-	single, segmented := benchStorePaths(b)
-	count := func(b *testing.B, n int) {
-		b.Helper()
-		want := len(benchObs)
-		if n != want {
-			b.Fatalf("replay saw %d observations, want %d", n, want)
-		}
+func writeBenchStores(obs []store.Observation) (string, error) {
+	// Not b.TempDir: the archives must survive this benchmark's cleanup so
+	// -count=N reruns (and future benchmarks) can reuse them; the OS reaps
+	// the temp dir.
+	dir, err := os.MkdirTemp("", "clientres-bench-store-")
+	if err != nil {
+		return "", err
 	}
-	b.Run("single-file", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := store.ForEach(single, func(store.Observation) error {
-				n++
-				return nil
-			}); err != nil {
-				b.Fatal(err)
+	for _, segs := range benchSegmentCounts {
+		sw, err := store.CreateSegmented(filepath.Join(dir, fmt.Sprintf("obs-%d.store", segs)), segs)
+		if err != nil {
+			return "", err
+		}
+		for _, o := range obs {
+			if err := sw.Write(o); err != nil {
+				return "", err
 			}
-			count(b, n)
 		}
-	})
-	for _, format := range []int{store.FormatFramed, store.FormatDelta} {
-		for _, segs := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("v%d/segments=%d", format, segs), func(b *testing.B) {
-				dir := segmented(format, segs)
-				for i := 0; i < b.N; i++ {
-					counts := make([]int, segs)
-					if err := store.ForEachSegmentedParallel(dir, func(seg int, _ store.Observation) error {
-						counts[seg]++
-						return nil
-					}); err != nil {
-						b.Fatal(err)
-					}
-					n := 0
-					for _, c := range counts {
-						n += c
-					}
-					count(b, n)
-				}
-			})
+		if err := sw.Close(); err != nil {
+			return "", err
 		}
 	}
+	return dir, nil
 }
 
 // BenchmarkStoreDecodeSegment decodes segment 0 of an N-segment archive —
-// the unit of work one goroutine owns in a parallel replay. On any
-// machine (including a single-CPU one where wall-clock parallel speedup
-// is invisible) this shows the scaling argument directly: per-segment
-// decode cost falls proportionally with segment count, and the v3 delta
-// decoder does far less work per record than the v2 framed decoder.
+// the unit of work one goroutine owns in a parallel replay.
 func BenchmarkStoreDecodeSegment(b *testing.B) {
-	_, segmented := benchStorePaths(b)
-	for _, format := range []int{store.FormatFramed, store.FormatDelta} {
-		for _, segs := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("v%d/segments=%d", format, segs), func(b *testing.B) {
-				dir := segmented(format, segs)
-				for i := 0; i < b.N; i++ {
-					n := 0
-					if err := store.ForEachSegment(dir, 0, func(store.Observation) error {
-						n++
-						return nil
-					}); err != nil {
-						b.Fatal(err)
-					}
-					if n == 0 {
-						b.Fatal("segment 0 replayed empty")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkStoreWrite measures the durability tax and size of each write
-// path: "plain-v1" is the original unframed single-file archive, "framed"
-// the v2 segmented layout with per-record length+checksum frames,
-// "delta" the v3 layout with delta-encoded records and member checksums,
-// and the -commit variants the fully crash-safe configuration — one
-// CommitWeek (segment flush + gzip member close + fsync + atomic
-// checkpoint) per collected week. Each variant reports the finished
-// archive size as archive-bytes; EXPERIMENTS.md tracks both the time tax
-// (budget: under ~10% for framing) and the v3 size win.
-func BenchmarkStoreWrite(b *testing.B) {
-	obs, weeks := benchData(b)
-	perWeek := make([][]store.Observation, weeks)
-	for _, o := range obs {
-		perWeek[o.Week] = append(perWeek[o.Week], o)
-	}
-	var bytes int64
-	writeAll := func(b *testing.B, w store.Sink) {
-		b.Helper()
-		for _, o := range obs {
-			if err := w.Write(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	writeCommitted := func(b *testing.B, w *store.SegmentedWriter) {
-		b.Helper()
-		for wk, week := range perWeek {
-			for _, o := range week {
-				if err := w.Write(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.CommitWeek(wk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	finish := func(b *testing.B, w store.Sink, path string) {
-		b.Helper()
-		if w.Count() != len(obs) {
-			b.Fatalf("wrote %d observations, want %d", w.Count(), len(obs))
-		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if fi, err := os.Stat(path); err == nil {
-			bytes = fi.Size()
-		}
-	}
-	dir := b.TempDir()
-	run := store.RunID{Seed: 1, Domains: len(perWeek[0]), Weeks: weeks}
-	b.Run("plain-v1", func(b *testing.B) {
-		path := filepath.Join(dir, "plain.jsonl.gz")
-		for i := 0; i < b.N; i++ {
-			w, err := store.Create(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			writeAll(b, w)
-			finish(b, w, path)
-			b.SetBytes(bytes)
-		}
-		b.ReportMetric(float64(bytes), "archive-bytes")
-	})
-	for _, v := range []struct {
-		name   string
-		format int
-	}{{"framed", store.FormatFramed}, {"delta", store.FormatDelta}} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			path := filepath.Join(dir, v.name+".store")
+	for _, segs := range benchSegmentCounts {
+		b.Run(fmt.Sprintf("v3/segments=%d", segs), func(b *testing.B) {
+			dir := benchStorePath(b, segs)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w, err := store.CreateSegmentedWith(path, 1, store.SegmentedOptions{Format: v.format})
-				if err != nil {
+				n := 0
+				if err := store.ForEachSegment(dir, 0, func(store.Observation) error {
+					n++
+					return nil
+				}); err != nil {
 					b.Fatal(err)
 				}
-				writeAll(b, w)
-				finish(b, w, store.SegmentPath(path, 0))
-				b.SetBytes(bytes)
-			}
-			b.ReportMetric(float64(bytes), "archive-bytes")
-		})
-		b.Run(v.name+"-commit", func(b *testing.B) {
-			path := filepath.Join(dir, v.name+"-commit.store")
-			for i := 0; i < b.N; i++ {
-				w, err := store.CreateSegmentedWith(path, 1,
-					store.SegmentedOptions{Checkpoint: true, Run: run, Format: v.format})
-				if err != nil {
-					b.Fatal(err)
+				if n == 0 {
+					b.Fatal("segment 0 replayed empty")
 				}
-				writeCommitted(b, w)
-				finish(b, w, store.SegmentPath(path, 0))
-				b.SetBytes(bytes)
 			}
-			b.ReportMetric(float64(bytes), "archive-bytes")
 		})
 	}
 }

@@ -71,15 +71,17 @@ type Config struct {
 	// partitions (default 1 = serial). Sharded runs produce byte-identical
 	// reports to serial runs of the same configuration.
 	Shards int
-	// StorePath, when set, persists observations as gzip JSONL — or, with
-	// StoreSegments > 1, as a segmented store directory (per-partition
-	// segment files plus a manifest) whose writes and replays parallelize.
+	// StorePath, when set, persists observations to a store directory at
+	// that path: delta-encoded, checksummed gzip segment files plus a
+	// manifest that only a run that ended cleanly writes — a failed or
+	// cancelled run leaves a directory readers refuse and `fsck -repair`
+	// salvages.
 	StorePath string
-	// StoreSegments selects the segmented store layout (0 or 1 keeps the
-	// single gzip JSONL file). Both layouts replay to byte-identical
-	// reports; segment partition matches the Shards partition, so a
-	// replay with shards == segments decodes every segment concurrently
-	// straight into its shard's collectors.
+	// StoreSegments is the number of segment files (0 or 1: one); their
+	// writes and replays parallelize. Every count replays to
+	// byte-identical reports; segment partition matches the Shards
+	// partition, so a replay with shards == segments decodes every segment
+	// concurrently straight into its shard's collectors.
 	StoreSegments int
 	// FingerprintCacheSize bounds the per-shard fingerprint memo cache on
 	// the crawl path (entries; 0 = default, negative = disable). Unchanged

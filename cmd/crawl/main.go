@@ -2,13 +2,16 @@
 // synthetic web on a loopback HTTP listener, crawls every domain every
 // snapshot week with the concurrent crawler, fingerprints each landing
 // page (with a per-shard content-hash memo cache, since most pages are
-// week-over-week identical), and stores the resulting observations.
+// week-over-week identical), and stores the resulting observations in a
+// store directory: delta-encoded, checksummed segment files behind a
+// manifest that only a run that ended cleanly gets (an interrupted one
+// leaves a directory analyze refuses and `fsck -repair` salvages).
 //
 // Usage:
 //
-//	crawl -domains 2000 -weeks 50 -workers 64 -shards 4 -out crawl.jsonl.gz
+//	crawl -domains 2000 -weeks 50 -workers 64 -shards 4 -out crawl.store
 //	crawl -shards 4 -segments 4 -out crawl.store -cpuprofile crawl.pprof
-//	crawl -politeness -chaos 0.2 -weeks 8 -out drill.jsonl.gz   # fault drill
+//	crawl -politeness -chaos 0.2 -weeks 8 -out drill.store   # fault drill
 //	crawl -checkpoint -out crawl.store       # journal every completed week
 //	crawl -resume -out crawl.store           # continue a crashed run
 //	crawl -record crawl.bundle -out crawl.store   # archive every response
@@ -37,9 +40,9 @@ func main() {
 	workers := flag.Int("workers", 64, "concurrent crawler workers")
 	fetchTimeout := flag.Duration("fetch-timeout", 0, "per-page fetch deadline covering all retries and script fetches (0 disables; an expired fetch records the usual status-0 observation)")
 	shards := flag.Int("shards", 1, "parallel fingerprint/analysis shards (results identical to -shards 1)")
-	segments := flag.Int("segments", 1, "store segments; >1 writes a segmented store directory (reads identical to a single file)")
+	segments := flag.Int("segments", 1, "segment files in the store directory; they write and replay in parallel (reports identical at every count)")
 	fpcache := flag.Int("fpcache", 0, "per-shard fingerprint memo entries (0 = default, negative = disable)")
-	out := flag.String("out", "crawl.jsonl.gz", "output path (gzip JSONL file, or a directory with -segments > 1)")
+	out := flag.String("out", "crawl.store", "output store directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	politeness := flag.Bool("politeness", false, "enable the per-host resilience layer: politeness limiter, circuit breaker, weekly retry budget (reports are identical either way)")
@@ -50,7 +53,7 @@ func main() {
 	retryBudget := flag.Int("retry-budget", 0, "per-week shared retry budget (0 = one per domain, negative = unlimited; with -politeness)")
 	chaos := flag.Float64("chaos", 0, "fault-injection rate per (domain, week) on the loopback server: stalls, resets, truncated bodies, slow-loris (0 disables)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault schedule seed (with -chaos)")
-	checkpoint := flag.Bool("checkpoint", false, "commit a crash-safety journal after every completed week (forces the segmented store layout; reports are identical either way)")
+	checkpoint := flag.Bool("checkpoint", false, "commit a crash-safety journal after every completed week, so that a killed run can -resume (reports are identical either way)")
 	resume := flag.Bool("resume", false, "resume a crashed -checkpoint run from its journal: verify and replay the committed weeks, then continue at the first incomplete week (implies -checkpoint)")
 	bundleFrac := flag.Float64("bundle-frac", 0, "fraction of eligible generated sites that ship their libraries as one bundled script (0 disables; bundles hide library URLs from the fingerprinter)")
 	bundleScan := flag.Bool("bundle-scan", false, "fetch each page's same-site scripts and scan their content for library signatures (recovers bundled libraries; plain pages detect identically either way)")
@@ -72,7 +75,7 @@ func main() {
 		BundleScan: *bundleScan,
 		Mode:       core.ModeCrawl, Workers: *workers, Shards: *shards,
 		FetchTimeout: *fetchTimeout,
-		StorePath: *out, StoreSegments: *segments,
+		StorePath:    *out, StoreSegments: *segments,
 		FingerprintCacheSize: *fpcache,
 		Resilience: crawler.Resilience{
 			Enabled:          *politeness,
@@ -82,8 +85,8 @@ func main() {
 			BreakerCooldown:  *breakerCooldown,
 			RetryBudget:      *retryBudget,
 		},
-		ChaosRate:  *chaos,
-		ChaosSeed:  *chaosSeed,
+		ChaosRate:    *chaos,
+		ChaosSeed:    *chaosSeed,
 		Checkpoint:   *checkpoint,
 		Resume:       *resume,
 		RecordBundle: *record,

@@ -1,5 +1,8 @@
-// Command fsck verifies and repairs segmented observation stores — the
-// recovery tool for crawls that died mid-run.
+// Command fsck verifies and repairs store directories (observation stores
+// and web-execution bundles) — the recovery tool for crawls that died
+// mid-run, and the upgrade path for stores of earlier releases: they stay
+// readable as they are, and -repair of a torn one rewrites it in the
+// current format.
 //
 // Three modes:
 //
@@ -28,7 +31,7 @@ import (
 )
 
 func main() {
-	dir := flag.String("store", "", "segmented store directory to check")
+	dir := flag.String("store", "", "store directory to check")
 	repair := flag.Bool("repair", false, "salvage the store in place instead of verifying")
 	stats := flag.Bool("stats", false, "inspect and report state without verifying or repairing")
 	flag.Parse()

@@ -1,10 +1,11 @@
 // Command gendata generates a synthetic-web observation dataset — the
 // offline stand-in for the paper's four-year Alexa-1M crawl — and writes it
-// as gzip JSONL for cmd/analyze.
+// as a store directory (delta-encoded, checksummed gzip segments behind a
+// manifest) for cmd/analyze.
 //
 // Usage:
 //
-//	gendata -domains 20000 -weeks 201 -seed 1 -out observations.jsonl.gz
+//	gendata -domains 20000 -weeks 201 -seed 1 -out observations.store
 //	gendata -domains 20000 -segments 8 -out observations.store
 package main
 
@@ -23,8 +24,8 @@ func main() {
 	domains := flag.Int("domains", 20000, "number of ranked domains to model")
 	weeks := flag.Int("weeks", webgen.StudyWeeks, "number of weekly snapshots")
 	seed := flag.Int64("seed", 1, "generation seed")
-	out := flag.String("out", "observations.jsonl.gz", "output path (gzip JSONL file, or a directory with -segments > 1)")
-	segments := flag.Int("segments", 1, "store segments; >1 writes a segmented store directory (reads identical to a single file)")
+	out := flag.String("out", "observations.store", "output store directory")
+	segments := flag.Int("segments", 1, "segment files in the store directory; they write and replay in parallel (reports identical at every count)")
 	bundleFrac := flag.Float64("bundle-frac", 0, "fraction of eligible generated sites that ship their libraries as one bundled script (0 disables)")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	flag.Parse()

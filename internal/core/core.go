@@ -85,23 +85,24 @@ type Config struct {
 	// output to a serial run of the same configuration (proven by the
 	// shard equivalence tests).
 	Shards int
-	// StorePath, when set, persists every observation to a gzip JSONL
-	// file — or, with StoreSegments > 1, to a segmented store directory.
+	// StorePath, when set, persists every observation to a store
+	// directory at that path: delta-encoded, checksummed segment files
+	// plus a manifest that is written only when the run ends cleanly — a
+	// failed or cancelled run leaves a directory every reader refuses and
+	// `fsck -repair` salvages.
 	StorePath string
-	// StoreSegments selects the segmented store layout: StorePath becomes
-	// a directory of StoreSegments per-partition gzip JSONL files plus a
-	// manifest (partitioned by the same FNV-1a domain hash as Shards), so
-	// both writing and replaying parallelize. 0 or 1 keeps the single-file
-	// format. Both layouts replay to byte-identical reports.
+	// StoreSegments is the number of segment files (0 or 1: one). Segments
+	// partition by the same FNV-1a domain hash as Shards, so both writing
+	// and replaying parallelize. Every count replays to byte-identical
+	// reports.
 	StoreSegments int
 	// Checkpoint enables week-granular crash safety for the store: after
 	// every completed week each segment is flushed, its gzip member
 	// finished, and fsynced, and a checkpoint journal is committed
-	// atomically, so a crash loses at most the week in flight. Requires
-	// StorePath and forces the segmented layout (StoreSegments 0/1 becomes
-	// one segment). Checkpointing changes no observation: a checkpointed
-	// run's report is byte-identical to an unjournaled one (proven by the
-	// resume equivalence tests).
+	// atomically, so a crash loses at most the week in flight and the run
+	// can Resume. Requires StorePath. Checkpointing changes no observation:
+	// a checkpointed run's report is byte-identical to an unjournaled one
+	// (proven by the resume equivalence tests).
 	Checkpoint bool
 	// Resume restarts a crashed checkpointed run from its journal instead
 	// of starting over (implies Checkpoint): the store's committed weeks
@@ -235,17 +236,14 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	// resumed is the journal of the crashed run being resumed; its zero
 	// value — no weeks committed — is every other run's starting point.
 	var resumed store.Checkpoint
-	var writer store.Sink
+	var writer sink
 	if cfg.StorePath != "" {
+		opt := store.SegmentedOptions{Checkpoint: cfg.Checkpoint, Run: cfg.runID()}
 		var err error
-		switch {
-		case cfg.Resume:
-			writer, resumed, err = store.ResumeSegmented(cfg.StorePath, store.SegmentedOptions{Run: cfg.runID()})
-		case cfg.Checkpoint || cfg.StoreSegments > 1:
-			writer, err = store.CreateSegmentedWith(cfg.StorePath, cfg.StoreSegments,
-				store.SegmentedOptions{Checkpoint: cfg.Checkpoint, Run: cfg.runID()})
-		default:
-			writer, err = store.Create(cfg.StorePath)
+		if cfg.Resume {
+			writer, resumed, err = store.ResumeSegmented(cfg.StorePath, opt)
+		} else {
+			writer, err = store.CreateSegmentedWith(cfg.StorePath, cfg.StoreSegments, opt)
 		}
 		if err != nil {
 			return nil, err
@@ -286,21 +284,20 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 }
 
 // seal ends a writer's run. A successful run closes it, and a failed close
-// is the run's error: it loses the gzip footer, and with it data the
-// readers can never recover. A failed run must never write a manifest — the
-// directory keeps reading as incomplete, and the last checkpoint (if any)
-// stays authoritative for salvage and resume — so it aborts instead: the
-// deliberate crash, closing without a flush and losing only uncommitted
-// state. (A single-file store has no manifest to withhold and just closes.)
-func seal(w io.Closer, runErr error) error {
+// is the run's error: it loses the gzip footer or the manifest, and with
+// it data the readers can never recover. A failed run must never write a
+// manifest — the directory keeps reading as incomplete, and the last
+// checkpoint (if any) stays authoritative for salvage and resume — so it
+// aborts instead: the deliberate crash, closing without a flush and losing
+// only uncommitted state.
+func seal(w interface {
+	Close() error
+	Abort() error
+}, runErr error) error {
 	if runErr == nil {
 		return w.Close()
 	}
-	if ab, ok := w.(interface{ Abort() error }); ok {
-		_ = ab.Abort()
-	} else {
-		_ = w.Close()
-	}
+	_ = w.Abort()
 	return runErr
 }
 
@@ -392,7 +389,7 @@ func ObservationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo,
 // transport is the mounted bundle, and the base URL's host resolves
 // nowhere — nothing in a replayed run can touch the network. With
 // RecordBundle the transport is wrapped to archive every exchange.
-func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shards []*shard, start int, writer store.Sink) (_ *crawler.MetricsSnapshot, retErr error) {
+func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shards []*shard, start int, writer sink) (_ *crawler.MetricsSnapshot, retErr error) {
 	var wrap func(http.RoundTripper) http.RoundTripper
 	var baseURL string
 	if cfg.ReplayBundle != "" {
@@ -491,13 +488,14 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shar
 
 // RunFromStore replays a stored observation dataset through the analyses
 // (Findings still come from the PoC lab, which is dataset-independent).
-// The path may be a single gzip JSONL file or a segmented store directory
-// (see store.CreateSegmented); both formats are read transparently and
-// replay to byte-identical reports. Segments decode concurrently, and with
-// shards > 1 the observations go by domain hash to per-shard collector
-// sets, merged afterwards — the stored per-domain week ordering is
-// preserved inside each shard, so the result is identical to a serial
-// replay whatever the segment and shard counts are.
+// The path may be a store directory or a single gzip stream — one segment
+// file of a store, or a single-file archive of an earlier release; every
+// format the store reads replays to byte-identical reports. Segments
+// decode concurrently, and with shards > 1 the observations go by domain
+// hash to per-shard collector sets, merged afterwards — the stored
+// per-domain week ordering is preserved inside each shard, so the result
+// is identical to a serial replay whatever the segment and shard counts
+// are.
 func RunFromStore(path string, weeks, domains, shards int) (*Results, error) {
 	res, err := replayStore(path, weeks, domains, shards)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -101,6 +102,80 @@ func TestRunPersistsAndReplays(t *testing.T) {
 	}
 	if orig.Vuln.MeanVulnerableShare(false) != replayed.Vuln.MeanVulnerableShare(false) {
 		t.Error("replayed prevalence differs")
+	}
+}
+
+// TestDefaultStoreShape pins what the shipped commands write when no store
+// flag is given — the configurations cmd/gendata and cmd/crawl build from
+// their flag defaults: one delta-encoded, checksummed segment behind a
+// manifest, which replays to the run's own report both as a store and as
+// the bare gzip stream of its only segment.
+func TestDefaultStoreShape(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"gendata": {Domains: 60, Weeks: 6, Seed: 1, StoreSegments: 1, SkipPoC: true},
+		"crawl": {Domains: 24, Weeks: 4, Seed: 1, Mode: ModeCrawl, Workers: 64, Shards: 1,
+			StoreSegments: 1, SkipPoC: true},
+	} {
+		dir := filepath.Join(t.TempDir(), name+".store")
+		cfg.StorePath = dir
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := reportOf(t, res)
+		in, err := store.Verify(dir)
+		if err != nil {
+			t.Fatalf("%s: the default store fails verify: %v", name, err)
+		}
+		if in.Manifest.Version != store.FormatDelta || in.Manifest.Segments != 1 ||
+			in.Manifest.Total != cfg.Domains*cfg.Weeks {
+			t.Errorf("%s: manifest %+v", name, in.Manifest)
+		}
+		for _, path := range []string{dir, store.SegmentPath(dir, 0)} {
+			replayed, err := replayStore(path, cfg.Weeks, cfg.Domains, 1)
+			if err != nil {
+				t.Fatalf("%s: replaying %s: %v", name, path, err)
+			}
+			if reportOf(t, replayed) != want {
+				t.Errorf("%s: %s replays to a different report than the run's", name, path)
+			}
+		}
+	}
+}
+
+// TestCancelledRunLeavesNoArchive: a run that fails or is cancelled — here
+// with every default, so no journal either — must not leave something that
+// reads as a complete, shorter dataset. Every reader refuses the directory
+// and says why; salvage turns what reached the disk into a store that
+// verifies.
+func TestCancelledRunLeavesNoArchive(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "obs.store")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := Config{Domains: 600, Weeks: 4, Seed: 2, StorePath: dir, SkipPoC: true,
+		Progress: func(string, ...any) { cancel() }} // after week 1
+	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	_, replayErr := RunFromStore(dir, cfg.Weeks, cfg.Domains, 1)
+	for reader, err := range map[string]error{
+		"ForEach":      store.ForEach(dir, func(store.Observation) error { return nil }),
+		"RunFromStore": replayErr,
+	} {
+		if err == nil || !strings.HasPrefix(err.Error(), "store:") || !strings.Contains(err.Error(), "never sealed") {
+			t.Errorf("%s of the cancelled run's directory: %v", reader, err)
+		}
+	}
+	if _, err := store.Salvage(dir); err != nil {
+		t.Fatalf("salvage: %v", err)
+	}
+	in, err := store.Verify(dir)
+	if err != nil {
+		t.Fatalf("the salvaged store fails verify: %v", err)
+	}
+	if !in.Manifest.Salvaged || in.TotalRecords > cfg.Domains {
+		t.Errorf("salvaged store: %d records of a run cancelled after %d, manifest %+v",
+			in.TotalRecords, cfg.Domains, in.Manifest)
 	}
 }
 

@@ -57,6 +57,15 @@ type source[T any] struct {
 	observe func(shard int, item T, yield func(store.Observation))
 }
 
+// sink is the store a running study writes: a *store.SegmentedWriter, or in
+// the engine's tests one that fails.
+type sink interface {
+	Write(store.Observation) error
+	CommitWeek(week int) error
+	Close() error
+	Abort() error
+}
+
 // collect runs weeks [start, cfg.Weeks) of a study: one worker per shard
 // observes the shard's items into its collectors and writes them to the
 // store. Every week ends at the same barrier: drain the shards, surface
@@ -65,7 +74,7 @@ type source[T any] struct {
 // prefix: across a crash it may be ahead of the store (harmless — the
 // resumed run re-records the week and the duplicates supersede in the
 // replay index) but never behind it.
-func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int, src source[T], writer store.Sink, bundle *wexbundle.Writer) error {
+func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int, src source[T], writer sink, bundle *wexbundle.Writer) error {
 	chans := make([]chan T, len(shards))
 	errs := make([]error, len(shards))
 	// pending counts items handed to a channel and not yet processed. feed
@@ -127,11 +136,7 @@ func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int,
 					return err
 				}
 			}
-			cw, ok := writer.(interface{ CommitWeek(int) error })
-			if !ok {
-				return fmt.Errorf("core: Checkpoint set but the store writer cannot commit weeks")
-			}
-			if err := cw.CommitWeek(w); err != nil {
+			if err := writer.CommitWeek(w); err != nil {
 				return err
 			}
 			cfg.Progress("week %3d/%d committed", w+1, cfg.Weeks)
@@ -145,9 +150,9 @@ func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int,
 	return err
 }
 
-// replayUnit is one gzip stream of a stored dataset — a single-file store
-// or one segment of a segmented one — and the weeks of it that belong to
-// the dataset.
+// replayUnit is one gzip stream of a stored dataset — one segment of a
+// store, or a single-file archive — and the weeks of it that belong to the
+// dataset.
 type replayUnit struct {
 	path     string
 	from, to int // half-open

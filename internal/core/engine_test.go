@@ -145,8 +145,9 @@ func TestConfigMatrixByteIdenticalReports(t *testing.T) {
 type failingSink struct{ err error }
 
 func (f failingSink) Write(store.Observation) error { return f.err }
-func (f failingSink) Count() int                    { return 0 }
+func (f failingSink) CommitWeek(int) error          { return nil }
 func (f failingSink) Close() error                  { return nil }
+func (f failingSink) Abort() error                  { return nil }
 
 // TestShardWriteErrorStopsAtItsWeek: a store write that fails in a shard
 // worker ends the run at that week's barrier, checkpointed or not — not

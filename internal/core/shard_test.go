@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"clientres/internal/store"
 )
 
 func reportOf(t *testing.T, res *Results) string {
@@ -194,14 +196,21 @@ func TestCrawlMemoByteIdenticalReport(t *testing.T) {
 }
 
 // TestRunReportsWriterCloseError is the regression test for the dropped
-// Writer.Close error: the store writer buffers 64 KiB and gzips, so on a
-// full disk the data loss only surfaces at Close — Run must return it.
+// Close error: the store writer buffers 64 KiB and gzips, so on a full disk
+// the data loss may only surface at Close — Run must return it, not a
+// report over an archive nobody can read. The close that fails here is the
+// manifest's: its temp file's name is taken by a directory once the run
+// is under way.
 func TestRunReportsWriterCloseError(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("/dev/full not available")
+	dir := filepath.Join(t.TempDir(), "store")
+	cfg := Config{Domains: 30, Weeks: 3, Seed: 1, SkipPoC: true, StorePath: dir}
+	cfg.Progress = func(string, ...any) {
+		_ = os.Mkdir(filepath.Join(dir, store.ManifestName+".tmp"), 0o755)
 	}
-	cfg := Config{Domains: 30, Weeks: 3, Seed: 1, SkipPoC: true, StorePath: "/dev/full"}
-	if _, err := Run(context.Background(), cfg); err == nil {
-		t.Error("Run with an unflushable store must report the close error")
+	if _, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), store.ManifestName) {
+		t.Errorf("Run with an unsealable store must report the close error, got %v", err)
+	}
+	if store.IsSegmented(dir) {
+		t.Error("the store whose close failed reads as sealed")
 	}
 }

@@ -150,11 +150,13 @@ func TestDistributedByteIdenticalWithKills(t *testing.T) {
 			// assignments, so the dying epoch always leaves an accepted
 			// span behind — reassignment must then produce a second span
 			// for that partition.
-			var injectOnce sync.Once
+			var injectOnce, leasedOnce sync.Once
 			injected := make(chan struct{})
+			victimLeased := make(chan struct{})
 			weeksSeen := make(map[int]int)
 			var mu sync.Mutex
 			victimHook := func(partition, week int) error {
+				leasedOnce.Do(func() { close(victimLeased) })
 				mu.Lock()
 				weeksSeen[partition]++
 				n := weeksSeen[partition]
@@ -193,6 +195,17 @@ func TestDistributedByteIdenticalWithKills(t *testing.T) {
 				ch := make(chan error, 1)
 				errs[i] = ch
 				go func() { ch <- w.Run(wctx) }()
+				if i == 0 {
+					// The victim holds a lease before the others compete:
+					// four workers race for three partitions, and a victim
+					// left without one never fires the injection (1 run in
+					// 8 before this wait).
+					select {
+					case <-victimLeased:
+					case <-time.After(60 * time.Second):
+						t.Fatal("the victim never crawled a week")
+					}
+				}
 			}
 
 			// Let the run proceed deterministically until the injection,

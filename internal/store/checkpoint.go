@@ -71,10 +71,10 @@ var ErrFenced = errors.New("store: fenced: a newer epoch owns this store's check
 // CommittedWeeks-1 is durably on disk at the recorded per-segment offsets.
 type Checkpoint struct {
 	Version int `json:"version"`
-	// Format is the record format the segments are encoded in
-	// (FormatFramed or FormatDelta); journals written before the field
-	// existed are framed, so zero normalizes to FormatFramed on read. A
-	// resume continues in the journal's format.
+	// Format is the record format the segments are encoded in. Journals
+	// written before the field existed are framed, so zero normalizes to
+	// FormatFramed on read; only a v3 or v4 journal can be resumed, a v2
+	// one can still be salvaged.
 	Format int `json:"format,omitempty"`
 	// CommittedWeeks counts fully committed weeks; the next week to
 	// collect is week CommittedWeeks (0-based).
@@ -83,7 +83,7 @@ type Checkpoint struct {
 	Offsets        []int64 `json:"offsets"`
 	Counts         []int   `json:"counts"`
 	Total          int     `json:"total"`
-	// Members is the per-segment committed member table of a delta-format
+	// Members is the per-segment committed member table of a v3 or v4
 	// store: checkpoint salvage re-hashes the committed prefix against it
 	// before trusting a decode. Per segment, the member lengths must sum
 	// to the committed offset and the record counts to the committed

@@ -101,7 +101,7 @@ func TestCheckpointCommitResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Salvaged || man.Total != len(all) || man.Version != ManifestVersionDelta {
+	if man.Salvaged || man.Total != len(all) || man.Version != FormatDelta {
 		t.Fatalf("manifest after resumed run: %+v", man)
 	}
 	var got []Observation

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -121,9 +120,9 @@ func byWeek(obs []Observation, weeks int) [][]Observation {
 // on fsys until a fault aborts it, simulating the crash with Abort (user-
 // space buffers lost, OS-reached bytes kept). It returns the number of
 // weeks whose CommitWeek succeeded.
-func runCheckpointedWrite(t *testing.T, dir string, fsys FS, weeks [][]Observation, segments int, run RunID, format int) (committed int) {
+func runCheckpointedWrite(t *testing.T, dir string, fsys FS, weeks [][]Observation, segments int, run RunID) (committed int) {
 	t.Helper()
-	w, err := CreateSegmentedWith(dir, segments, SegmentedOptions{Checkpoint: true, Run: run, FS: fsys, Format: format})
+	w, err := CreateSegmentedWith(dir, segments, SegmentedOptions{Checkpoint: true, Run: run, FS: fsys})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -164,90 +163,90 @@ func checkSalvagedState(t *testing.T, dir string, weeks [][]Observation, segment
 		}
 	}
 	for s := 0; s < segments; s++ {
-		var got []Observation
-		if err := ForEachSegment(dir, s, func(o Observation) error {
-			got = append(got, o.Clone())
-			return nil
-		}); err != nil {
-			t.Fatalf("segment %d unreadable after salvage: %v", s, err)
-		}
+		got := readSegment(t, dir, s)
 		if len(got) < committedPerSeg[s] {
 			t.Fatalf("segment %d: %d records recovered, committed weeks held %d — committed data lost",
 				s, len(got), committedPerSeg[s])
 		}
-		if len(got) > len(perSeg[s]) {
-			t.Fatalf("segment %d: %d records recovered, only %d ever written", s, len(got), len(perSeg[s]))
-		}
-		want := perSeg[s][:len(got)]
-		for i := range got {
-			a, b := got[i], want[i]
-			if len(a.Libs) == 0 {
-				a.Libs = nil
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("segment %d record %d: salvage returned a record that was never written\n got %+v\nwant %+v",
-					s, i, a, b)
-			}
-		}
+		checkPrefix(t, s, got, perSeg[s])
 	}
 	if _, err := Verify(dir); err != nil {
 		t.Fatalf("salvaged store fails verify: %v", err)
 	}
 }
 
-// TestFaultScheduleCommitsOrSalvages sweeps the write fault across the
-// run — several byte budgets for clean ENOSPC and for torn short writes,
-// in both the framed (v2) and delta (v3) segment formats — and proves
-// every crash point leaves a store Salvage restores to all committed
-// weeks.
+// TestFaultScheduleCommitsOrSalvages sweeps the write fault across the two
+// writes a store can get — several byte budgets each, as clean ENOSPC and
+// as torn short writes. v3: a checkpointed run; every crash point leaves a
+// store Salvage restores to all committed weeks. v2: nothing writes it any
+// more, the write it still gets is `fsck -repair` rewriting a torn store as
+// v3; a repair the disk cuts short must seal nothing and cost the next
+// repair no record. (The bundle codec has its sweep in wexbundle.)
 func TestFaultScheduleCommitsOrSalvages(t *testing.T) {
 	const segments = 3
 	run := RunID{Seed: 77, Domains: 15, Weeks: 6}
 	weeks := byWeek(genObs(15, 6), 6)
 
-	for _, format := range []int{FormatFramed, FormatDelta} {
-		fmtTag := "v" + itoa(format)
-		// Measure the fault-free byte volume (format-dependent: v3 writes
-		// far fewer bytes) to place budgets meaningfully.
+	// write runs on an unlimited probe first, which measures the fault-free
+	// byte volume to place the budgets by.
+	sweep := func(tag string, write func(t *testing.T, fsys *faultFS)) {
 		probe := &faultFS{budget: -1}
-		dir := filepath.Join(t.TempDir(), "probe-"+fmtTag)
-		if got := runCheckpointedWrite(t, dir, probe, weeks, segments, run, format); got != 6 {
-			t.Fatalf("%s: fault-free run committed %d weeks, want 6", fmtTag, got)
-		}
-		total := probe.wrote
-		if total == 0 {
+		write(t, probe)
+		if probe.wrote == 0 {
 			t.Fatal("probe measured zero bytes")
 		}
-
 		for _, shortWrite := range []bool{false, true} {
 			name := "enospc"
 			if shortWrite {
 				name = "short-write"
 			}
 			for _, frac := range []int{5, 25, 45, 65, 85, 99} {
-				budget := total * frac / 100
-				t.Run(fmtTag+"/"+name+"/"+itoa(frac)+"pct", func(t *testing.T) {
-					fsys := &faultFS{budget: budget, shortWrite: shortWrite}
-					dir := filepath.Join(t.TempDir(), "store")
-					// committed may reach 6 when the fault lands past the last
-					// CommitWeek (e.g. inside the manifest write): all weeks are
-					// then committed and salvage must restore the full archive.
-					committed := runCheckpointedWrite(t, dir, fsys, weeks, segments, run, format)
+				t.Run(tag+"/"+name+"/"+itoa(frac)+"pct", func(t *testing.T) {
+					fsys := &faultFS{budget: probe.wrote * frac / 100, shortWrite: shortWrite}
+					write(t, fsys)
 					if !fsys.faulted {
-						t.Fatalf("budget %d of %d bytes did not fault", budget, total)
+						t.Fatalf("%d%% of %d bytes did not fault", frac, probe.wrote)
 					}
-					res, err := Salvage(dir)
-					if err != nil {
-						t.Fatalf("salvage after %d committed weeks: %v", committed, err)
-					}
-					if committed > 0 && !res.FromCheckpoint {
-						t.Errorf("checkpoint present but salvage ignored it: %+v", res)
-					}
-					checkSalvagedState(t, dir, weeks, segments, committed)
 				})
 			}
 		}
 	}
+	sweep("v3", func(t *testing.T, fsys *faultFS) {
+		dir := filepath.Join(t.TempDir(), "store")
+		// committed may reach 6 when the fault lands past the last
+		// CommitWeek (e.g. inside the manifest write): all weeks are then
+		// committed and salvage must restore the full archive.
+		committed := runCheckpointedWrite(t, dir, fsys, weeks, segments, run)
+		if !fsys.faulted && committed != 6 {
+			t.Fatalf("fault-free run committed %d weeks, want 6", committed)
+		}
+		res, err := Salvage(dir)
+		if err != nil {
+			t.Fatalf("salvage after %d committed weeks: %v", committed, err)
+		}
+		if fsys.faulted && committed > 0 && !res.FromCheckpoint {
+			t.Errorf("checkpoint present but salvage ignored it: %+v", res)
+		}
+		checkSalvagedState(t, dir, weeks, segments, committed)
+	})
+	kept := -1 // records the fault-free repair recovers
+	sweep("v2", func(t *testing.T, fsys *faultFS) {
+		dir := tornFixture(t, "v2.store")
+		res, err := salvageOn(fsys, dir)
+		if kept < 0 {
+			kept = res.Total
+		}
+		if (err != nil) != fsys.faulted || IsSegmented(dir) != (err == nil) {
+			t.Fatalf("repair: %v (faulted=%v, sealed=%v)", err, fsys.faulted, IsSegmented(dir))
+		}
+		if res, err = Salvage(dir); err != nil || res.Total != kept {
+			t.Fatalf("repair after the cut-short one: %d of %d records, %v", res.Total, kept, err)
+		}
+		checkSalvagedState(t, dir, byWeek(fixtureStream(), 8), 2, 0)
+		if man, err := ReadManifest(dir); err != nil || man.Version != FormatDelta {
+			t.Errorf("repaired manifest: %+v, %v", man, err)
+		}
+	})
 }
 
 // TestFaultFsyncAbortsCommit: an fsync failure must fail CommitWeek (the

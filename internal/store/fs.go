@@ -132,17 +132,12 @@ const (
 )
 
 // fnv1aUpdate folds b into a running FNV-1a state (start from fnvOffset32
-// for a fresh sum) — the incremental form the member hasher needs.
+// for a fresh sum) — the incremental form the member hasher needs; a v2
+// record frame's checksum is one call of it.
 func fnv1aUpdate(h uint32, b []byte) uint32 {
 	for i := 0; i < len(b); i++ {
 		h ^= uint32(b[i])
 		h *= fnvPrime32
 	}
 	return h
-}
-
-// fnv1aSum is FNV-1a over a byte slice — the record-frame checksum, the
-// same hash family ShardOf partitions by.
-func fnv1aSum(b []byte) uint32 {
-	return fnv1aUpdate(fnvOffset32, b)
 }

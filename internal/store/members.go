@@ -57,12 +57,13 @@ func (h *memberHasher) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// verifyMemberTable re-hashes a segment file against its member table:
+// VerifyMemberTable re-hashes a segment file against its member table:
 // every member's compressed bytes must be present with the recorded sum,
 // and nothing may follow the last member. It reads raw bytes only — no
 // decompression — so it is cheap enough to run before any decode is
-// trusted (the checkpoint-salvage authority does exactly that).
-func verifyMemberTable(path string, members []Member) error {
+// trusted (the checkpoint-salvage authority does exactly that, and so does
+// wexbundle when it mounts a bundle).
+func VerifyMemberTable(path string, members []Member) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -98,13 +99,6 @@ func verifyMemberTable(path string, members []Member) error {
 		return fmt.Errorf("store: %s: trailing bytes past the member table", filepath.Base(path))
 	}
 	return nil
-}
-
-// VerifyMemberTable is verifyMemberTable for sibling packages: wexbundle
-// proves a bundle's raw bytes against the manifest's member table at mount
-// time, before trusting any decode.
-func VerifyMemberTable(path string, members []Member) error {
-	return verifyMemberTable(path, members)
 }
 
 // sniffFormat reports the record format of a segment file by its first

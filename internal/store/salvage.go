@@ -175,7 +175,7 @@ func Verify(dir string) (Inspection, error) {
 				return in, fmt.Errorf("store: %s: member table records %d, segment holds %d",
 					filepath.Base(seg.Path), records, seg.Records)
 			}
-			if err := verifyMemberTable(seg.Path, members); err != nil {
+			if err := VerifyMemberTable(seg.Path, members); err != nil {
 				return in, err
 			}
 		}
@@ -265,7 +265,7 @@ func salvageFromCheckpoint(fsys FS, dir string, ck Checkpoint) (SalvageResult, e
 		// file against it before trusting any decode — a bit flip inside
 		// committed data fails here on the raw bytes.
 		if formatHasMembers(ck.Format) {
-			if err := verifyMemberTable(path, ck.Members[i]); err != nil {
+			if err := VerifyMemberTable(path, ck.Members[i]); err != nil {
 				return res, fmt.Errorf("store: committed member corrupt: %w", err)
 			}
 		}
@@ -345,16 +345,11 @@ func salvageByScan(fsys FS, dir string) (SalvageResult, error) {
 			}
 			res.TornSegments++ // decode stopped at the torn tail; amputated
 		}
-		if _, err := nw.commit(); err != nil {
-			_ = nw.abort()
-			_ = fsys.Remove(tmp)
-			return res, fmt.Errorf("store: %s: %w", tmp, err)
-		}
-		members[i] = append([]Member(nil), nw.members...)
 		if err := nw.Close(); err != nil {
 			_ = fsys.Remove(tmp)
 			return res, fmt.Errorf("store: %s: %w", tmp, err)
 		}
+		members[i] = nw.members
 		if err := fsys.Rename(tmp, path); err != nil {
 			_ = fsys.Remove(tmp)
 			return res, fmt.Errorf("store: %w", err)

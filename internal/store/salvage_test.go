@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -25,8 +24,7 @@ func readSegment(t *testing.T, dir string, seg int) []Observation {
 	t.Helper()
 	var got []Observation
 	if err := ForEachSegment(dir, seg, func(o Observation) error {
-		o.Libs = append([]LibRecord(nil), o.Libs...)
-		got = append(got, o)
+		got = append(got, o.Clone())
 		return nil
 	}); err != nil {
 		t.Fatalf("segment %d: %v", seg, err)
@@ -118,7 +116,7 @@ func TestSalvageScanRebuildsTornStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !man.Salvaged || man.Version != ManifestVersionDelta {
+	if !man.Salvaged || man.Version != FormatDelta {
 		t.Fatalf("salvaged manifest: %+v", man)
 	}
 	if _, err := Verify(dir); err != nil {
@@ -230,9 +228,11 @@ func TestVerifyLyingManifest(t *testing.T) {
 }
 
 // TestParallelReaderTruncatedSegment (satellite S3): one segment cut
-// mid-gzip-stream. The parallel reader must fail with a store: error naming
-// the torn segment, and the callback must only ever have seen complete,
-// checksum-valid records that were actually written.
+// mid-gzip-stream. Its reader — each segment has its own, which is what
+// core's replay lanes run side by side — must fail with a store: error
+// naming it, the other segments read whole, and the callbacks must only
+// ever have seen complete, checksum-valid records that were actually
+// written.
 func TestParallelReaderTruncatedSegment(t *testing.T) {
 	const segments = 4
 	obs := genObs(30, 3)
@@ -247,85 +247,45 @@ func TestParallelReaderTruncatedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
 	got := make([][]Observation, segments)
-	err = ForEachSegmentedParallel(dir, func(seg int, o Observation) error {
-		o.Libs = append([]LibRecord(nil), o.Libs...)
-		mu.Lock()
-		got[seg] = append(got[seg], o)
-		mu.Unlock()
-		return nil
-	})
-	if err == nil {
-		t.Fatal("parallel read of a truncated segment must error")
-	}
-	if !strings.HasPrefix(err.Error(), "store:") || !strings.Contains(err.Error(), "seg-0002.jsonl.gz") {
-		t.Fatalf("error must carry the store prefix and name the torn segment: %v", err)
-	}
-	for s := 0; s < segments; s++ {
-		checkPrefix(t, s, got[s], perSeg[s])
+	for seg := range got {
+		err := ForEachSegment(dir, seg, func(o Observation) error {
+			got[seg] = append(got[seg], o.Clone())
+			return nil
+		})
+		switch {
+		case seg != 2 && err != nil:
+			t.Errorf("intact segment %d: %v", seg, err)
+		case seg == 2 && err == nil:
+			t.Fatal("read of a truncated segment must error")
+		case seg == 2 && (!strings.HasPrefix(err.Error(), "store:") || !strings.Contains(err.Error(), "seg-0002.jsonl.gz")):
+			t.Fatalf("error must carry the store prefix and name the torn segment: %v", err)
+		}
+		checkPrefix(t, seg, got[seg], perSeg[seg])
 	}
 	if len(got[2]) >= len(perSeg[2]) {
 		t.Errorf("segment 2 delivered %d records from a truncated file holding %d", len(got[2]), len(perSeg[2]))
 	}
 }
 
-// writeV1Store builds a pre-framing (manifest version 1) segmented store
-// the way the old writer did: plain gzip JSONL segments, no frames, no
-// checkpoint.
-func writeV1Store(t *testing.T, dir string, obs []Observation, segments int) {
+// checkLegacyStore: a sealed store of an earlier release (a checked-in
+// fixture holding fixtureStream) keeps reading byte-identically through
+// every entry point and passes Verify; torn and manifest-less — the
+// pre-checkpoint crash shape — Salvage recovers each segment's prefix and
+// rewrites the store as v3, the one upgrade path.
+func checkLegacyStore(t *testing.T, name string, version int) {
 	t.Helper()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writers := make([]*Writer, segments)
-	counts := make([]int, segments)
-	for i := range writers {
-		w, err := createFile(osFS{}, SegmentPath(dir, i), FormatPlain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		writers[i] = w
-	}
-	for _, o := range obs {
-		s := ShardOf(o.Domain, segments)
-		if err := writers[s].Write(o); err != nil {
-			t.Fatal(err)
-		}
-		counts[s]++
-	}
-	for _, w := range writers {
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	man := Manifest{Version: ManifestVersionPlain, Segments: segments,
-		Partition: PartitionFNV1aDomain, Counts: counts, Total: len(obs)}
-	data, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1StoreBackCompat: version-1 stores written before framing must keep
-// reading byte-identically through every entry point, pass Verify, and be
-// salvageable (the salvage rewrite upgrades them to framed v2).
-func TestV1StoreBackCompat(t *testing.T) {
-	const segments = 3
-	obs := genObs(18, 4)
+	const segments = 2
+	obs := fixtureStream()
 	perSeg := splitBySegment(obs, segments)
-	dir := filepath.Join(t.TempDir(), "v1")
-	writeV1Store(t, dir, obs, segments)
+	dir := filepath.Join("testdata", name)
 
 	man, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Version != ManifestVersionPlain {
-		t.Fatalf("manifest version = %d, want 1", man.Version)
+	if man.Version != version {
+		t.Fatalf("manifest version = %d, want %d", man.Version, version)
 	}
 	var got []Observation
 	if err := ForEach(dir, func(o Observation) error {
@@ -339,46 +299,62 @@ func TestV1StoreBackCompat(t *testing.T) {
 		checkPrefix(t, s, readSegment(t, dir, s), perSeg[s])
 	}
 	if _, err := Verify(dir); err != nil {
-		t.Fatalf("intact v1 store fails verify: %v", err)
+		t.Fatalf("intact %s fails verify: %v", name, err)
 	}
 
-	// Torn v1 store: truncate a segment, drop the manifest — the pre-
-	// checkpoint crash shape. Salvage must recover the prefix and rewrite
-	// the store as framed v2.
-	torn := filepath.Join(t.TempDir(), "v1-torn")
-	writeV1Store(t, torn, obs, segments)
-	if err := os.Remove(filepath.Join(torn, ManifestName)); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(SegmentPath(torn, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(SegmentPath(torn, 0), fi.Size()/2); err != nil {
-		t.Fatal(err)
-	}
+	torn := tornFixture(t, name)
 	res, err := Salvage(torn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Intact || res.FromCheckpoint || res.TornSegments != 1 {
-		t.Fatalf("v1 salvage result: %+v", res)
+		t.Fatalf("salvage result: %+v", res)
 	}
 	man2, err := ReadManifest(torn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !man2.Salvaged || man2.Version != ManifestVersionDelta {
-		t.Fatalf("salvaged v1 manifest: %+v", man2)
+	if !man2.Salvaged || man2.Version != FormatDelta {
+		t.Fatalf("salvaged manifest: %+v", man2)
 	}
 	if _, err := Verify(torn); err != nil {
-		t.Fatalf("salvaged v1 store fails verify: %v", err)
+		t.Fatalf("salvaged store fails verify: %v", err)
 	}
 	for s := 0; s < segments; s++ {
 		got := readSegment(t, torn, s)
 		checkPrefix(t, s, got, perSeg[s])
-		if s != 0 && len(got) != len(perSeg[s]) {
+		if s != 1 && len(got) != len(perSeg[s]) {
 			t.Errorf("segment %d: %d records after salvage, want all %d", s, len(got), len(perSeg[s]))
 		}
+		if s == 1 && (len(got) == 0 || len(got) == len(perSeg[s])) {
+			t.Errorf("segment 1 was cut in half but holds %d of %d records", len(got), len(perSeg[s]))
+		}
+	}
+}
+
+func TestV1StoreBackCompat(t *testing.T) { checkLegacyStore(t, "v1.store", FormatPlain) }
+
+// TestV2StoreBackCompat adds the shape only v2 has: a crashed checkpointed
+// run whose journal predates the format field. Salvage restores exactly
+// its committed weeks and the result verifies — still v2, since nothing
+// had to be rewritten.
+func TestV2StoreBackCompat(t *testing.T) {
+	checkLegacyStore(t, "v2.store", FormatFramed)
+
+	const committedWeeks = 5
+	crashed := copyFixture(t, "v2-crashed.store")
+	res, err := Salvage(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.FromCheckpoint || res.TornSegments != 2 || res.DroppedBytes == 0 {
+		t.Fatalf("checkpoint salvage result: %+v", res)
+	}
+	checkSalvagedState(t, crashed, byWeek(fixtureStream(), 8), 2, committedWeeks)
+	if n := len(readSegment(t, crashed, 0)) + len(readSegment(t, crashed, 1)); n != committedWeeks*6 {
+		t.Errorf("salvaged store holds %d records, want exactly the %d committed", n, committedWeeks*6)
+	}
+	if man, err := ReadManifest(crashed); err != nil || man.Version != FormatFramed || !man.Salvaged {
+		t.Fatalf("salvaged manifest: %+v, %v", man, err)
 	}
 }

@@ -1,13 +1,14 @@
-// Segmented store: the parallel-I/O layout of the observation archive.
+// Segmented store: the one layout of the observation archive.
 //
 // A single gzip stream can only ever be decoded by one goroutine — the
-// compression state is sequential — so the single-file store caps replay
+// compression state is sequential — so one file would cap replay
 // throughput at one core no matter how many analysis shards run behind
 // it. The segmented layout removes that ceiling the way industrial crawl
 // archives do (Common Crawl's segment files, BUbiNG's parallel store):
-// the archive is a directory of n independent gzip JSONL segment files
-// plus a small JSON manifest, partitioned by the same FNV-1a domain hash
-// the analysis pipeline shards by. Because segment partition == shard
+// the archive is a directory of n independent gzip segment files (n = 1
+// by default) plus a small JSON manifest that exists only once the run
+// closed cleanly, partitioned by the same FNV-1a domain hash the analysis
+// pipeline shards by. Because segment partition == shard
 // partition, a reader with one decoder goroutine per segment can feed
 // per-shard collectors directly, with no cross-goroutine handoff, and
 // per-domain week ordering — the correctness contract of the stateful
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // ManifestName is the file that marks a directory as a segmented store.
@@ -30,22 +30,6 @@ const ManifestName = "manifest.json"
 // uses; readers refuse manifests declaring anything else.
 const PartitionFNV1aDomain = "fnv1a-domain"
 
-// Manifest versions — numerically identical to the record format
-// constants (FormatPlain/Framed/Delta). Version 1 segments are plain gzip
-// JSONL; version 2 segments frame every record with a length + FNV-1a
-// checksum header (see Writer) and may span multiple gzip members (one
-// per committed week); version 3 segments delta-encode per-domain streams
-// and carry whole-member checksums in the manifest's member table; version
-// 4 segments hold raw '!'-marked bundle record lines (wexbundle owns the
-// payload) with the same member table. Readers sniff the encoding per
-// stream, so all observation versions read through the same entry points.
-const (
-	ManifestVersionPlain  = FormatPlain
-	ManifestVersionFramed = FormatFramed
-	ManifestVersionDelta  = FormatDelta
-	ManifestVersionBundle = FormatBundle
-)
-
 // Manifest describes a segmented store directory.
 type Manifest struct {
 	Version   int    `json:"version"`
@@ -54,7 +38,7 @@ type Manifest struct {
 	// Counts holds per-segment observation counts; Total their sum.
 	Counts []int `json:"counts"`
 	Total  int   `json:"total"`
-	// Members is the per-segment member table of a version-3 store: each
+	// Members is the per-segment member table of a v3 or v4 store: each
 	// segment's committed gzip members with compressed length, FNV-1a sum
 	// over the compressed bytes, and record count. Verify re-hashes the
 	// raw segment files against it.
@@ -74,14 +58,10 @@ func ShardOf(domain string, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
+	h := uint32(fnvOffset32)
 	for i := 0; i < len(domain); i++ {
 		h ^= uint32(domain[i])
-		h *= prime32
+		h *= fnvPrime32
 	}
 	return int(h % uint32(n))
 }
@@ -98,11 +78,9 @@ func SegmentPath(dir string, i int) string {
 type SegmentedWriter struct {
 	dir  string
 	fsys FS
+	// opt holds the options as resolved: Format is never zero.
 	opt  SegmentedOptions
-	// format is the resolved record format of every segment (FormatFramed
-	// or FormatDelta; resumes inherit the checkpoint's format).
-	format int
-	segs   []*Writer
+	segs []*Writer
 	// committedWeeks mirrors the last checkpoint written (checkpointed
 	// writers only).
 	committedWeeks int
@@ -119,15 +97,26 @@ type SegmentedOptions struct {
 	// Run is the identity stamped into the journal; ResumeSegmented
 	// refuses a checkpoint stamped by a different run.
 	Run RunID
-	// Format selects the segment record format: FormatDelta (the default
-	// when zero) or FormatFramed (the v2 layout, kept writable so existing
-	// v2 stores can be resumed and regression-tested). New v1 segmented
-	// stores cannot be written, only read.
+	// Format selects the codec: FormatDelta (the default when zero) for
+	// observations, FormatBundle for wexbundle's raw record lines. A resume
+	// refuses a journal of any other format than the one asked for here.
 	Format int
 	// FS overrides the filesystem the durable write path goes through
 	// (nil = the real one); the fault-injection tests substitute one that
 	// fails chosen operations.
 	FS FS
+}
+
+// resolveFormat defaults Format to observations and refuses everything but
+// the two codecs that have a writer.
+func (opt *SegmentedOptions) resolveFormat(dir string) error {
+	if opt.Format == 0 {
+		opt.Format = FormatDelta
+	}
+	if opt.Format != FormatDelta && opt.Format != FormatBundle {
+		return fmt.Errorf("store: %s: format %d is not one this version writes", dir, opt.Format)
+	}
+	return nil
 }
 
 // CreateSegmented creates a segmented store directory with n segment
@@ -146,12 +135,8 @@ func CreateSegmentedWith(dir string, n int, opt SegmentedOptions) (*SegmentedWri
 	if n < 1 {
 		n = 1
 	}
-	format := opt.Format
-	if format == 0 {
-		format = FormatDelta
-	}
-	if format != FormatFramed && format != FormatDelta && format != FormatBundle {
-		return nil, fmt.Errorf("store: %s: unsupported segment format %d", dir, format)
+	if err := opt.resolveFormat(dir); err != nil {
+		return nil, err
 	}
 	fsys := realFS(opt.FS)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -160,13 +145,12 @@ func CreateSegmentedWith(dir string, n int, opt SegmentedOptions) (*SegmentedWri
 	if err := cleanStaleRun(fsys, dir, n); err != nil {
 		return nil, err
 	}
-	w := &SegmentedWriter{dir: dir, fsys: fsys, opt: opt, format: format,
-		segs: make([]*Writer, n)}
+	w := &SegmentedWriter{dir: dir, fsys: fsys, opt: opt, segs: make([]*Writer, n)}
 	for i := range w.segs {
-		seg, err := createFile(fsys, SegmentPath(dir, i), format)
+		seg, err := createFile(fsys, SegmentPath(dir, i), opt.Format)
 		if err != nil {
 			for j := 0; j < i; j++ {
-				_ = w.segs[j].Close()
+				_ = w.segs[j].abort()
 			}
 			return nil, err
 		}
@@ -220,9 +204,6 @@ func segmentIndex(dir, path string) (int, bool) {
 	return idx, true
 }
 
-// Segments returns the segment count.
-func (w *SegmentedWriter) Segments() int { return len(w.segs) }
-
 // Write routes one observation to its domain's segment.
 func (w *SegmentedWriter) Write(obs Observation) error {
 	return w.segs[ShardOf(obs.Domain, len(w.segs))].Write(obs)
@@ -272,25 +253,21 @@ func (w *SegmentedWriter) CommitWeek(week int) error {
 	}
 	ck := Checkpoint{
 		Version:        CheckpointVersion,
-		Format:         w.format,
+		Format:         w.opt.Format,
 		CommittedWeeks: week + 1,
 		Segments:       len(w.segs),
 		Offsets:        make([]int64, len(w.segs)),
 		Counts:         make([]int, len(w.segs)),
+		Members:        make([][]Member, len(w.segs)),
 		Run:            w.opt.Run,
-	}
-	if formatHasMembers(w.format) {
-		ck.Members = make([][]Member, len(w.segs))
 	}
 	for i, seg := range w.segs {
 		off, err := seg.commit()
-		count := seg.Count()
-		if ck.Members != nil {
-			ck.Members[i] = append([]Member(nil), seg.members...)
-		}
 		if err != nil {
 			return fmt.Errorf("store: %s: %w", SegmentPath(w.dir, i), err)
 		}
+		count := seg.Count()
+		ck.Members[i] = append([]Member(nil), seg.members...)
 		ck.Offsets[i] = off
 		ck.Counts[i] = count
 		ck.Total += count
@@ -314,26 +291,19 @@ func (w *SegmentedWriter) CommittedWeeks() int { return w.committedWeeks }
 func (w *SegmentedWriter) Close() error {
 	var first error
 	man := Manifest{
-		Version:   w.format,
+		Version:   w.opt.Format,
 		Segments:  len(w.segs),
 		Partition: PartitionFNV1aDomain,
 		Counts:    make([]int, len(w.segs)),
-	}
-	if formatHasMembers(w.format) {
-		man.Members = make([][]Member, len(w.segs))
+		Members:   make([][]Member, len(w.segs)),
 	}
 	for i, seg := range w.segs {
 		man.Counts[i] = seg.Count()
 		man.Total += seg.Count()
-		if _, err := seg.commit(); err != nil && first == nil {
-			first = err
-		}
-		if man.Members != nil {
-			man.Members[i] = append([]Member(nil), seg.members...)
-		}
 		if err := seg.Close(); err != nil && first == nil {
 			first = err
 		}
+		man.Members[i] = seg.members
 	}
 	if first != nil {
 		return first
@@ -374,19 +344,33 @@ func writeManifest(fsys FS, dir string, man Manifest) error {
 // tells the caller which week to restart collection at (and carries the
 // committed per-segment record counts for verification by replay). A
 // manifest left by a completed run is removed: while the writer is open
-// the directory must read as incomplete. opt.Run, when non-zero, must
-// match the checkpoint's run identity — with one sanctioned exception: a
-// takeover resume whose RunID differs only by a *higher* Epoch adopts the
-// store, immediately re-stamping the journal with the new epoch so any
-// still-running older-epoch writer is fenced at its next CommitWeek. A
-// resume under an epoch older than the journal's is itself refused as
-// fenced: a newer lease already owns the store.
+// the directory must read as incomplete.
+//
+// All of that is destructive, so every refusal comes first. The journal
+// must be of the codec the caller writes (opt.Format; zero means
+// observations): a resume pointed at the sealed bundle instead of the
+// store beside it, or the other way round, or at a store of an earlier
+// release, leaves the directory as it found it. opt.Run, when non-zero,
+// must match the checkpoint's run identity — with one sanctioned
+// exception: a takeover resume whose RunID differs only by a *higher*
+// Epoch adopts the store, immediately re-stamping the journal with the new
+// epoch so any still-running older-epoch writer is fenced at its next
+// CommitWeek. A resume under an epoch older than the journal's is itself
+// refused as fenced: a newer lease already owns the store.
 func ResumeSegmented(dir string, opt SegmentedOptions) (*SegmentedWriter, Checkpoint, error) {
 	opt.Checkpoint = true
+	if err := opt.resolveFormat(dir); err != nil {
+		return nil, Checkpoint{}, err
+	}
 	fsys := realFS(opt.FS)
 	ck, err := ReadCheckpoint(dir)
 	if err != nil {
 		return nil, Checkpoint{}, err
+	}
+	if ck.Format != opt.Format {
+		return nil, Checkpoint{}, fmt.Errorf("store: %s: the checkpoint journals a format v%d archive, this resume writes v%d "+
+			"(v3 is an observation store, v4 a web-execution bundle; older ones are read-only, `fsck -repair` seals them) — nothing was changed",
+			dir, ck.Format, opt.Format)
 	}
 	takeover := false
 	if opt.Run != (RunID{}) && ck.Run != opt.Run {
@@ -413,18 +397,10 @@ func ResumeSegmented(dir string, opt SegmentedOptions) (*SegmentedWriter, Checkp
 			return nil, Checkpoint{}, err
 		}
 	}
-	// The journal's format is authoritative: a resumed store continues in
-	// the format its committed prefix is encoded in, whatever the resuming
-	// configuration would have defaulted to — mixing formats mid-segment
-	// would break the per-stream sniff.
-	w := &SegmentedWriter{dir: dir, fsys: fsys, opt: opt, format: ck.Format,
+	w := &SegmentedWriter{dir: dir, fsys: fsys, opt: opt,
 		segs: make([]*Writer, ck.Segments), committedWeeks: ck.CommittedWeeks}
 	for i := range w.segs {
-		var members []Member
-		if ck.Members != nil {
-			members = ck.Members[i]
-		}
-		seg, err := resumeFile(fsys, SegmentPath(dir, i), ck.Offsets[i], ck.Counts[i], ck.Format, members)
+		seg, err := resumeFile(fsys, SegmentPath(dir, i), ck.Offsets[i], ck.Counts[i], ck.Format, ck.Members[i])
 		if err != nil {
 			for j := 0; j < i; j++ {
 				_ = w.segs[j].abort()
@@ -467,8 +443,7 @@ func ReadManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		return Manifest{}, fmt.Errorf("store: %s: corrupt manifest: %w", dir, err)
 	}
-	if man.Version != ManifestVersionPlain && man.Version != ManifestVersionFramed &&
-		man.Version != ManifestVersionDelta && man.Version != ManifestVersionBundle {
+	if man.Version < FormatPlain || man.Version > FormatBundle {
 		return Manifest{}, fmt.Errorf("store: %s: manifest version %d not supported", dir, man.Version)
 	}
 	if man.Segments < 1 || man.Segments != len(man.Counts) {
@@ -503,39 +478,6 @@ func ForEachSegmented(dir string, fn func(Observation) error) error {
 	for s := 0; s < man.Segments; s++ {
 		if err := ForEachSegment(dir, s, fn); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// ForEachSegmentedParallel decodes every segment of a segmented store
-// concurrently, one decoder goroutine per segment, calling fn(seg, obs)
-// from that segment's goroutine. fn is therefore called concurrently
-// across segments but serially within one, and the Observation reuses
-// its Libs backing array between calls — fn must consume it before
-// returning, not retain it (collector Observe calls qualify; channel
-// sends do not). The first error — decode-side or from fn — aborts all
-// segments' results; the other goroutines still drain to completion.
-func ForEachSegmentedParallel(dir string, fn func(seg int, obs Observation) error) error {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	errs := make([]error, man.Segments)
-	var wg sync.WaitGroup
-	for s := 0; s < man.Segments; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = forEachFile(SegmentPath(dir, s), func(obs Observation) error {
-				return fn(s, obs)
-			})
-		}(s)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
 		}
 	}
 	return nil

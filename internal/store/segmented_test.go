@@ -86,8 +86,8 @@ func byDomain(obs []Observation) map[string][]Observation {
 }
 
 // TestSegmentedRoundTrip: every observation written comes back exactly
-// once at every segment count, with per-domain order intact, through both
-// the sequential and parallel readers and the transparent ForEach.
+// once at every segment count, with per-domain order intact, through the
+// sequential reader and the transparent ForEach.
 func TestSegmentedRoundTrip(t *testing.T) {
 	want := genObs(23, 7)
 	wantBy := byDomain(want)
@@ -121,24 +121,6 @@ func TestSegmentedRoundTrip(t *testing.T) {
 			}
 			checkSameByDomain(t, wantBy, byDomain(got))
 		}
-
-		// Parallel reader: concurrent callbacks, no-retain contract — copy
-		// inside the callback before the decoder reuses the buffers.
-		var mu sync.Mutex
-		gotBy := make(map[string][]Observation)
-		if err := ForEachSegmentedParallel(dir, func(seg int, o Observation) error {
-			if want := ShardOf(o.Domain, segments); want != seg {
-				t.Errorf("domain %s in segment %d, want %d", o.Domain, seg, want)
-			}
-			o.Libs = append([]LibRecord(nil), o.Libs...)
-			mu.Lock()
-			gotBy[o.Domain] = append(gotBy[o.Domain], o)
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			t.Fatalf("segments=%d parallel: %v", segments, err)
-		}
-		checkSameByDomain(t, wantBy, gotBy)
 	}
 }
 
@@ -265,10 +247,10 @@ func TestSegmentedNoManifestUnreadable(t *testing.T) {
 // TestSegmentedBadManifest covers corrupt and inconsistent manifests.
 func TestSegmentedBadManifest(t *testing.T) {
 	for name, manifest := range map[string]string{
-		"corrupt":       "{not json",
-		"zero-segments": `{"version":1,"segments":0,"partition":"fnv1a-domain","counts":[],"total":0}`,
+		"corrupt":        "{not json",
+		"zero-segments":  `{"version":1,"segments":0,"partition":"fnv1a-domain","counts":[],"total":0}`,
 		"count-mismatch": `{"version":1,"segments":2,"partition":"fnv1a-domain","counts":[1],"total":1}`,
-		"bad-partition": `{"version":1,"segments":1,"partition":"md5-url","counts":[0],"total":0}`,
+		"bad-partition":  `{"version":1,"segments":1,"partition":"md5-url","counts":[0],"total":0}`,
 	} {
 		dir := filepath.Join(t.TempDir(), name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -336,9 +318,6 @@ func TestSegmentedAbortPropagates(t *testing.T) {
 	sentinel := errors.New("stop")
 	if err := ForEachSegmented(dir, func(Observation) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Errorf("sequential: got %v", err)
-	}
-	if err := ForEachSegmentedParallel(dir, func(int, Observation) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("parallel: got %v", err)
 	}
 }
 

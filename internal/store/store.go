@@ -3,13 +3,13 @@
 // The paper's dataset is 157.2M landing pages over 201 weeks; keeping
 // observations as raw HTML would be enormous, so the pipeline reduces every
 // page to an Observation — the facts the analyses consume — and stores them
-// as gzip-compressed JSON lines, one observation per line, ordered by week.
+// as gzip-compressed record lines in a segmented store directory (see
+// segmented.go), each domain's weeks delta-encoded against the week before.
 // Readers stream; nothing requires the dataset to fit in memory.
 package store
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -91,13 +91,6 @@ func (o Observation) Lib(slug string) (LibRecord, bool) {
 	return LibRecord{}, false
 }
 
-// Sink is the write side shared by the single-file and segmented stores.
-type Sink interface {
-	Write(Observation) error
-	Count() int
-	Close() error
-}
-
 // Record formats. The numbers double as manifest versions: a segmented
 // store's manifest.Version is the format its segments are encoded in.
 //
@@ -112,10 +105,12 @@ type Sink interface {
 //	                   payload encoding); durability, checkpointing, member
 //	                   checksums, and salvage behave exactly as v3.
 //
-// Readers sniff the format from the first decompressed byte of each
-// stream, so all observation versions read through the same entry points;
-// a v4 stream is not an observation store and decodeStream refuses it
-// loudly instead of misparsing it.
+// Only v3 and v4 are written. v1 and v2 are archives of earlier releases:
+// readers sniff the format from the first decompressed byte of each
+// stream, so they keep reading through the same entry points, and
+// `fsck -repair` (Salvage) is how one becomes a v3 store. A v4 stream is
+// not an observation store and decodeStream refuses it loudly instead of
+// misparsing it.
 const (
 	FormatPlain  = 1
 	FormatFramed = 2
@@ -124,52 +119,46 @@ const (
 )
 
 // formatHasMembers reports whether a format keeps the member-level
-// checksum table (delta v3 and bundle v4).
+// checksum table (delta v3 and bundle v4) — a question only for bytes from
+// outside: everything this package writes has one.
 func formatHasMembers(format int) bool {
 	return format == FormatDelta || format == FormatBundle
 }
 
-// Writer streams observations to a gzip JSONL file. Write, WriteRaw and
-// Count are safe for concurrent use (collection shards share one sink);
-// commit and Close need the writes quiesced.
+// Writer streams records to one segment file. Write, WriteRaw and Count
+// are safe for concurrent use (collection shards share one sink); commit
+// and Close need the writes quiesced.
 //
-// A framed (v2) writer precedes every record with a self-describing frame
-// header — "#<len> <fnv1a-hex>\n" — so readers verify each record's
-// length and checksum before handing it to a callback, and salvage can cut
-// a torn file back to its last valid record. A delta (v3) writer encodes
-// each domain's week N as a diff against its week N-1 and checksums whole
-// compressed members instead of records. In both, the file is a
-// concatenation of gzip members: commit (the week-boundary durability
-// point) finishes the open member and fsyncs, and the next Write starts a
-// fresh member, so a crash never tears a committed member.
+// A delta (v3) writer encodes each domain's week N as a diff against its
+// week N-1; a bundle (v4) writer takes raw lines. Either way the file is a
+// concatenation of gzip members, each checksummed whole: commit (the
+// week-boundary durability point) finishes the open member and fsyncs, and
+// the next write starts a fresh member, so a crash never tears a committed
+// member.
 type Writer struct {
 	mu  sync.Mutex
 	f   File
 	gz  *gzip.Writer
 	buf *bufio.Writer
-	enc *json.Encoder
 	n   int
-	// format is the record encoding (FormatPlain/Framed/Delta); the zero
-	// value writes plain v1, so a zero-value Writer keeps v1 semantics.
+	// format is FormatDelta or FormatBundle.
 	format int
 	// open tracks whether a gzip member is in progress; commit closes the
-	// member and clears it, the next Write resets gz and sets it.
-	open    bool
-	scratch bytes.Buffer
-	// hdr is the reusable header scratch: the longest v2 frame header —
-	// "#<7 digits> <8 hex>\n" at maxFrameLen — is 18 bytes, and a v3
-	// same-record prefix "~<week digits> " tops out near 21, so building
-	// either here never allocates per record.
-	hdr [24]byte
-
-	// Delta (v3) state. mh sits between gz and f accounting the member in
-	// progress; members accumulates the committed member table; lastN is
-	// the record count at the last member boundary; prev is the per-domain
-	// dictionary the delta encoder diffs against.
-	mh      *memberHasher
+	// member and clears it, the next write resets gz and sets it.
+	open bool
+	// mh sits between gz and f accounting the member in progress; members
+	// accumulates the committed member table; lastN is the record count at
+	// the last member boundary.
+	mh      memberHasher
 	members []Member
 	lastN   int
-	prev    map[string]Observation
+
+	// Delta (v3) state: prev is the per-domain dictionary the encoder diffs
+	// against, and hdr the scratch a same-record prefix "~<week digits> "
+	// (at most 12 bytes) is built in, so the common record never allocates.
+	enc  *json.Encoder
+	prev map[string]Observation
+	hdr  [16]byte
 }
 
 // Pools for the pieces every writer and reader re-creates: gzip
@@ -177,18 +166,7 @@ type Writer struct {
 // tables alone are hundreds of KiB) and the 64 KiB scan/flush buffers.
 // All of them support Reset, so recycling is free of correctness risk.
 var (
-	gzwPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-	// Framed (v2) segments compress at BestSpeed: the per-record checksum
-	// frames are incompressible and poison the level-6 match search (+43%
-	// write time measured), while at BestSpeed the whole framed write path
-	// costs less than the unframed level-6 baseline — enabling crash
-	// safety never slows a crawl down. The trade is ~1.6x archive size,
-	// the usual write-ahead-log bargain. gzip.Writer.Reset keeps its
-	// level, so the two pools must never mix.
-	gzwFastPool = sync.Pool{New: func() any {
-		gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-		return gz
-	}}
+	gzwPool  = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 	gzrPool  = sync.Pool{} // holds *gzip.Reader; empty Get means "make one"
 	bufwPool = sync.Pool{New: func() any {
 		return bufio.NewWriterSize(io.Discard, 1<<16)
@@ -210,50 +188,41 @@ func newGzipReader(r io.Reader) (*gzip.Reader, error) {
 	return gzip.NewReader(r)
 }
 
-// Create opens a new observation file, truncating any existing one. The
-// file uses the original unframed v1 encoding — plain gzip JSONL.
-func Create(path string) (*Writer, error) {
-	return createFile(osFS{}, path, FormatPlain)
+// newWriter wraps an open segment file positioned at a member boundary,
+// count records and the given committed members in.
+func newWriter(f File, format, count int, members []Member) *Writer {
+	w := &Writer{f: f, format: format, n: count, lastN: count,
+		gz: gzwPool.Get().(*gzip.Writer), buf: bufwPool.Get().(*bufio.Writer),
+		members: append([]Member(nil), members...)}
+	w.mh.Reset(f)
+	w.buf.Reset(w.gz)
+	if format == FormatDelta {
+		w.prev = make(map[string]Observation)
+		w.enc = json.NewEncoder(w.buf)
+	}
+	return w
 }
 
-// createFile opens a new observation file through fsys in the given
-// record format.
+// createFile opens a new segment file through fsys, truncating any
+// existing one. Its first member opens at once, so that a segment nothing
+// is ever written to still holds one (empty) member, not zero bytes no
+// gzip reader accepts.
 func createFile(fsys FS, path string, format int) (*Writer, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	gz := gzwPoolFor(format).Get().(*gzip.Writer)
-	buf := bufwPool.Get().(*bufio.Writer)
-	w := &Writer{f: f, gz: gz, buf: buf, format: format, open: true}
-	switch format {
-	case FormatDelta:
-		w.mh = &memberHasher{}
-		w.mh.Reset(f)
-		gz.Reset(w.mh)
-		w.prev = make(map[string]Observation)
-		w.enc = json.NewEncoder(buf)
-	case FormatBundle:
-		w.mh = &memberHasher{}
-		w.mh.Reset(f)
-		gz.Reset(w.mh)
-	case FormatFramed:
-		gz.Reset(f)
-		w.enc = json.NewEncoder(&w.scratch)
-	default:
-		gz.Reset(f)
-		w.enc = json.NewEncoder(buf)
-	}
-	buf.Reset(gz)
+	w := newWriter(f, format, 0, nil)
+	w.reopenMember()
 	return w, nil
 }
 
 // resumeFile reopens a segment at a committed byte offset: the torn tail
 // past the offset is amputated, the record count restored, and the next
-// Write starts a fresh gzip member exactly at the commit boundary. A
-// resumed delta writer carries the committed member table forward and
-// starts with an empty domain dictionary, so the first post-resume record
-// of every domain is a full record — the decoder needs no cross-member
+// Write starts a fresh gzip member exactly at the commit boundary. The
+// resumed writer carries the committed member table forward and starts
+// with an empty domain dictionary, so the first post-resume record of
+// every domain is a full record — the decoder needs no cross-member
 // history beyond what the stream itself establishes.
 func resumeFile(fsys FS, path string, offset int64, count int, format int, members []Member) (*Writer, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
@@ -274,24 +243,7 @@ func resumeFile(fsys FS, path string, offset int64, count int, format int, membe
 		_ = f.Close()
 		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
-	gz := gzwPoolFor(format).Get().(*gzip.Writer)
-	buf := bufwPool.Get().(*bufio.Writer)
-	buf.Reset(gz)
-	w := &Writer{f: f, gz: gz, buf: buf, format: format, open: false, n: count}
-	switch {
-	case formatHasMembers(format):
-		w.mh = &memberHasher{}
-		w.mh.Reset(f)
-		w.members = append([]Member(nil), members...)
-		w.lastN = count
-		if format == FormatDelta {
-			w.prev = make(map[string]Observation)
-			w.enc = json.NewEncoder(buf)
-		}
-	default:
-		w.enc = json.NewEncoder(&w.scratch)
-	}
-	return w, nil
+	return newWriter(f, format, count, members), nil
 }
 
 // Write appends one observation. Failed writes are not counted: Count
@@ -303,31 +255,16 @@ func (w *Writer) Write(obs Observation) error {
 		return fmt.Errorf("store: Write on a bundle-format writer; bundles take WriteRaw")
 	}
 	w.reopenMember()
-	switch w.format {
-	case FormatFramed:
-		return w.writeFramed(obs)
-	case FormatDelta:
-		return w.writeDelta(obs)
-	}
-	if err := w.enc.Encode(obs); err != nil {
-		return err
-	}
-	w.n++
-	return nil
+	return w.writeDelta(obs)
 }
 
 // reopenMember starts a new gzip member at the committed boundary on the
 // first write after a commit (or a resume).
 func (w *Writer) reopenMember() {
-	if w.open || w.gz == nil {
-		return
+	if !w.open {
+		w.gz.Reset(&w.mh)
+		w.open = true
 	}
-	if formatHasMembers(w.format) {
-		w.gz.Reset(w.mh)
-	} else {
-		w.gz.Reset(w.f)
-	}
-	w.open = true
 }
 
 // WriteRaw appends one raw record line (without its trailing newline) to a
@@ -346,31 +283,6 @@ func (w *Writer) WriteRaw(line []byte) error {
 		return err
 	}
 	if err := w.buf.WriteByte('\n'); err != nil {
-		return err
-	}
-	w.n++
-	return nil
-}
-
-// writeFramed appends a v2 record: the observation is encoded to the
-// scratch buffer first so the frame header can carry the record's exact
-// length and FNV-1a checksum.
-func (w *Writer) writeFramed(obs Observation) error {
-	w.scratch.Reset()
-	if err := w.enc.Encode(obs); err != nil {
-		return err
-	}
-	line := w.scratch.Bytes() // JSON payload + trailing '\n'
-	payload := line[:len(line)-1]
-	hdr := append(w.hdr[:0], frameMark)
-	hdr = strconv.AppendInt(hdr, int64(len(payload)), 10)
-	hdr = append(hdr, ' ')
-	hdr = appendHex32(hdr, fnv1aSum(payload))
-	hdr = append(hdr, '\n')
-	if _, err := w.buf.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.buf.Write(line); err != nil {
 		return err
 	}
 	w.n++
@@ -443,8 +355,17 @@ func (w *Writer) commit() (int64, error) {
 	if err := w.buf.Flush(); err != nil {
 		return 0, err
 	}
-	if err := w.finishMember(); err != nil {
-		return 0, err
+	if w.open {
+		if err := w.gz.Close(); err != nil {
+			return 0, err
+		}
+		w.open = false
+		// The end of a member is also the checksum boundary: its compressed
+		// length, FNV-1a sum, and record count join the member table and
+		// the hasher restarts for the next member.
+		w.members = append(w.members, Member{Len: w.mh.n, Sum: w.mh.sum, Records: w.n - w.lastN})
+		w.lastN = w.n
+		w.mh.Reset(w.f)
 	}
 	if err := w.f.Sync(); err != nil {
 		return 0, err
@@ -452,90 +373,44 @@ func (w *Writer) commit() (int64, error) {
 	return w.f.Seek(0, io.SeekCurrent)
 }
 
-// finishMember closes the gzip member in progress, if any. For a delta
-// writer this is also the checksum boundary: the member's compressed
-// length, FNV-1a sum, and record count are appended to the member table
-// and the hasher restarts for the next member.
-func (w *Writer) finishMember() error {
-	if !w.open {
-		return nil
-	}
-	if err := w.gz.Close(); err != nil {
-		return err
-	}
-	w.open = false
-	if formatHasMembers(w.format) {
-		w.members = append(w.members, Member{Len: w.mh.n, Sum: w.mh.sum, Records: w.n - w.lastN})
-		w.lastN = w.n
-		w.mh.Reset(w.f)
-	}
-	return nil
-}
-
-// Close flushes and closes the file. Closing (or aborting) twice is a
-// no-op: a failed SegmentedWriter.Close is followed by Abort, which must
-// not return already-recycled state to the pools again.
+// Close commits what was written and closes the file. Closing (or aborting)
+// twice is a no-op: a failed SegmentedWriter.Close is followed by Abort,
+// which must not return already-recycled state to the pools again.
 func (w *Writer) Close() error {
 	if w.buf == nil {
 		return nil
 	}
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
+	_, err := w.commit()
+	if cerr := w.abort(); err == nil {
+		err = cerr
 	}
-	keep(w.buf.Flush())
-	keep(w.finishMember())
-	keep(w.f.Close())
-	w.recycle()
-	return first
-}
-
-// recycle returns the pooled pieces exactly once.
-func (w *Writer) recycle() {
-	if w.buf != nil {
-		bufwPool.Put(w.buf)
-		w.buf = nil
-	}
-	if w.gz != nil {
-		gzwPoolFor(w.format).Put(w.gz)
-		w.gz = nil
-	}
-}
-
-// gzwPoolFor picks the compressor pool matching a writer's encoding: v2
-// framed writers compress at BestSpeed (their checksum frames poison the
-// level-6 match search), v1 and v3 at the default level — v3's delta
-// streams are pure repetitive text, exactly what level 6 rewards.
-func gzwPoolFor(format int) *sync.Pool {
-	if format == FormatFramed {
-		return &gzwFastPool
-	}
-	return &gzwPool
+	return err
 }
 
 // abort closes the file without flushing buffered data — the simulated-
 // crash path: whatever the OS already has (everything through the last
 // commit, plus any incidentally flushed tail) stays on disk, everything
 // still buffered in user space is lost, exactly as a SIGKILL would leave
-// it.
+// it. The pooled pieces go back exactly once.
 func (w *Writer) abort() error {
 	if w.buf == nil {
 		return nil
 	}
 	err := w.f.Close()
-	w.recycle()
+	bufwPool.Put(w.buf)
+	gzwPool.Put(w.gz)
+	w.buf, w.gz = nil, nil
 	return err
 }
 
 // ForEach streams every observation of a store to fn, in file order. fn
 // returning an error aborts the scan with that error. The path may be a
-// single gzip JSONL file or a segmented store directory (see
-// CreateSegmented); segmented stores are read segment by segment, in
-// segment order. Read-side failures (missing file, truncated or corrupt
-// gzip, malformed JSON) come back wrapped with a "store:" prefix naming
-// the file; fn's own errors pass through unwrapped.
+// store directory (see CreateSegmented), read segment by segment in
+// segment order, or a single gzip stream: one segment file of a store, or
+// the single-file archive an earlier release wrote. Read-side failures
+// (missing file, truncated or corrupt gzip, malformed JSON) come back
+// wrapped with a "store:" prefix naming the file; fn's own errors pass
+// through unwrapped.
 //
 // Every ForEach path shares one pooled decoder: the Observation handed to
 // fn reuses its Libs/Flash backing between calls, so fn must consume it
@@ -575,15 +450,6 @@ const frameMark = '#'
 // maxFrameLen bounds a frame's declared record length; a corrupt header
 // must not turn into an arbitrary allocation.
 const maxFrameLen = 16 << 20
-
-// appendHex32 appends v as exactly 8 lowercase hex digits.
-func appendHex32(dst []byte, v uint32) []byte {
-	const digits = "0123456789abcdef"
-	for shift := 28; shift >= 0; shift -= 4 {
-		dst = append(dst, digits[(v>>uint(shift))&0xf])
-	}
-	return dst
-}
 
 // parseFrameHeader parses "#<len> <fnv1a-hex>\n" (hdr includes the '\n').
 func parseFrameHeader(hdr []byte) (length int, sum uint32, ok bool) {
@@ -682,25 +548,25 @@ func (fr *frameReader) next() {
 		corrupt("frame length mismatch")
 		return
 	}
-	if got := fnv1aSum(rec[:length]); got != sum {
+	if got := fnv1aUpdate(fnvOffset32, rec[:length]); got != sum {
 		corrupt("record checksum mismatch (frame %08x, data %08x)", sum, got)
 		return
 	}
 	fr.rec, fr.off = rec, 0
 }
 
-// decodeFramed decodes a v2 framed stream: every record is verified
-// against its frame's length and FNV-1a checksum before fn sees it, so a
-// torn or bit-flipped record can never leak a partial observation into a
-// callback — the scan stops with a corrupt-stream error instead. The
-// verified payload stream feeds one persistent json.Decoder (rather than
-// a per-record Unmarshal, whose fresh decode/scanner state costs an
-// allocation and ~300 B per record at archive-replay volume). The decoder
-// only ever buffers whole verified records, so a frame error still
-// surfaces after exactly the valid record prefix has been delivered.
-func decodeFramed(br *bufio.Reader, path string, fn func(Observation) error) error {
-	fr := &frameReader{br: br, path: path}
-	dec := json.NewDecoder(fr)
+// decodeJSONLines decodes observations from a stream of JSON lines: a v1
+// stream as it is, or a v2 stream through a frameReader, which releases no
+// byte of a record before its frame's length and FNV-1a checksum verified —
+// a torn or bit-flipped record never leaks a partial observation into a
+// callback, the scan stops with a corrupt-stream error instead. One
+// persistent json.Decoder serves the stream (a per-record Unmarshal's fresh
+// decode/scanner state costs an allocation and ~300 B per record at
+// archive-replay volume); over a frameReader it only ever buffers whole
+// verified records, so a frame error still surfaces after exactly the valid
+// record prefix has been delivered.
+func decodeJSONLines(r io.Reader, path string, fn func(Observation) error) error {
+	dec := json.NewDecoder(r)
 	var obs Observation
 	for {
 		// Keep the Libs capacity; json.Decode refills it in place. The
@@ -714,7 +580,7 @@ func decodeFramed(br *bufio.Reader, path string, fn func(Observation) error) err
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
-			if err == fr.err {
+			if fr, ok := r.(*frameReader); ok && err == fr.err {
 				return err // already wrapped with the store path by frameReader
 			}
 			return fmt.Errorf("store: %s: corrupt stream: %w", path, err)
@@ -744,32 +610,13 @@ func decodeStream(r io.Reader, path string, fn func(Observation) error) error {
 		}
 		return fmt.Errorf("store: %s: corrupt stream: %w", path, err)
 	} else if first[0] == frameMark {
-		return decodeFramed(br, path, fn)
+		return decodeJSONLines(&frameReader{br: br, path: path}, path, fn)
 	} else if first[0] == fullMark || first[0] == sameMark || first[0] == deltaMark {
 		return decodeDelta(br, path, fn)
 	} else if first[0] == BundleMark {
 		return fmt.Errorf("store: %s: web-execution bundle (v4) segment — not an observation store; replay it with wexbundle", path)
 	}
-	dec := json.NewDecoder(br)
-	var obs Observation
-	for {
-		// Keep the Libs capacity; json.Decode refills it in place. The
-		// reused slots must be zeroed first: decoding merges into existing
-		// elements, so a field omitted by omitempty would otherwise keep
-		// the previous record's value.
-		libs := obs.Libs[:cap(obs.Libs)]
-		clear(libs)
-		obs = Observation{Libs: libs[:0]}
-		if err := dec.Decode(&obs); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("store: %s: corrupt stream: %w", path, err)
-		}
-		if err := fn(obs); err != nil {
-			return err
-		}
-	}
+	return decodeJSONLines(br, path, fn)
 }
 
 // ReadAll loads a whole observation file into memory. Intended for tests

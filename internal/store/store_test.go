@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -28,12 +29,20 @@ func sample(week int) Observation {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "obs.jsonl.gz")
-	w, err := Create(path)
+// createStream opens a bare v3 stream: one segment file without a store
+// directory around it, which is what the single-file readers take.
+func createStream(t *testing.T, path string) *Writer {
+	t.Helper()
+	w, err := createFile(osFS{}, path, FormatDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+func TestRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "obs.jsonl.gz")
+	w := createStream(t, path)
 	var want []Observation
 	for week := 0; week < 5; week++ {
 		obs := sample(week)
@@ -59,7 +68,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestForEachAbort(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "obs.jsonl.gz")
-	w, _ := Create(path)
+	w := createStream(t, path)
 	for i := 0; i < 10; i++ {
 		_ = w.Write(sample(i))
 	}
@@ -148,10 +157,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			want = append(want, randomObs(r))
 		}
 		path := filepath.Join(dir, "q"+itoa(i)+".gz")
-		w, err := Create(path)
-		if err != nil {
-			return false
-		}
+		w := createStream(t, path)
 		for _, obs := range want {
 			if w.Write(obs) != nil {
 				return false
@@ -235,14 +241,20 @@ func TestWriteCountsOnlySuccessfulWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for exactly two encoded lines (json.Encoder appends '\n').
-	fw := &failWriter{failAfter: 2 * (len(line) + 1)}
-	w := &Writer{enc: json.NewEncoder(fw)}
-	for i := 0; i < 2; i++ {
+	// Room for exactly two full records ('=' + JSON + '\n'), behind the
+	// smallest buffer bufio has, so that the third record's bytes reach the
+	// failing writer inside its own Write call.
+	fw := &failWriter{failAfter: 2 * (len(line) + 2)}
+	w := &Writer{format: FormatDelta, open: true, buf: bufio.NewWriterSize(fw, 16),
+		prev: make(map[string]Observation)}
+	w.enc = json.NewEncoder(w.buf)
+	for i, domain := range []string{"news1.com", "news2.com"} {
+		obs.Domain = domain
 		if err := w.Write(obs); err != nil {
 			t.Fatalf("write %d should succeed: %v", i, err)
 		}
 	}
+	obs.Domain = "news3.com"
 	if err := w.Write(obs); err == nil {
 		t.Fatal("third write must fail")
 	}
@@ -256,10 +268,7 @@ func TestWriteCountsOnlySuccessfulWrites(t *testing.T) {
 // stream corrupt, not succeed short or leak a bare decoder error.
 func TestTruncatedGzipFooter(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "obs.jsonl.gz")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := createStream(t, path)
 	for i := 0; i < 50; i++ {
 		if err := w.Write(sample(i)); err != nil {
 			t.Fatal(err)
@@ -293,10 +302,7 @@ func TestTruncatedGzipFooter(t *testing.T) {
 // JSON) catches them first.
 func TestGarbageMidFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "obs.jsonl.gz")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := createStream(t, path)
 	for i := 0; i < 50; i++ {
 		if err := w.Write(sample(i)); err != nil {
 			t.Fatal(err)
@@ -331,10 +337,7 @@ func TestGarbageMidFile(t *testing.T) {
 // unreadable).
 func TestWriterCloseReportsFlushFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "obs.jsonl.gz")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := createStream(t, path)
 	if err := w.Write(sample(0)); err != nil {
 		t.Fatalf("buffered write should not fail: %v", err)
 	}
@@ -354,7 +357,7 @@ func TestWriterCloseFullDisk(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("/dev/full not available")
 	}
-	w, err := Create("/dev/full")
+	w, err := createFile(osFS{}, "/dev/full", FormatDelta)
 	if err != nil {
 		t.Skip("cannot open /dev/full for writing")
 	}

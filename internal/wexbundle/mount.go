@@ -35,7 +35,7 @@ func Mount(dir string) (*Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	if man.Version != store.ManifestVersionBundle {
+	if man.Version != store.FormatBundle {
 		return nil, fmt.Errorf("wexbundle: %s: not a bundle archive (manifest v%d); record one with -record", dir, man.Version)
 	}
 	for s := 0; s < man.Segments; s++ {
@@ -117,7 +117,7 @@ func Stats(dir string) ([]WeekStat, error) {
 	if err != nil {
 		return nil, err
 	}
-	if man.Version != store.ManifestVersionBundle {
+	if man.Version != store.FormatBundle {
 		return nil, fmt.Errorf("wexbundle: %s: not a bundle archive (manifest v%d)", dir, man.Version)
 	}
 	byWeek := make(map[int]*WeekStat)

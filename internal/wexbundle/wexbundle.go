@@ -169,15 +169,13 @@ func Create(dir string, opt Options) (*Writer, error) {
 
 // Resume reopens a checkpointed bundle at its last committed week,
 // truncating any torn tail, and returns the checkpoint so the caller knows
-// which weeks are already archived.
+// which weeks are already archived. A journal that is not a bundle's — the
+// observation store recorded beside it, say — is refused untouched.
 func Resume(dir string, opt Options) (*Writer, store.Checkpoint, error) {
-	sw, ck, err := store.ResumeSegmented(dir, store.SegmentedOptions{Run: opt.Run, FS: opt.FS})
+	sw, ck, err := store.ResumeSegmented(dir, store.SegmentedOptions{
+		Run: opt.Run, Format: store.FormatBundle, FS: opt.FS})
 	if err != nil {
 		return nil, store.Checkpoint{}, err
-	}
-	if ck.Format != store.FormatBundle {
-		_ = sw.Abort()
-		return nil, store.Checkpoint{}, fmt.Errorf("wexbundle: %s: not a bundle archive (store format v%d)", dir, ck.Format)
 	}
 	return &Writer{sw: sw, dir: dir}, ck, nil
 }

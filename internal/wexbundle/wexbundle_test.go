@@ -413,6 +413,10 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
+// TestResumeRejectsObservationStore: a bundle resume pointed at the sealed
+// observation store recorded beside the bundle is refused before the store
+// unseals the directory — manifest and segment stay byte-for-byte what
+// they were. (store's TestResumeRefusesOtherCodec is the other direction.)
 func TestResumeRejectsObservationStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	run := store.RunID{Seed: 1, Domains: 1, Weeks: 1}
@@ -426,9 +430,26 @@ func TestResumeRejectsObservationStore(t *testing.T) {
 	if err := sw.CommitWeek(0); err != nil {
 		t.Fatal(err)
 	}
-	_ = sw.Abort()
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() string {
+		var all []byte
+		for _, f := range []string{filepath.Join(dir, store.ManifestName), store.SegmentPath(dir, 0)} {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, data...)
+		}
+		return string(all)
+	}
+	before := snapshot()
 	if _, _, err := Resume(dir, Options{Run: run}); err == nil {
 		t.Fatal("Resume accepted an observation-store checkpoint")
+	}
+	if snapshot() != before {
+		t.Error("the refused resume changed the manifest or the segment")
 	}
 }
 

@@ -12,8 +12,10 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+# internal/core alone takes ~11 min under the race detector on two cores,
+# past go test's 10-minute default alarm.
 echo "==> go test -race"
-go test -race ./...
+go test -race -timeout 30m ./...
 
 # Budgeted fuzz smoke runs: a few seconds each, enough to catch shallow
 # regressions on every change without turning CI into a fuzzing farm.
@@ -24,13 +26,14 @@ go test -run '^$' -fuzz '^FuzzParseVersion$' -fuzztime "$FUZZTIME" ./internal/se
 go test -run '^$' -fuzz '^FuzzRange$' -fuzztime "$FUZZTIME" ./internal/semver
 go test -run '^$' -fuzz '^FuzzAuditHandler$' -fuzztime "$FUZZTIME" ./internal/service
 go test -run '^$' -fuzz '^FuzzSignatureScan$' -fuzztime "$FUZZTIME" ./internal/fingerprint
+go test -run '^$' -fuzz '^FuzzDecodeStream$' -fuzztime "$FUZZTIME" ./internal/store
 
-# One-iteration bench smoke of the store/fingerprint/serve perf ablations:
+# One-iteration bench smoke of the root perf ablations bench/ has no twin for:
 # not a measurement, just proof the benchmarks still build, run, and verify
 # their own observation counts (BenchmarkServeAudit additionally reconciles
 # the service's /metrics counters against the load it generated).
-echo "==> bench smoke (store read/write/decode + fingerprint memo + signature scan + serve audit, 1 iteration)"
-go test -run '^$' -bench 'BenchmarkStoreReadSegments|BenchmarkStoreDecodeSegment|BenchmarkStoreWrite|BenchmarkFingerprintMemo|BenchmarkSignatureScan|BenchmarkServeAudit|BenchmarkServeBatch' \
+echo "==> bench smoke (segment decode + fingerprint memo + signature scan + serve audit, 1 iteration)"
+go test -run '^$' -bench 'BenchmarkStoreDecodeSegment|BenchmarkFingerprintMemo|BenchmarkSignatureScan|BenchmarkServeAudit|BenchmarkServeBatch' \
 	-benchmem -benchtime 1x .
 
 # Chaos-crawl smoke: an end-to-end cmd/crawl run with fault injection and
@@ -40,7 +43,7 @@ echo "==> chaos crawl smoke (fault-injected end-to-end run)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/crawl -domains 40 -weeks 3 -chaos 0.3 -politeness \
-	-out "$tmp/chaos.jsonl.gz" >/dev/null
+	-out "$tmp/chaos.store" >/dev/null
 
 # Bundled-mode smoke: generate a bundling population, crawl it with
 # script-body fetching + signature scanning on, and prove the analyzer's
@@ -49,12 +52,12 @@ go run ./cmd/crawl -domains 40 -weeks 3 -chaos 0.3 -politeness \
 # its summary counts the bundled ground truth the crawl must recover.
 echo "==> bundled crawl smoke (gendata -> crawl -bundle-scan -> analyze)"
 go run ./cmd/gendata -domains 40 -weeks 3 -bundle-frac 0.8 -quiet \
-	-out "$tmp/bundled-truth.jsonl.gz" >/dev/null
-go run ./cmd/analyze -in "$tmp/bundled-truth.jsonl.gz" -weeks 3 -domains 40 \
+	-out "$tmp/bundled-truth.store" >/dev/null
+go run ./cmd/analyze -in "$tmp/bundled-truth.store" -weeks 3 -domains 40 \
 	-bundle-scan >"$tmp/bundled-truth.report"
 go run ./cmd/crawl -domains 40 -weeks 3 -bundle-frac 0.8 -bundle-scan \
-	-out "$tmp/bundled.jsonl.gz" >/dev/null
-go run ./cmd/analyze -in "$tmp/bundled.jsonl.gz" -weeks 3 -domains 40 \
+	-out "$tmp/bundled.store" >/dev/null
+go run ./cmd/analyze -in "$tmp/bundled.store" -weeks 3 -domains 40 \
 	-bundle-scan >"$tmp/bundled.report"
 for rep in "$tmp/bundled-truth.report" "$tmp/bundled.report"; do
 	grep -q 'Bundle-scan summary' "$rep"
@@ -263,21 +266,69 @@ grep -c 'lease granted' "$tmp/coord.log" | {
 cmp "$tmp/dist-ref.report" "$tmp/dist.report" || {
 	echo "distributed merged report differs from the serial reference"; exit 1; }
 
-# Cross-version smoke: the same synthetic population written as a v1
-# single-file archive and as a v3 delta segmented store must verify under
-# fsck (which must report the delta format) and replay to byte-identical
-# reports — the on-disk format is an implementation detail the analyses
-# never see.
-echo "==> cross-version smoke (v1 file vs v3 store, fsck + diff reports)"
+# Default-shape smoke: what gendata and crawl write with no store flag is
+# the format everything else here exercises — one checksummed v3 segment
+# behind a manifest — and it replays identically as a store and as the bare
+# gzip stream of its segment. A crawl interrupted with Ctrl-C leaves no
+# manifest: analyze must refuse the directory, fsck -repair recovers it.
+echo "==> default-shape smoke (gendata + fsck, interrupted crawl refused, repaired)"
 go build -o "$tmp/gendata" ./cmd/gendata
-"$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -out "$tmp/xver-v1.jsonl.gz" >/dev/null
-"$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -segments 2 -out "$tmp/xver.store" >/dev/null
-"$tmp/fsck" -store "$tmp/xver.store"
-"$tmp/fsck" -store "$tmp/xver.store" -stats | grep -q 'format v3'
-"$tmp/analyze" -in "$tmp/xver-v1.jsonl.gz" -weeks 8 -domains 60 >"$tmp/xver-v1.report"
-"$tmp/analyze" -in "$tmp/xver.store" -weeks 8 -domains 60 >"$tmp/xver-v3.report"
-cmp "$tmp/xver-v1.report" "$tmp/xver-v3.report" || {
-	echo "v3 store replay differs from the v1 file of the same run"; exit 1; }
+"$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -out "$tmp/default.store" >/dev/null
+"$tmp/fsck" -store "$tmp/default.store" | grep -q 'ok — format v3 (delta streams), 1 segments'
+"$tmp/analyze" -in "$tmp/default.store" -weeks 8 -domains 60 >"$tmp/default.report"
+"$tmp/analyze" -in "$tmp/default.store/seg-0000.jsonl.gz" -weeks 8 -domains 60 >"$tmp/default-seg.report"
+cmp "$tmp/default.report" "$tmp/default-seg.report" || {
+	echo "a one-segment store replays differently from its only segment"; exit 1; }
+
+"$tmp/crawl" -domains 80 -weeks 60 -seed 3 -workers 16 -out "$tmp/int.store" 2>"$tmp/int.log" >/dev/null &
+crawl_pid=$!
+killed=""
+for _ in $(seq 1 600); do
+	if ! kill -0 "$crawl_pid" 2>/dev/null; then
+		break # finished before we could interrupt it
+	fi
+	n=$(grep -c 'crawled' "$tmp/int.log" 2>/dev/null) || n=0
+	if [ "${n:-0}" -ge 2 ]; then
+		kill -INT "$crawl_pid"
+		killed=yes
+		break
+	fi
+	sleep 0.02
+done
+if wait "$crawl_pid"; then
+	echo "interrupted crawl exited 0"; exit 1
+fi
+[ -n "$killed" ] || { echo "crawl finished before SIGINT could land; smoke inconclusive"; exit 1; }
+if "$tmp/analyze" -in "$tmp/int.store" -weeks 60 -domains 80 >/dev/null 2>"$tmp/int.err"; then
+	echo "analyze accepted an interrupted crawl's store"; exit 1
+fi
+grep -q 'never sealed' "$tmp/int.err" || {
+	echo "analyze refused the interrupted store without saying why:"; cat "$tmp/int.err"; exit 1; }
+"$tmp/fsck" -store "$tmp/int.store" -repair
+"$tmp/fsck" -store "$tmp/int.store"
+
+# Cross-version smoke: the checked-in archives of earlier releases (v1
+# single file, v1 and v2 stores) and the v3 store of the same observations
+# must verify under fsck, which names each format, and replay to
+# byte-identical reports — the on-disk format is an implementation detail
+# the analyses never see. fsck -repair is the upgrade path: a v1 store
+# that lost its manifest comes back as v3.
+echo "==> cross-version smoke (v1/v2 fixtures vs v3, fsck + repair-upgrade + diff reports)"
+fix=internal/store/testdata
+"$tmp/analyze" -in "$fix/v1-file.jsonl.gz" -weeks 8 -domains 6 >"$tmp/xver-v1.report"
+for v in 1 2 3; do
+	"$tmp/fsck" -store "$fix/v$v.store" | grep -q "ok — format v$v "
+	"$tmp/analyze" -in "$fix/v$v.store" -weeks 8 -domains 6 >"$tmp/xver.report"
+	cmp "$tmp/xver-v1.report" "$tmp/xver.report" || {
+		echo "v$v store replay differs from the v1 file of the same observations"; exit 1; }
+done
+cp -r "$fix/v1.store" "$tmp/xver-upgrade.store"
+rm "$tmp/xver-upgrade.store/manifest.json"
+"$tmp/fsck" -store "$tmp/xver-upgrade.store" -repair
+"$tmp/fsck" -store "$tmp/xver-upgrade.store" | grep -q 'ok — format v3 '
+"$tmp/analyze" -in "$tmp/xver-upgrade.store" -weeks 8 -domains 6 >"$tmp/xver.report"
+cmp "$tmp/xver-v1.report" "$tmp/xver.report" || {
+	echo "repaired (v1 -> v3) store replay differs from the v1 file"; exit 1; }
 
 # Serve smoke: start the audit service on an ephemeral port, hit /healthz
 # and run one audit, then prove SIGTERM performs a clean graceful stop.
