@@ -20,8 +20,8 @@ bench:
 benchdiff:
 	$(GO) run ./bench/benchdiff $(OLD) $(NEW)
 
-# check is the full verification gate: vet + build + race tests + short
-# fuzz smoke runs (FUZZTIME=3s by default; override: make check FUZZTIME=30s).
+# check is the full verification gate: gofmt + vet + build + race tests +
+# short fuzz smoke runs (FUZZTIME=3s by default; override: make check FUZZTIME=30s).
 check:
 	FUZZTIME=$(FUZZTIME) sh scripts/check.sh
 
@@ -32,3 +32,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAuditHandler$$' -fuzztime 3s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureScan$$' -fuzztime 3s ./internal/fingerprint
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStream$$' -fuzztime 3s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzBundleStream$$' -fuzztime 3s ./internal/wexbundle

@@ -94,9 +94,12 @@ type Config struct {
 	// Reports are byte-identical with recording on or off.
 	RecordBundle string
 	// ReplayBundle, when set (with Crawl), re-runs the crawl from a
-	// recorded bundle with zero network: no listener is opened and the
-	// crawler's transport serves only archived responses. A replayed run's
-	// report is byte-identical to the live run that recorded the bundle.
+	// recorded bundle with zero network and zero waiting: no listener is
+	// opened, the crawler's transport serves only archived responses, read
+	// forward a week at a time, retries sleep no backoff, and PoliteCrawl is
+	// ignored — the bundle already holds what the resilience layer decided
+	// live. A replayed run's report is byte-identical to the live run that
+	// recorded the bundle.
 	ReplayBundle string
 	// Progress receives one line per collected week, when set.
 	Progress func(format string, args ...any)

@@ -99,19 +99,23 @@ func main() {
 func runBundle(dir string, weeks, domains int, seed int64, shards int, bundleScan bool) (*core.Results, error) {
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if meta, err := wexbundle.ReadMeta(dir); err == nil {
-		if !set["domains"] && meta.Domains > 0 {
-			domains = meta.Domains
-		}
-		if !set["weeks"] && meta.Weeks > 0 {
-			weeks = meta.Weeks
-		}
-		if !set["seed"] && meta.Seed != 0 {
-			seed = meta.Seed
-		}
-		if !set["bundle-scan"] {
-			bundleScan = meta.BundleScan
-		}
+	// A bundle without bundle.json reads as the zero Meta, which overrides
+	// nothing; a corrupt one must not replay under the flags' defaults.
+	meta, err := wexbundle.ReadMeta(dir)
+	if err != nil {
+		return nil, err
+	}
+	if !set["domains"] && meta.Domains > 0 {
+		domains = meta.Domains
+	}
+	if !set["weeks"] && meta.Weeks > 0 {
+		weeks = meta.Weeks
+	}
+	if !set["seed"] && meta.Seed != 0 {
+		seed = meta.Seed
+	}
+	if !set["bundle-scan"] && meta.Version > 0 {
+		bundleScan = meta.BundleScan
 	}
 	return core.Run(context.Background(), core.Config{
 		Domains: domains, Weeks: weeks, Seed: seed,

@@ -45,7 +45,7 @@ func main() {
 	out := flag.String("out", "crawl.store", "output store directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	politeness := flag.Bool("politeness", false, "enable the per-host resilience layer: politeness limiter, circuit breaker, weekly retry budget (reports are identical either way)")
+	politeness := flag.Bool("politeness", false, "enable the per-host resilience layer: politeness limiter, circuit breaker, weekly retry budget (reports are identical either way; ignored with -replay, where the archive already holds every decision the layer took live)")
 	hostGap := flag.Duration("hostgap", 15*time.Millisecond, "minimum per-host inter-request gap (with -politeness)")
 	hostParallel := flag.Int("host-parallel", 2, "max in-flight requests per host (with -politeness)")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive connection failures that open a host's circuit (with -politeness)")
@@ -58,7 +58,7 @@ func main() {
 	bundleFrac := flag.Float64("bundle-frac", 0, "fraction of eligible generated sites that ship their libraries as one bundled script (0 disables; bundles hide library URLs from the fingerprinter)")
 	bundleScan := flag.Bool("bundle-scan", false, "fetch each page's same-site scripts and scan their content for library signatures (recovers bundled libraries; plain pages detect identically either way)")
 	record := flag.String("record", "", "record every fetched response into a web-execution bundle at this directory (honors -checkpoint/-resume; reports are identical either way)")
-	replay := flag.String("replay", "", "replay the crawl from a recorded bundle directory with zero network (no loopback server is started)")
+	replay := flag.String("replay", "", "replay the crawl from a recorded bundle directory with zero network and zero waiting (no loopback server is started, retries take no backoff sleep, -politeness is ignored)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -106,10 +106,10 @@ func main() {
 	}
 	if m := res.Crawl; m != nil {
 		fmt.Fprintf(os.Stderr,
-			"crawl metrics: attempts=%d retries=%d successes=%d conn_failures=%d breaker_trips=%d breaker_shed=%d budget_exhausted=%d bytes=%d fetch_p50=%s fetch_p99=%s\n",
+			"crawl metrics: attempts=%d retries=%d successes=%d conn_failures=%d breaker_trips=%d breaker_shed=%d budget_exhausted=%d bytes=%d waited=%s fetch_p50=%s fetch_p99=%s\n",
 			m.Attempts, m.Retries, m.Successes, m.ConnFailures,
 			m.BreakerTrips, m.BreakerShed, m.BudgetExhausted, m.Bytes,
-			m.FetchP50, m.FetchP99)
+			m.Waited.Round(time.Millisecond), m.FetchP50, m.FetchP99)
 	}
 	fmt.Printf("crawled %d domains x %d weeks into %s\n", *domains, *weeks, *out)
 }

@@ -7,9 +7,11 @@
 // Three modes:
 //
 //	fsck -store crawl.store           # verify: full checksum replay, counts
-//	                                  # cross-checked against the manifest
+//	                                  # cross-checked against the manifest;
+//	                                  # a bundle's stream order and bundle.json
 //	fsck -store crawl.store -stats    # inspect: report manifest, checkpoint,
-//	                                  # and per-segment state, judge nothing
+//	                                  # per-segment state and (bundles) stream
+//	                                  # order, judge nothing
 //	fsck -store crawl.store -repair   # salvage: restore the store to its
 //	                                  # last checkpoint, or to each segment's
 //	                                  # longest valid record prefix
@@ -46,6 +48,9 @@ func main() {
 			log.Fatalf("fsck: %v", err)
 		}
 		printInspection(in)
+		if in.HasManifest && in.Manifest.Version == store.FormatBundle {
+			printStreamOrder(*dir)
+		}
 	case *repair:
 		res, err := store.Salvage(*dir)
 		if err != nil {
@@ -104,6 +109,18 @@ func printBundleStats(dir string) error {
 	}
 	fmt.Printf("  all   %7d  %7d  %11d  %8d\n", recs, pages, bytes, fails)
 	return nil
+}
+
+// printStreamOrder says whether a sealed bundle reads forward as a replay
+// needs: bundle.json parses and no segment's weeks decrease. -stats judges
+// nothing, so a failure is printed; verify mode exits non-zero on it.
+func printStreamOrder(dir string) {
+	stats, err := wexbundle.Stats(dir)
+	if err != nil {
+		fmt.Printf("  stream order: FAILED (%v)\n", err)
+	} else if len(stats) > 0 {
+		fmt.Printf("  stream order: ok (weeks %d–%d)\n", stats[0].Week, stats[len(stats)-1].Week)
+	}
 }
 
 // formatName renders a store format / manifest version for humans.

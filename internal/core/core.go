@@ -69,7 +69,9 @@ type Config struct {
 	// limiter, circuit breaker, and weekly retry budget (ModeCrawl; the
 	// zero value disables the layer). On a fault-free ecosystem the layer
 	// changes no observation: reports are byte-identical with it on or off
-	// (proven by the resilience equivalence test).
+	// (proven by the resilience equivalence test). A replay (ReplayBundle)
+	// ignores it: the bundle holds the outcome of every decision the layer
+	// took live, and re-taking them at replay speed diverged from it.
 	Resilience crawler.Resilience
 	// ChaosRate, when positive, makes the loopback web server inject
 	// deterministic faults — stalls, mid-body resets, truncated bodies,
@@ -121,9 +123,11 @@ type Config struct {
 	RecordBundle string
 	// ReplayBundle, when set (ModeCrawl), replays the crawl from a
 	// recorded bundle with zero network: no listener, no web server — the
-	// crawler's transport is the mounted bundle, and a fetch the bundle
-	// does not hold is an error, never a live request. A replayed run's
-	// report is byte-identical to the live run that recorded it.
+	// crawler's transport is the bundle, read forward one week at a time,
+	// and a fetch the bundle does not hold is an error, never a live
+	// request. It also takes nothing from the clock: retries sleep no
+	// backoff and Resilience is not mounted. A replayed run's report is
+	// byte-identical to the live run that recorded it.
 	ReplayBundle string
 	// FingerprintCacheSize bounds the per-shard fingerprint memo cache
 	// used on the crawl path (entries; 0 = default, negative = disable).
@@ -161,8 +165,8 @@ type Results struct {
 	Findings []poclab.Finding
 	// Crawl carries the crawler's resilience counters — attempts, retries,
 	// connection failures, breaker trips/sheds, bytes, fetch latency
-	// quantiles — after a ModeCrawl run; nil on the direct and replay
-	// paths. It is diagnostic output, not report input: WriteReport never
+	// quantiles — after a ModeCrawl run, live or replayed; nil on the direct
+	// and store-replay paths. It is diagnostic output, not report input: WriteReport never
 	// reads it, which is what keeps crawl reports byte-comparable across
 	// resilience configurations.
 	Crawl *crawler.MetricsSnapshot
@@ -386,19 +390,41 @@ func ObservationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo,
 //
 // A live crawl serves the ecosystem on a loopback listener. With
 // ReplayBundle no listener or web server exists at all: the crawler's
-// transport is the mounted bundle, and the base URL's host resolves
-// nowhere — nothing in a replayed run can touch the network. With
-// RecordBundle the transport is wrapped to archive every exchange.
+// transport is the bundle's reader, advanced a week at a time at the
+// engine's barrier, and the base URL's host resolves nowhere — nothing in
+// a replayed run can touch the network. With RecordBundle the transport is
+// wrapped to archive every exchange.
 func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shards []*shard, start int, writer sink) (_ *crawler.MetricsSnapshot, retErr error) {
-	var wrap func(http.RoundTripper) http.RoundTripper
-	var baseURL string
+	// What every crawl shares; the branches below set what differs.
+	ccfg := crawler.Config{
+		Workers:      cfg.Workers,
+		FetchTimeout: cfg.FetchTimeout,
+		Backoff:      crawler.Backoff{Seed: cfg.Seed},
+		Resilience:   cfg.Resilience,
+		FetchScripts: cfg.BundleScan,
+	}
+	if ccfg.Workers == 0 {
+		ccfg.Workers = 64
+	}
+	advance := func(int) error { return nil }
 	if cfg.ReplayBundle != "" {
-		b, err := wexbundle.Mount(cfg.ReplayBundle)
+		b, err := wexbundle.Open(cfg.ReplayBundle)
 		if err != nil {
 			return nil, err
 		}
-		wrap = func(http.RoundTripper) http.RoundTripper { return b.Transport() }
-		baseURL = "http://wexbundle.invalid"
+		defer b.Close()
+		advance = b.Advance
+		ccfg.WrapTransport = func(http.RoundTripper) http.RoundTripper { return b.Transport() }
+		ccfg.BaseURL = "http://wexbundle.invalid"
+		// A replay takes nothing from the clock. Its retries wait for nothing:
+		// the archive's answer cannot change (ctx.Err(), so that a cancelled
+		// replay still stops retrying). And it mounts no resilience layer: the
+		// archive holds every decision the breaker, the gate and the budget
+		// took live — a fetch they refused has no record and replays as the
+		// same status-0 page — and taking them again against a wall clock that
+		// now runs at another speed can only disagree with the recording.
+		ccfg.Sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+		ccfg.Resilience = crawler.Resilience{}
 	} else {
 		ws := webserver.New(eco)
 		if cfg.ChaosRate > 0 {
@@ -409,7 +435,7 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shar
 			return nil, err
 		}
 		defer stop()
-		baseURL = url
+		ccfg.BaseURL = url
 	}
 
 	var bw *wexbundle.Writer
@@ -436,24 +462,12 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shar
 			return nil, err
 		}
 		defer func() { retErr = seal(bw, retErr) }()
-		wrap = func(inner http.RoundTripper) http.RoundTripper {
+		ccfg.WrapTransport = func(inner http.RoundTripper) http.RoundTripper {
 			return &wexbundle.RecordingTransport{Inner: inner, W: bw}
 		}
 	}
 
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 64
-	}
-	cr := crawler.New(crawler.Config{
-		BaseURL:       baseURL,
-		Workers:       workers,
-		FetchTimeout:  cfg.FetchTimeout,
-		Backoff:       crawler.Backoff{Seed: cfg.Seed},
-		Resilience:    cfg.Resilience,
-		FetchScripts:  cfg.BundleScan,
-		WrapTransport: wrap,
-	})
+	cr := crawler.New(ccfg)
 	byName := eco.List.ByName()
 	domains := make([]string, len(eco.Sites))
 	for i, s := range eco.Sites {
@@ -470,6 +484,12 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shar
 	err := collect(ctx, cfg, shards, start, source[crawler.Page]{
 		did: "crawled",
 		feed: func(ctx context.Context, week int, emit func(int, crawler.Page)) error {
+			// No fetch is in flight here, so a replay reads its archive forward
+			// here: a bad record is the run's error at this week, not a
+			// transport error the crawler would turn into a status-0 page.
+			if err := advance(week); err != nil {
+				return err
+			}
 			// CrawlWeek calls back from a single goroutine and returns only
 			// after every page of the week has been delivered — the two
 			// properties feed promises (asserted by the crawler's contract

@@ -53,6 +53,12 @@ type Config struct {
 	// defaults (50ms base, 2s cap, ×2 growth). Always active — unlike the
 	// Resilience layer it needs no opt-in.
 	Backoff Backoff
+	// Sleep waits out a backoff delay: nil after d, or ctx's error as soon
+	// as ctx is done. Nil means a real timer. It is the crawler's clock
+	// seam, as the breaker's injectable now is: Backoff still decides which
+	// retry waits how long, and a crawl replayed from an archive, whose
+	// answers cannot change, mounts a Sleep that does not wait.
+	Sleep func(ctx context.Context, d time.Duration) error
 	// Resilience enables the per-host politeness limiter, circuit breaker,
 	// and weekly retry budget. The zero value disables all three, leaving
 	// fetch behavior identical to a crawler without the layer.
@@ -126,6 +132,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UserAgent == "" {
 		c.UserAgent = "clientres-study-crawler/1.0"
+	}
+	if c.Sleep == nil {
+		c.Sleep = sleepCtx
 	}
 	return c
 }
@@ -316,7 +325,10 @@ func (c *Crawler) fetch(ctx context.Context, week int, domain, url string) Page 
 				break
 			}
 			c.metrics.retries.Add(1)
-			if err := sleepCtx(ctx, c.backoff.Delay(domain, attempt)); err != nil {
+			start := time.Now()
+			err := c.cfg.Sleep(ctx, c.backoff.Delay(domain, attempt))
+			c.metrics.waited.Add(int64(time.Since(start)))
+			if err != nil {
 				page.Err = err
 				return page
 			}

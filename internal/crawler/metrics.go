@@ -19,6 +19,7 @@ type Metrics struct {
 	breakerShed     metrics.Counter   // attempts refused by an open circuit
 	budgetExhausted metrics.Counter   // retries forgone because the week's budget ran out
 	bytes           metrics.Counter   // body bytes read (post-truncation)
+	waited          metrics.Counter   // nanoseconds spent inside Config.Sleep (backoff)
 	lat             metrics.Histogram // successful-fetch latency
 }
 
@@ -28,6 +29,9 @@ type MetricsSnapshot struct {
 	BreakerTrips, BreakerShed                  int64
 	BudgetExhausted                            int64
 	Bytes                                      int64
+	// Waited is the wall time spent inside Config.Sleep (retry backoff),
+	// summed over workers, so it can exceed the crawl's own wall time.
+	Waited time.Duration
 	// FetchP50 / FetchP99 are latency quantiles of successful fetches
 	// (request start through body read), resolved to power-of-two
 	// microsecond buckets. They are derived from Latency, never summed:
@@ -52,6 +56,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		BreakerShed:     m.breakerShed.Load(),
 		BudgetExhausted: m.budgetExhausted.Load(),
 		Bytes:           m.bytes.Load(),
+		Waited:          time.Duration(m.waited.Load()),
 		FetchP50:        metrics.QuantileOf(buckets, 0.50),
 		FetchP99:        metrics.QuantileOf(buckets, 0.99),
 		Latency:         buckets,
@@ -71,6 +76,7 @@ func (s *MetricsSnapshot) Merge(o MetricsSnapshot) {
 	s.BreakerShed += o.BreakerShed
 	s.BudgetExhausted += o.BudgetExhausted
 	s.Bytes += o.Bytes
+	s.Waited += o.Waited
 	for i := range s.Latency {
 		s.Latency[i] += o.Latency[i]
 	}

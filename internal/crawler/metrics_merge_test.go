@@ -27,6 +27,7 @@ func randomSnapshot(r *rand.Rand) MetricsSnapshot {
 		BreakerShed:     int64(r.Intn(20)),
 		BudgetExhausted: int64(r.Intn(5)),
 		Bytes:           int64(r.Intn(1 << 20)),
+		Waited:          time.Duration(r.Intn(1 << 30)),
 	}
 	for i := 0; i < 5+r.Intn(20); i++ {
 		s.Latency[r.Intn(metrics.NumBuckets)] += int64(1 + r.Intn(40))

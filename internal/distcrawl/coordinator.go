@@ -32,7 +32,7 @@ type lease struct {
 // partition is one unit of assignment and recovery.
 type partition struct {
 	// NextWeek is the first week no commit has been accepted for.
-	NextWeek int `json:"next_week"`
+	NextWeek int  `json:"next_week"`
 	Done     bool `json:"done"`
 	// Lease is the live assignment (nil when idle or done).
 	Lease *lease `json:"lease,omitempty"`
@@ -46,7 +46,7 @@ type coordState struct {
 	Spec RunSpec `json:"spec"`
 	// NextEpoch is the next fencing token to grant; epochs are unique and
 	// strictly increasing across the whole run, never per partition.
-	NextEpoch int64       `json:"next_epoch"`
+	NextEpoch int64        `json:"next_epoch"`
 	Parts     []*partition `json:"parts"`
 }
 

@@ -31,8 +31,8 @@ func TestZombieWorkerFencedAndExcluded(t *testing.T) {
 	defer cancelAll()
 
 	const stallWeek = 1
-	stalled := make(chan struct{})  // zombie reached the stall point
-	release := make(chan struct{})  // test lets the zombie continue
+	stalled := make(chan struct{}) // zombie reached the stall point
+	release := make(chan struct{}) // test lets the zombie continue
 	var stallOnce sync.Once
 
 	type fencing struct {

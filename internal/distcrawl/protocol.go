@@ -53,9 +53,9 @@ type RunSpec struct {
 	// Domains, Weeks, Seed, Bundling parameterize the synthetic population
 	// (each worker regenerates the identical ecosystem from the seed and
 	// serves it on its own loopback listener).
-	Domains int             `json:"domains"`
-	Weeks   int             `json:"weeks"`
-	Seed    int64           `json:"seed"`
+	Domains  int             `json:"domains"`
+	Weeks    int             `json:"weeks"`
+	Seed     int64           `json:"seed"`
 	Bundling webgen.Bundling `json:"bundling,omitempty"`
 	// BundleScan enables bundle-aware fingerprinting (same-site script
 	// fetches), as core.Config.BundleScan.

@@ -106,16 +106,11 @@ func VerifyMemberTable(path string, members []Member) error {
 // FormatFramed, FormatDelta, or FormatBundle. An empty stream (a store
 // that committed zero records) reports 0.
 func sniffFormat(path string) (int, error) {
-	f, err := os.Open(path)
+	gz, release, err := openGzip(path)
 	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
+		return 0, err
 	}
-	defer f.Close()
-	gz, err := newGzipReader(f)
-	if err != nil {
-		return 0, fmt.Errorf("store: %s: %w", path, err)
-	}
-	defer gzrPool.Put(gz)
+	defer release()
 	var first [1]byte
 	if _, err := io.ReadFull(gz, first[:]); err != nil {
 		if err == io.EOF {

@@ -188,6 +188,20 @@ func newGzipReader(r io.Reader) (*gzip.Reader, error) {
 	return gzip.NewReader(r)
 }
 
+// openGzip opens a segment file behind a pooled gzip reader; release
+// returns the reader to its pool and closes the file.
+func openGzip(path string) (gz *gzip.Reader, release func(), err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	if gz, err = newGzipReader(f); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return gz, func() { gzrPool.Put(gz); f.Close() }, nil
+}
+
 // newWriter wraps an open segment file positioned at a member boundary,
 // count records and the given committed members in.
 func newWriter(f File, format, count int, members []Member) *Writer {
@@ -429,16 +443,11 @@ func ForEach(path string, fn func(Observation) error) error {
 // Observation handed to fn shares its Libs backing array with the
 // previous call — fn must not retain it without Clone.
 func forEachFile(path string, fn func(Observation) error) error {
-	f, err := os.Open(path)
+	gz, release, err := openGzip(path)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	defer f.Close()
-	gz, err := newGzipReader(f)
-	if err != nil {
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	defer gzrPool.Put(gz)
+	defer release()
 	return decodeStream(gz, path, fn)
 }
 

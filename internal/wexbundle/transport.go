@@ -55,7 +55,8 @@ func (t *RecordingTransport) RoundTrip(req *http.Request) (*http.Response, error
 
 // Transport returns the bundle's replay http.RoundTripper. It has no inner
 // transport: a request the bundle did not record is an error, never a live
-// fetch — the zero-network guarantee.
+// fetch — the zero-network guarantee — and so is a request for a week that
+// is not resident, lest a fetch the archive holds replay as "no record".
 func (b *Bundle) Transport() http.RoundTripper { return &replayTransport{b: b} }
 
 type replayTransport struct {
@@ -64,6 +65,9 @@ type replayTransport struct {
 
 func (t *replayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	key := Key(req.URL)
+	if week, _ := splitKey(key, req.URL.Host); week < t.b.lo || week > t.b.hi {
+		return nil, fmt.Errorf("wexbundle: %s: week %d of %q is not resident (the reader is at week %d; Advance moves it)", t.b.dir, week, key, t.b.hi)
+	}
 	rec, ok := t.b.Get(key)
 	if !ok {
 		return nil, fmt.Errorf("wexbundle: %s: no record for %q (replay never touches the network)", t.b.dir, key)

@@ -22,7 +22,9 @@ package wexbundle
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/url"
 	"os"
@@ -216,9 +218,15 @@ func (w *Writer) Close() error { return w.sw.Close() }
 // the last checkpoint stays authoritative for resume and salvage.
 func (w *Writer) Abort() error { return w.sw.Abort() }
 
-// ReadMeta loads a bundle's metadata file.
+// ReadMeta loads a bundle's metadata file. A missing file is the zero Meta
+// — older bundles lack it and still replay — but one that is there and
+// does not parse is a damaged archive: reading it as absent would replay a
+// study of whatever shape the caller defaults to.
 func ReadMeta(dir string) (Meta, error) {
 	data, err := os.ReadFile(filepath.Join(dir, MetaName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return Meta{}, nil
+	}
 	if err != nil {
 		return Meta{}, fmt.Errorf("wexbundle: %s: %w", dir, err)
 	}

@@ -1,10 +1,14 @@
 #!/bin/sh
-# Full verification gate: vet, build, race-enabled tests, and short smoke
-# runs of every fuzz target. Run from the repository root (or via
+# Full verification gate: gofmt, vet, build, race-enabled tests, and short
+# smoke runs of every fuzz target. Run from the repository root (or via
 # `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt"
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "gofmt -l flags:"; echo "$unformatted"; exit 1; }
 
 echo "==> go vet"
 go vet ./...
@@ -27,6 +31,7 @@ go test -run '^$' -fuzz '^FuzzRange$' -fuzztime "$FUZZTIME" ./internal/semver
 go test -run '^$' -fuzz '^FuzzAuditHandler$' -fuzztime "$FUZZTIME" ./internal/service
 go test -run '^$' -fuzz '^FuzzSignatureScan$' -fuzztime "$FUZZTIME" ./internal/fingerprint
 go test -run '^$' -fuzz '^FuzzDecodeStream$' -fuzztime "$FUZZTIME" ./internal/store
+go test -run '^$' -fuzz '^FuzzBundleStream$' -fuzztime "$FUZZTIME" ./internal/wexbundle
 
 # One-iteration bench smoke of the root perf ablations bench/ has no twin for:
 # not a measurement, just proof the benchmarks still build, run, and verify
@@ -122,8 +127,9 @@ cmp "$tmp/ref.report" "$tmp/crash.report" || {
 # prove (a) the resumed store's report equals the uninterrupted reference,
 # (b) `analyze -bundle` re-audits the resumed bundle to the byte-identical
 # report, (c) a zero-network `crawl -replay` of the bundle reproduces the
-# same report, and (d) fsck detects a flipped byte in a sealed bundle
-# segment.
+# same report, (d) a recording taken under faults with -politeness replays
+# to the live run's report, and (e) fsck detects a flipped byte in a sealed
+# bundle segment.
 echo "==> bundle smoke (record, SIGKILL, fsck, resume, replay, diff reports)"
 BUNDLE_ARGS="-domains 60 -weeks 40 -seed 11 -workers 16 -segments 2 -checkpoint"
 
@@ -169,6 +175,9 @@ fi
 "$tmp/crawl" $BUNDLE_ARGS -resume -record "$tmp/bcrash.bundle" -out "$tmp/bcrash.store" 2>/dev/null >/dev/null
 "$tmp/fsck" -store "$tmp/bcrash.bundle"
 "$tmp/fsck" -store "$tmp/bcrash.store"
+# The resumed bundle is the re-recorded-week case the forward reader's
+# week-order invariant has to admit: fsck reads it as in order.
+"$tmp/fsck" -store "$tmp/bcrash.bundle" -stats | grep -q 'stream order: ok (weeks 0–39)'
 "$tmp/analyze" -in "$tmp/bcrash.store" -weeks 40 -domains 60 >"$tmp/bcrash.report"
 cmp "$tmp/bref.report" "$tmp/bcrash.report" || {
 	echo "resumed recording's report differs from the uninterrupted reference"; exit 1; }
@@ -185,6 +194,18 @@ cmp "$tmp/bref.report" "$tmp/bundle.report" || {
 "$tmp/analyze" -in "$tmp/breplay.store" -weeks 40 -domains 60 >"$tmp/breplay.report"
 cmp "$tmp/bref.report" "$tmp/breplay.report" || {
 	echo "replayed crawl's report differs from the live run that recorded it"; exit 1; }
+
+# A recording taken with the resilience layer on, under faults: the replay
+# mounts no breaker, gate or budget (their decisions are in the archive),
+# so its store must report exactly as the live one — a replay that re-took
+# them at replay speed shed fetches the recording holds.
+RESIL_ARGS="-domains 60 -weeks 4 -seed 3 -workers 16 -chaos 0.3 -politeness -breaker-threshold 1 -breaker-cooldown 1s"
+"$tmp/crawl" $RESIL_ARGS -record "$tmp/resil.bundle" -out "$tmp/resil-live.store" 2>/dev/null >/dev/null
+"$tmp/crawl" $RESIL_ARGS -replay "$tmp/resil.bundle" -out "$tmp/resil-replay.store" 2>/dev/null >/dev/null
+"$tmp/analyze" -in "$tmp/resil-live.store" -weeks 4 -domains 60 >"$tmp/resil-live.report"
+"$tmp/analyze" -in "$tmp/resil-replay.store" -weeks 4 -domains 60 >"$tmp/resil-replay.report"
+cmp "$tmp/resil-live.report" "$tmp/resil-replay.report" || {
+	echo "replay of a -politeness recording differs from the live run"; exit 1; }
 
 # Corruption: flip one byte in the middle of a sealed bundle segment;
 # verification must fail loudly.
