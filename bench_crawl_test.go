@@ -6,8 +6,8 @@ package clientres
 // latency. The polite variant prices the politeness/breaker bookkeeping on
 // the hot path — on a fault-free ecosystem it must track the plain variant
 // closely, since per-host pressure never builds when every host is hit
-// once per week. `make bench-crawl` appends machine-readable results to
-// BENCH_crawl.json.
+// once per week. Run both benchmarks of this file with
+// `go test -run '^$' -bench 'BenchmarkCrawlWeek|BenchmarkDistCrawl' .`.
 
 import (
 	"context"

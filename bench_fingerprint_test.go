@@ -7,8 +7,8 @@ package clientres
 // files — so the scan cost per fetched byte is a tracked number, not a
 // guess. BenchmarkSignatureScanMemo measures the re-crawl case: unchanged
 // script bodies hitting the content-hash scan cache instead of re-running
-// the scanner. `make bench-fingerprint` runs both and appends
-// machine-readable results to BENCH_fingerprint.json.
+// the scanner. Run both with
+// `go test -run '^$' -bench BenchmarkSignatureScan .`.
 
 import (
 	"strings"

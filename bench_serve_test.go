@@ -7,8 +7,8 @@ package clientres
 // the service's own p50/p99 audit latency scraped from /metrics. The
 // benchmark is also a correctness gate: it asserts byte-identical cold vs
 // cached responses and reconciles the server's request/cache/shed counters
-// exactly against the requests the load generator sent. `make bench-serve`
-// appends machine-readable results to BENCH_serve.json.
+// exactly against the requests the load generator sent. Run it with
+// `go test -run '^$' -bench BenchmarkServeAudit .`.
 
 import (
 	"bytes"

@@ -57,7 +57,8 @@ type Config struct {
 	BundleScan bool
 	// Mode selects crawl vs direct collection.
 	Mode Mode
-	// Workers bounds crawl concurrency (ModeCrawl).
+	// Workers bounds crawl concurrency (ModeCrawl; 0 = the crawler's
+	// default, 64).
 	Workers int
 	// FetchTimeout bounds one whole page fetch — every attempt, backoff
 	// sleep, and same-site script fetch of one (domain, week) — with a
@@ -267,7 +268,7 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 			crawl, err = collectByCrawl(ctx, cfg, eco, shards, resumed.CommittedWeeks, writer)
 			return err
 		}
-		return collect(ctx, cfg, shards, resumed.CommittedWeeks, truthSource(eco, cfg.Shards), writer, nil)
+		return collect(ctx, cfg, shards, resumed.CommittedWeeks, truthSource(eco, cfg.Shards), writer, runCommit(cfg, nil, writer))
 	}()
 	if writer != nil {
 		err = seal(writer, err)
@@ -285,6 +286,25 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		}
 	}
 	return res, nil
+}
+
+// runCommit is Run's week commit, nil without Checkpoint: a recording's
+// bundle, if any, then the store. The bundle commits first because it must
+// always be able to replay the store's committed prefix: across a crash it
+// may be ahead of the store (harmless — the resumed run re-records the week
+// and the duplicates supersede in the replay index) but never behind it.
+func runCommit(cfg Config, bundle *wexbundle.Writer, writer sink) func(week int) error {
+	if !cfg.Checkpoint {
+		return nil
+	}
+	return func(week int) error {
+		if bundle != nil {
+			if err := bundle.CommitWeek(week); err != nil {
+				return err
+			}
+		}
+		return writer.CommitWeek(week)
+	}
 }
 
 // seal ends a writer's run. A successful run closes it, and a failed close
@@ -358,12 +378,11 @@ func truthSource(eco *webgen.Ecosystem, shards int) source[int] {
 	}
 }
 
-// ObservationFromPage reduces one crawled page to an Observation, running
-// the fingerprint engine on usable bodies. It is exported so distributed
-// workers observe byte-identically to an in-process crawl. memo, when
-// non-nil, short-circuits unchanged page bodies to their cached Detection;
-// it must be private to the calling goroutine (one memo per shard).
-func ObservationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
+// observationFromPage reduces one crawled page to an Observation, running
+// the fingerprint engine on usable bodies. memo, when non-nil,
+// short-circuits unchanged page bodies to their cached Detection; it must
+// be private to the calling goroutine (one memo per shard).
+func observationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
 	dom := byName[p.Domain]
 	var det fingerprint.Detection
 	status := p.Status
@@ -395,17 +414,8 @@ func ObservationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo,
 // a replayed run can touch the network. With RecordBundle the transport is
 // wrapped to archive every exchange.
 func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shards []*shard, start int, writer sink) (_ *crawler.MetricsSnapshot, retErr error) {
-	// What every crawl shares; the branches below set what differs.
-	ccfg := crawler.Config{
-		Workers:      cfg.Workers,
-		FetchTimeout: cfg.FetchTimeout,
-		Backoff:      crawler.Backoff{Seed: cfg.Seed},
-		Resilience:   cfg.Resilience,
-		FetchScripts: cfg.BundleScan,
-	}
-	if ccfg.Workers == 0 {
-		ccfg.Workers = 64
-	}
+	// The branches below set what differs between crawls.
+	ccfg := crawlerConfig(cfg)
 	advance := func(int) error { return nil }
 	if cfg.ReplayBundle != "" {
 		b, err := wexbundle.Open(cfg.ReplayBundle)
@@ -467,21 +477,65 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shar
 		}
 	}
 
+	src, cr := crawlSource(cfg, ccfg, eco, 0, 1, len(shards), advance)
+	err := collect(ctx, cfg, shards, start, src, writer, runCommit(cfg, bw, writer))
+	snap := cr.Metrics()
+	return &snap, err
+}
+
+// CrawlPartition is a distributed worker's assignment: partition part of
+// parts (the domains store.ShardOf puts there, in ecosystem order) crawled
+// over weeks [start, cfg.Weeks) from the web at baseURL into w — exactly
+// segment part of an in-process crawl stored in parts segments. It runs one
+// shard and no collectors (the merge replays the stores), ends every week
+// with commit, given the crawler's cumulative metrics, and owns w: Close
+// after the last week, Abort on any failure. See DESIGN.md §17.
+func CrawlPartition(ctx context.Context, cfg Config, eco *webgen.Ecosystem, part, parts, start int, baseURL string,
+	w *store.SegmentedWriter, commit func(week int, crawl crawler.MetricsSnapshot) error) error {
+	if cfg.Progress == nil {
+		cfg.Progress = func(string, ...any) {}
+	}
+	ccfg := crawlerConfig(cfg)
+	ccfg.BaseURL = baseURL
+	src, cr := crawlSource(cfg, ccfg, eco, part, parts, 1, func(int) error { return nil })
+	err := collect(ctx, cfg, []*shard{{runner: analysis.NewRunner()}}, start, src, w, func(week int) error {
+		return commit(week, cr.Metrics())
+	})
+	return seal(w, err)
+}
+
+// crawlerConfig is a study's crawler, before anything says where it fetches.
+func crawlerConfig(cfg Config) crawler.Config {
+	return crawler.Config{
+		Workers:      cfg.Workers,
+		FetchTimeout: cfg.FetchTimeout,
+		Backoff:      crawler.Backoff{Seed: cfg.Seed},
+		Resilience:   cfg.Resilience,
+		FetchScripts: cfg.BundleScan,
+	}
+}
+
+// crawlSource fetches partition part of parts (a whole study is 0 of 1)
+// every week through a crawler built from ccfg, returned for its metrics,
+// and fingerprints the pages on the owning shard's worker with the shard's
+// private memo (nil when disabled: plain fingerprint.Page calls). advance
+// readies the transport for a week before its first fetch.
+func crawlSource(cfg Config, ccfg crawler.Config, eco *webgen.Ecosystem, part, parts, shards int, advance func(int) error) (source[crawler.Page], *crawler.Crawler) {
 	cr := crawler.New(ccfg)
 	byName := eco.List.ByName()
-	domains := make([]string, len(eco.Sites))
-	for i, s := range eco.Sites {
-		domains[i] = s.Domain.Name
+	var domains []string
+	for _, s := range eco.Sites {
+		if store.ShardOf(s.Domain.Name, parts) == part {
+			domains = append(domains, s.Domain.Name)
+		}
 	}
-	// One fingerprint memo per shard, private to its worker (nil when
-	// disabled; a nil Memo degrades to plain fingerprint.Page calls).
-	memos := make([]*fingerprint.Memo, len(shards))
+	memos := make([]*fingerprint.Memo, shards)
 	if cfg.FingerprintCacheSize >= 0 {
 		for s := range memos {
 			memos[s] = fingerprint.NewMemo(cfg.FingerprintCacheSize)
 		}
 	}
-	err := collect(ctx, cfg, shards, start, source[crawler.Page]{
+	return source[crawler.Page]{
 		did: "crawled",
 		feed: func(ctx context.Context, week int, emit func(int, crawler.Page)) error {
 			// No fetch is in flight here, so a replay reads its archive forward
@@ -495,15 +549,13 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shar
 			// properties feed promises (asserted by the crawler's contract
 			// tests).
 			return cr.CrawlWeek(ctx, week, domains, func(p crawler.Page) {
-				emit(store.ShardOf(p.Domain, len(shards)), p)
+				emit(store.ShardOf(p.Domain, shards), p)
 			})
 		},
 		observe: func(s int, p crawler.Page, yield func(store.Observation)) {
-			yield(ObservationFromPage(byName, memos[s], p))
+			yield(observationFromPage(byName, memos[s], p))
 		},
-	}, writer, bw)
-	snap := cr.Metrics()
-	return &snap, err
+	}, cr
 }
 
 // RunFromStore replays a stored observation dataset through the analyses

@@ -49,10 +49,10 @@ type MergeConfig struct {
 	// Partitions is the domain-hash partition count of the distributed
 	// run — the modulus every span's observations are validated against.
 	Partitions int
-	// DomainsPerPartition, when non-nil, enables the exact-count check:
-	// partition p must replay Σ_spans (ToWeek-FromWeek) × DomainsPerPartition[p]
-	// observations (every crawled (domain, week) yields exactly one
-	// observation, failures included).
+	// DomainsPerPartition is required, one count per partition: partition p
+	// must replay Weeks × DomainsPerPartition[p] observations (its spans
+	// cover every week once, and every crawled (domain, week) yields
+	// exactly one observation, failures included).
 	DomainsPerPartition []int
 	// SkipPoC skips the version-validation experiment (Results.Findings
 	// stays nil; reports of runs that also skipped it stay comparable).
@@ -66,8 +66,9 @@ type MergeConfig struct {
 // ShardOf invariant); within a partition, spans replay in ascending week
 // order so the stateful collectors see each domain's weeks in order.
 func MergeWorkerStores(spans []ReplaySpan, cfg MergeConfig) (*Results, error) {
-	if cfg.Partitions < 1 {
-		return nil, fmt.Errorf("core: merge: %d partitions", cfg.Partitions)
+	if cfg.Partitions < 1 || len(cfg.DomainsPerPartition) != cfg.Partitions {
+		return nil, fmt.Errorf("core: merge: %d partitions, %d per-partition domain counts",
+			cfg.Partitions, len(cfg.DomainsPerPartition))
 	}
 	byPart := make([][]ReplaySpan, cfg.Partitions)
 	for _, sp := range spans {
@@ -114,12 +115,9 @@ func MergeWorkerStores(spans []ReplaySpan, cfg MergeConfig) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DomainsPerPartition != nil {
-		// The spans of a partition cover every week exactly once.
-		for p, n := range counts {
-			if want := cfg.Weeks * cfg.DomainsPerPartition[p]; n != want {
-				return nil, fmt.Errorf("core: merge: partition %d replayed %d observations, expected %d", p, n, want)
-			}
+	for p, n := range counts {
+		if want := cfg.Weeks * cfg.DomainsPerPartition[p]; n != want {
+			return nil, fmt.Errorf("core: merge: partition %d replayed %d observations, expected %d", p, n, want)
 		}
 	}
 	res := mergeShards(shards)

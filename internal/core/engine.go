@@ -13,7 +13,6 @@ import (
 
 	"clientres/internal/analysis"
 	"clientres/internal/store"
-	"clientres/internal/wexbundle"
 )
 
 // shard is one domain-hash partition of a study's collectors. All of a
@@ -69,12 +68,11 @@ type sink interface {
 // collect runs weeks [start, cfg.Weeks) of a study: one worker per shard
 // observes the shard's items into its collectors and writes them to the
 // store. Every week ends at the same barrier: drain the shards, surface
-// their errors, commit the bundle, commit the store. The bundle commits
-// first because it must always be able to replay the store's committed
-// prefix: across a crash it may be ahead of the store (harmless — the
-// resumed run re-records the week and the duplicates supersede in the
-// replay index) but never behind it.
-func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int, src source[T], writer sink, bundle *wexbundle.Writer) error {
+// their errors, and, when commit is set, commit the week. What a commit is
+// belongs to the caller — the store's CommitWeek; a recording's bundle,
+// then its store; a distributed worker's generation store, then its
+// coordinator — and an error from it stops the run at that week.
+func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int, src source[T], writer sink, commit func(week int) error) error {
 	chans := make([]chan T, len(shards))
 	errs := make([]error, len(shards))
 	// pending counts items handed to a channel and not yet processed. feed
@@ -128,15 +126,10 @@ func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int,
 					return e
 				}
 			}
-			if !cfg.Checkpoint {
+			if commit == nil {
 				continue
 			}
-			if bundle != nil {
-				if err := bundle.CommitWeek(w); err != nil {
-					return err
-				}
-			}
-			if err := writer.CommitWeek(w); err != nil {
+			if err := commit(w); err != nil {
 				return err
 			}
 			cfg.Progress("week %3d/%d committed", w+1, cfg.Weeks)

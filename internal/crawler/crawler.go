@@ -28,7 +28,8 @@ import (
 type Config struct {
 	// BaseURL is the root of the web under test, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Workers bounds concurrent fetches (default 32).
+	// Workers bounds concurrent fetches (default 64, what cmd/crawl and
+	// cmd/worker ship).
 	Workers int
 	// Timeout bounds one fetch including body read (default 10s).
 	Timeout time.Duration
@@ -116,7 +117,7 @@ const NoRetries = -1
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
-		c.Workers = 32
+		c.Workers = 64
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 10 * time.Second

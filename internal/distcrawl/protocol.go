@@ -1,8 +1,8 @@
 // Package distcrawl is the distributed crawl plane: a coordinator that
 // owns the study frontier and leases domain partitions to workers over a
-// small HTTP/JSON protocol, and workers that run the existing resilient
-// crawl path per assignment, each writing its own week-granular
-// checkpointed store generation.
+// small HTTP/JSON protocol, and workers that crawl each assignment through
+// the collection engine (core.CrawlPartition), each writing its own
+// week-granular checkpointed store generation.
 //
 // The partition function is store.ShardOf — the one FNV-1a hash the
 // segmented store and the analysis shards already use — so a host lives
@@ -132,9 +132,19 @@ type CommitRequest struct {
 	Metrics crawler.MetricsSnapshot `json:"metrics"`
 }
 
+// weekCommit is the engine's week barrier for a worker whose commit is a
+// protocol request: req for the week, carrying the crawler's cumulative
+// metrics.
+func weekCommit(req CommitRequest, commit func(CommitRequest) error) func(int, crawler.MetricsSnapshot) error {
+	return func(week int, m crawler.MetricsSnapshot) error {
+		req.Week, req.Metrics = week, m
+		return commit(req)
+	}
+}
+
 // CommitResponse accepts or fences a week commit. An accepted commit also
-// renews the lease. Done reports the partition fully crawled — the worker
-// should close its generation and ask for a new lease.
+// renews the lease. Done reports the partition fully crawled: the commit
+// was of its last week.
 type CommitResponse struct {
 	OK     bool   `json:"ok"`
 	Done   bool   `json:"done,omitempty"`

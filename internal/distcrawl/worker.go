@@ -7,28 +7,26 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clientres/internal/alexa"
 	"clientres/internal/core"
-	"clientres/internal/crawler"
-	"clientres/internal/fingerprint"
 	"clientres/internal/store"
 	"clientres/internal/webgen"
 	"clientres/internal/webserver"
 )
 
 // Worker runs crawl assignments against a coordinator: register, lease a
-// partition, crawl it week by week through the existing resilient crawl
-// path — committing each week to its own generation store first, then to
-// the coordinator — while a heartbeat goroutine renews the lease. A
-// refused renewal or commit means the epoch is fenced: the worker aborts
-// the assignment (keeping the accepted prefix on disk) and leases anew.
+// partition, crawl it through the collection engine (core.CrawlPartition)
+// — whose week barrier commits each week to the worker's own generation
+// store first, then to the coordinator — while a heartbeat goroutine renews
+// the lease. A refused renewal or commit means the epoch is fenced: the
+// worker aborts the assignment (keeping the accepted prefix on disk) and
+// leases anew.
 type Worker struct {
 	// ID names the worker in the protocol (and logs).
 	ID string
 	// Coord is the coordinator client.
 	Coord *Client
-	// CrawlWorkers bounds per-assignment crawl concurrency (0 = crawler
-	// default).
+	// CrawlWorkers bounds per-assignment crawl concurrency (0 = the
+	// crawler's default, 64).
 	CrawlWorkers int
 	// FetchTimeout bounds one whole page fetch (crawler.Config.FetchTimeout)
 	// so a hung host cannot stall the worker past its lease.
@@ -89,17 +87,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	defer stop()
 
-	byName := eco.List.ByName()
-	// Partition the domain list once: partition p crawls exactly the
-	// domains store.ShardOf assigns it — the politeness invariant (a host
-	// lives on one worker) and the merge's shard invariant, in one hash.
-	partDomains := make([][]string, spec.Partitions)
-	for i := range eco.Sites {
-		name := eco.Sites[i].Domain.Name
-		p := store.ShardOf(name, spec.Partitions)
-		partDomains[p] = append(partDomains[p], name)
-	}
-
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -121,7 +108,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		err = w.runAssignment(ctx, spec, resp, baseURL, byName, partDomains[resp.Partition])
+		err = w.runAssignment(ctx, spec, resp, eco, baseURL)
 		var ae errAssignment
 		switch {
 		case err == nil:
@@ -133,13 +120,14 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runAssignment crawls one leased partition from its start week, one
-// generation store per epoch. Commit order is store-first: a week is
-// durably on disk before the coordinator hears of it, so every accepted
-// span is replayable; the converse — store-committed but protocol-
-// refused — is surplus the merge's week filter discards.
-func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseResponse,
-	baseURL string, byName map[string]alexa.Domain, domains []string) (retErr error) {
+// runAssignment crawls one leased partition from its start week through
+// core.CrawlPartition into the epoch's generation store (an aborted one
+// keeps its committed prefix until the merge seals it). Its week barrier
+// commits store first: a week is durably on disk before the coordinator
+// hears of it, so every accepted span is replayable; the converse —
+// store-committed but protocol-refused — is surplus the merge's week
+// filter discards.
+func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseResponse, eco *webgen.Ecosystem, baseURL string) error {
 	w.logf("%s: leased partition %d epoch %d weeks [%d,%d)", w.ID, l.Partition, l.Epoch, l.StartWeek, spec.Weeks)
 	dir := GenDir(spec.Dir, l.Partition, l.Epoch)
 	run := store.RunID{
@@ -150,21 +138,11 @@ func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseRespons
 	if err != nil {
 		return err
 	}
-	closed := false
-	defer func() {
-		if !closed {
-			// Keep the committed prefix, write no manifest: the merge
-			// seals live generations itself, and an aborted one keeps
-			// reading as incomplete.
-			_ = sw.Abort()
-		}
-	}()
 
 	// The assignment context dies with the lease: the heartbeat goroutine
 	// cancels it the moment a renewal is refused, unwinding the crawl
 	// mid-week instead of finishing work nobody will accept.
 	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var lost atomic.Bool
 	hbDone := make(chan struct{})
 	go func() {
@@ -196,57 +174,21 @@ func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseRespons
 			}
 		}
 	}()
-	defer func() {
-		cancel()
-		<-hbDone
-		if lost.Load() && retErr == nil {
-			retErr = errAssignment{fmt.Errorf("distcrawl: lease lost (fenced)")}
-		}
-	}()
 
-	cr := crawler.New(crawler.Config{
-		BaseURL:      baseURL,
-		Workers:      w.CrawlWorkers,
-		Backoff:      crawler.Backoff{Seed: spec.Seed},
-		FetchScripts: spec.BundleScan,
-		FetchTimeout: w.FetchTimeout,
-	})
-	memo := fingerprint.NewMemo(0)
-
-	for week := l.StartWeek; week < spec.Weeks; week++ {
-		var obsErr error
-		err := cr.CrawlWeek(actx, week, domains, func(p crawler.Page) {
-			obs := core.ObservationFromPage(byName, memo, p)
-			if obsErr == nil {
-				obsErr = sw.Write(obs)
-			}
-		})
-		if err != nil {
-			if lost.Load() {
-				return errAssignment{fmt.Errorf("distcrawl: lease lost mid-week %d", week)}
-			}
-			return errAssignment{err}
-		}
-		if obsErr != nil {
-			return obsErr
-		}
+	commit := func(req CommitRequest) error {
 		if w.OnWeek != nil {
-			if err := w.OnWeek(l.Partition, week); err != nil {
+			if err := w.OnWeek(l.Partition, req.Week); err != nil {
 				return errAssignment{err}
 			}
 		}
-		// Store first: the week must be durable before it is reported.
-		if err := sw.CommitWeek(week); err != nil {
+		if err := sw.CommitWeek(req.Week); err != nil {
 			if errors.Is(err, store.ErrFenced) {
-				w.fenced(l.Partition, l.Epoch, week, err.Error())
+				w.fenced(l.Partition, l.Epoch, req.Week, err.Error())
 				return errAssignment{err}
 			}
 			return err
 		}
-		resp, err := w.Coord.Commit(CommitRequest{
-			Worker: w.ID, Partition: l.Partition, Epoch: l.Epoch,
-			Week: week, Metrics: cr.Metrics(),
-		})
+		resp, err := w.Coord.Commit(req)
 		if err != nil {
 			return errAssignment{err}
 		}
@@ -254,16 +196,20 @@ func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseRespons
 			// Fenced: our store commit for this week is surplus — it lies
 			// outside the span the coordinator accepted, and the merge's
 			// week filter will never read it.
-			w.fenced(l.Partition, l.Epoch, week, resp.Reason)
+			w.fenced(l.Partition, l.Epoch, req.Week, resp.Reason)
 			return errAssignment{fmt.Errorf("distcrawl: commit fenced: %s", resp.Reason)}
 		}
-		w.logf("%s: partition %d epoch %d week %d committed", w.ID, l.Partition, l.Epoch, week)
-		if resp.Done {
-			break
-		}
+		w.logf("%s: partition %d epoch %d week %d committed", w.ID, l.Partition, l.Epoch, req.Week)
+		return nil
 	}
-	// The partition is fully crawled: seal the generation (manifest
-	// written) so the merge can read it without resuming it first.
-	closed = true
-	return sw.Close()
+	cfg := core.Config{Weeks: spec.Weeks, Seed: spec.Seed, BundleScan: spec.BundleScan,
+		Workers: w.CrawlWorkers, FetchTimeout: w.FetchTimeout}
+	err = core.CrawlPartition(actx, cfg, eco, l.Partition, spec.Partitions, l.StartWeek, baseURL, sw,
+		weekCommit(CommitRequest{Worker: w.ID, Partition: l.Partition, Epoch: l.Epoch}, commit))
+	cancel()
+	<-hbDone
+	if lost.Load() {
+		return errAssignment{fmt.Errorf("distcrawl: lease lost (fenced)")}
+	}
+	return err
 }
