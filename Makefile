@@ -27,11 +27,6 @@ benchdiff:
 check:
 	FUZZTIME=$(FUZZTIME) sh scripts/check.sh
 
+# fuzz-smoke runs every fuzz target of the module for FUZZTIME (3s by default).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 3s ./internal/htmlx
-	$(GO) test -run '^$$' -fuzz '^FuzzParseVersion$$' -fuzztime 3s ./internal/semver
-	$(GO) test -run '^$$' -fuzz '^FuzzRange$$' -fuzztime 3s ./internal/semver
-	$(GO) test -run '^$$' -fuzz '^FuzzAuditHandler$$' -fuzztime 3s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzSignatureScan$$' -fuzztime 3s ./internal/fingerprint
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStream$$' -fuzztime 3s ./internal/store
-	$(GO) test -run '^$$' -fuzz '^FuzzBundleStream$$' -fuzztime 3s ./internal/wexbundle
+	FUZZTIME=$(FUZZTIME) sh scripts/fuzz-smoke.sh

@@ -1,8 +1,8 @@
 // Command fsck verifies and repairs store directories (observation stores
 // and web-execution bundles) — the recovery tool for crawls that died
-// mid-run, and the upgrade path for stores of earlier releases: they stay
-// readable as they are, and -repair of a torn one rewrites it in the
-// current format.
+// mid-run. A store of an earlier release (format v1 or v2) is refused in
+// every mode and left untouched; the refusal names the commit whose fsck
+// converts it (README, "Archives of earlier releases").
 //
 // Three modes:
 //
@@ -126,10 +126,6 @@ func printStreamOrder(dir string) {
 // formatName renders a store format / manifest version for humans.
 func formatName(v int) string {
 	switch v {
-	case store.FormatPlain:
-		return "format v1 (plain JSONL)"
-	case store.FormatFramed:
-		return "format v2 (framed records)"
 	case store.FormatDelta:
 		return "format v3 (delta streams)"
 	case store.FormatBundle:

@@ -561,8 +561,8 @@ func crawlSource(cfg Config, ccfg crawler.Config, eco *webgen.Ecosystem, part, p
 // RunFromStore replays a stored observation dataset through the analyses
 // (Findings still come from the PoC lab, which is dataset-independent).
 // The path may be a store directory or a single gzip stream — one segment
-// file of a store, or a single-file archive of an earlier release; every
-// format the store reads replays to byte-identical reports. Segments
+// file of a store, which replays to the same report as its store; an
+// archive of an earlier release is refused. Segments
 // decode concurrently, and with shards > 1 the observations go by domain
 // hash to per-shard collector sets, merged afterwards — the stored
 // per-domain week ordering is preserved inside each shard, so the result

@@ -31,8 +31,8 @@ import (
 	"io"
 )
 
-// v3 record marks. JSON observations start with '{' and v2 frames with
-// '#', so the first decompressed byte still identifies the format.
+// v3 record marks. None is v4's '!' or the '{' and '#' that began v1 and
+// v2 records, so the first decompressed byte identifies the format.
 const (
 	fullMark  = '='
 	sameMark  = '~'

@@ -2,9 +2,8 @@ package store
 
 // Tests for the v3 delta segment format: round-trip fidelity on both
 // churny and longitudinal data, the inline fast-path fallbacks, member
-// checksum integrity, the size win over v1/v2 that motivates the format,
-// and the v1/v2 archives of earlier releases reading through the same
-// entry points.
+// checksum integrity, and the size win over v1/v2 that motivates the
+// format.
 
 import (
 	"bytes"
@@ -285,29 +284,5 @@ func TestDeltaArchiveSmallerThanV1AndV2(t *testing.T) {
 	t.Logf("archive bytes for %d obs: v1=%d v3=%d", len(obs), v1.Len(), fi.Size())
 	if int(fi.Size()) >= v1.Len() {
 		t.Errorf("v3 archive (%d bytes) not smaller than v1 (%d bytes)", fi.Size(), v1.Len())
-	}
-}
-
-// TestMixedVersionReads: one observation set archived as a v1 single file,
-// a v1 store, a v2 store, and a v3 store (the checked-in fixtures) must
-// read back identically through the transparent entry points.
-func TestMixedVersionReads(t *testing.T) {
-	wantBy := byDomain(fixtureStream())
-	for _, name := range []string{"v1-file.jsonl.gz", "v1.store", "v2.store", "v3.store"} {
-		path := filepath.Join("testdata", name)
-		var got []Observation
-		if err := ForEach(path, func(o Observation) error {
-			got = append(got, o.Clone())
-			return nil
-		}); err != nil {
-			t.Fatalf("%s: ForEach: %v", name, err)
-		}
-		checkSameByDomain(t, wantBy, byDomain(got))
-
-		all, err := ReadAll(path)
-		if err != nil {
-			t.Fatalf("%s: ReadAll: %v", name, err)
-		}
-		checkSameByDomain(t, wantBy, byDomain(all))
 	}
 }

@@ -178,10 +178,10 @@ func checkSalvagedState(t *testing.T, dir string, weeks [][]Observation, segment
 // TestFaultScheduleCommitsOrSalvages sweeps the write fault across the two
 // writes a store can get — several byte budgets each, as clean ENOSPC and
 // as torn short writes. v3: a checkpointed run; every crash point leaves a
-// store Salvage restores to all committed weeks. v2: nothing writes it any
-// more, the write it still gets is `fsck -repair` rewriting a torn store as
-// v3; a repair the disk cuts short must seal nothing and cost the next
-// repair no record. (The bundle codec has its sweep in wexbundle.)
+// store Salvage restores to all committed weeks. scan: `fsck -repair`
+// rewriting, segment by segment, a torn store that has no journal; a
+// repair the disk cuts short must seal nothing and cost the next repair no
+// record. (The bundle codec has its sweep in wexbundle.)
 func TestFaultScheduleCommitsOrSalvages(t *testing.T) {
 	const segments = 3
 	run := RunID{Seed: 77, Domains: 15, Weeks: 6}
@@ -230,8 +230,11 @@ func TestFaultScheduleCommitsOrSalvages(t *testing.T) {
 		checkSalvagedState(t, dir, weeks, segments, committed)
 	})
 	kept := -1 // records the fault-free repair recovers
-	sweep("v2", func(t *testing.T, fsys *faultFS) {
-		dir := tornFixture(t, "v2.store")
+	sweep("scan", func(t *testing.T, fsys *faultFS) {
+		dir := tornFixture(t, "v3.store")
+		if err := os.Remove(CheckpointPath(dir)); err != nil {
+			t.Fatal(err)
+		}
 		res, err := salvageOn(fsys, dir)
 		if kept < 0 {
 			kept = res.Total

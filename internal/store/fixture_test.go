@@ -1,10 +1,9 @@
 package store
 
-// Golden archives. testdata/ holds one small observation stream as every
-// format and layout a release of this package ever wrote (README.md there
-// says which commit wrote them). The v1/v2 decoders, the salvage upgrade
-// and the byte encoding of v3 are tested against these files, not against
-// a writer of the same tree.
+// Golden archive. testdata/v3.store holds one small observation stream as
+// the live writer encoded it at the commit its README names. The byte
+// encoding of v3 and the journal and manifest readers are tested against
+// it, not only against a writer of the same tree.
 
 import (
 	"bytes"
@@ -17,7 +16,7 @@ import (
 	"testing"
 )
 
-// fixtureStream is what every fixture holds: 6 domains x 8 weeks in
+// fixtureStream is what the fixture holds: 6 domains x 8 weeks in
 // collection order, with an unchanged-page run, a changed page, Libs and
 // Flash changing to other values and to nothing, and status-0 fetches.
 func fixtureStream() []Observation {
@@ -144,6 +143,27 @@ func gunzip(t testing.TB, path string) []byte {
 	return data
 }
 
+// writeBundle seals a small two-segment bundle archive in dir: one raw
+// '!' line per domain-week of the fixture's first two weeks, one commit.
+func writeBundle(t testing.TB, dir string, run RunID) {
+	t.Helper()
+	w, err := CreateSegmentedWith(dir, 2, SegmentedOptions{Checkpoint: true, Run: run, Format: FormatBundle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range fixtureStream()[:12] {
+		if err := w.WriteRaw(o.Domain, []byte("!"+o.Domain)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.CommitWeek(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGoldenV3Encoding pins the v3 byte encoding: the live writer, fed what
 // the v3 fixture holds, must produce segments that decompress to the
 // fixture's bytes. (Compressed bytes depend on the Go release's deflate
@@ -168,54 +188,48 @@ func TestGoldenV3Encoding(t *testing.T) {
 }
 
 // TestResumeRefusesOtherCodec: a resume pointed at the journal of another
-// codec — the sealed bundle instead of the store recorded beside it, or a
-// crashed v2 store of an earlier release — is refused before the manifest
-// is removed or a segment truncated: the directory stays byte-for-byte
-// what it was. (wexbundle's TestResumeRejectsObservationStore is the other
-// direction.)
+// codec — the sealed bundle instead of the store recorded beside it — is
+// refused before the manifest is removed or a segment truncated: the
+// directory stays byte-for-byte what it was. (wexbundle's
+// TestResumeRejectsObservationStore is the other direction; a journal of
+// an earlier release is TestLegacyArchiveRefusedUntouched's.)
 func TestResumeRefusesOtherCodec(t *testing.T) {
 	run := RunID{Seed: 1, Domains: 6, Weeks: 8}
 	bundle := filepath.Join(t.TempDir(), "b.bundle")
-	w, err := CreateSegmentedWith(bundle, 2, SegmentedOptions{Checkpoint: true, Run: run, Format: FormatBundle})
-	if err != nil {
-		t.Fatal(err)
+	writeBundle(t, bundle, run)
+	before := dirContents(t, bundle)
+	_, _, err := ResumeSegmented(bundle, SegmentedOptions{Run: run})
+	if err == nil || !strings.Contains(err.Error(), "nothing was changed") {
+		t.Errorf("resume of a bundle as an observation store: %v", err)
 	}
-	for _, o := range fixtureStream()[:12] {
-		if err := w.WriteRaw(o.Domain, []byte("!"+o.Domain)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.CommitWeek(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name, dir := range map[string]string{"bundle": bundle, "v2-journal": copyFixture(t, "v2-crashed.store")} {
-		before := dirContents(t, dir)
-		_, _, err := ResumeSegmented(dir, SegmentedOptions{Run: run})
-		if err == nil || !strings.Contains(err.Error(), "nothing was changed") {
-			t.Errorf("%s: resume as an observation store: %v", name, err)
-		}
-		if !reflect.DeepEqual(dirContents(t, dir), before) {
-			t.Errorf("%s: the refused resume changed the directory", name)
-		}
+	if !reflect.DeepEqual(dirContents(t, bundle), before) {
+		t.Error("the refused resume changed the directory")
 	}
 	if _, err := Verify(bundle); err != nil {
 		t.Errorf("the bundle no longer verifies: %v", err)
 	}
 }
 
-// FuzzDecodeStream feeds arbitrary decompressed bytes — what a segment of
-// any version, from any release or none, may hold — through the format
-// sniff and the three decoders behind it. No input may panic; every
-// failure is a "store:" error; and cutting a stream short may drop
-// observations off the end but never changes or adds one before the cut,
-// which is what lets salvage keep a torn segment's prefix.
+// FuzzDecodeStream feeds arbitrary decompressed bytes — what a segment
+// from any release or none may hold — through the format dispatch and the
+// delta decoder behind it. No input may panic; every failure is a
+// "store:" error; and cutting a stream short may drop observations off the
+// end but never changes or adds one before the cut, which is what lets
+// salvage keep a torn segment's prefix. The seeds are the v3 fixture's
+// segments, alone and back to back, and one stream led by each refused
+// mark: a v1 JSON line, a v2 frame, a v4 bundle line.
 func FuzzDecodeStream(f *testing.F) {
-	for _, name := range []string{"v1-file.jsonl.gz", "v1.store/seg-0000.jsonl.gz",
-		"v2.store/seg-0001.jsonl.gz", "v2-crashed.store/seg-0001.jsonl.gz", "v3.store/seg-0000.jsonl.gz", "v3.store/seg-0001.jsonl.gz"} {
-		raw := gunzip(f, filepath.Join("testdata", name))
+	seg0 := gunzip(f, SegmentPath(filepath.Join("testdata", "v3.store"), 0))
+	seg1 := gunzip(f, SegmentPath(filepath.Join("testdata", "v3.store"), 1))
+	const v1 = `{"domain":"a.example","rank":1,"week":0,"status":200,"bytes":4096}`
+	for _, raw := range [][]byte{
+		seg0,
+		seg1,
+		append(append([]byte(nil), seg0...), seg1...),
+		[]byte(v1 + "\n"),
+		[]byte("#68 9dc58d1e\n" + v1 + "\n"),
+		[]byte(`!{"d":"a.example","w":0,"u":"/","s":200}` + "\n"),
+	} {
 		f.Add(raw)
 		f.Add(raw[:len(raw)/2])
 		f.Add(raw[:len(raw)-1])

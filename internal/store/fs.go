@@ -124,16 +124,15 @@ func AtomicWriteFile(fsys FS, path string, data []byte) error {
 	return atomicWriteFile(realFS(fsys), path, data)
 }
 
-// FNV-1a parameters — the checksum family of the v2 record frames, the v3
-// member table, and the ShardOf partition function.
+// FNV-1a parameters — the checksum family of the member table and the
+// ShardOf partition function.
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
 )
 
 // fnv1aUpdate folds b into a running FNV-1a state (start from fnvOffset32
-// for a fresh sum) — the incremental form the member hasher needs; a v2
-// record frame's checksum is one call of it.
+// for a fresh sum) — the incremental form the member hasher needs.
 func fnv1aUpdate(h uint32, b []byte) uint32 {
 	for i := 0; i < len(b); i++ {
 		h ^= uint32(b[i])

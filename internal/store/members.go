@@ -102,9 +102,9 @@ func VerifyMemberTable(path string, members []Member) error {
 }
 
 // sniffFormat reports the record format of a segment file by its first
-// decompressed byte, mirroring decodeStream's dispatch: FormatPlain,
-// FormatFramed, FormatDelta, or FormatBundle. An empty stream (a store
-// that committed zero records) reports 0.
+// decompressed byte, with decodeStream's dispatch: FormatDelta or
+// FormatBundle, the legacy refusal of a v1 or v2 segment, or a corrupt
+// stream. An empty stream (a store that committed zero records) reports 0.
 func sniffFormat(path string) (int, error) {
 	gz, release, err := openGzip(path)
 	if err != nil {
@@ -118,16 +118,7 @@ func sniffFormat(path string) (int, error) {
 		}
 		return 0, fmt.Errorf("store: %s: %w", path, err)
 	}
-	switch first[0] {
-	case frameMark:
-		return FormatFramed, nil
-	case fullMark, sameMark, deltaMark:
-		return FormatDelta, nil
-	case BundleMark:
-		return FormatBundle, nil
-	default:
-		return FormatPlain, nil
-	}
+	return formatOfMark(path, first[0])
 }
 
 // countGzipMembers counts the complete gzip members of a file — the

@@ -17,9 +17,9 @@ import (
 )
 
 // BundleMark is the first byte of every v4 record line. Observation
-// records can never start with it ('{', '#', '=', '~', '^' are taken), so
-// one sniffed byte keeps bundle segments and observation segments from
-// ever being confused for each other.
+// records can never start with it ('=', '~', '^' are v3's; '{' and '#'
+// began v1 and v2 records), so one sniffed byte keeps bundle segments and
+// observation segments from ever being confused for each other.
 const BundleMark = '!'
 
 // RawLines is the pull-style reader of a bundle-format record stream: a

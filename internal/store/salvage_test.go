@@ -267,94 +267,3 @@ func TestParallelReaderTruncatedSegment(t *testing.T) {
 		t.Errorf("segment 2 delivered %d records from a truncated file holding %d", len(got[2]), len(perSeg[2]))
 	}
 }
-
-// checkLegacyStore: a sealed store of an earlier release (a checked-in
-// fixture holding fixtureStream) keeps reading byte-identically through
-// every entry point and passes Verify; torn and manifest-less — the
-// pre-checkpoint crash shape — Salvage recovers each segment's prefix and
-// rewrites the store as v3, the one upgrade path.
-func checkLegacyStore(t *testing.T, name string, version int) {
-	t.Helper()
-	const segments = 2
-	obs := fixtureStream()
-	perSeg := splitBySegment(obs, segments)
-	dir := filepath.Join("testdata", name)
-
-	man, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Version != version {
-		t.Fatalf("manifest version = %d, want %d", man.Version, version)
-	}
-	var got []Observation
-	if err := ForEach(dir, func(o Observation) error {
-		got = append(got, o.Clone())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	checkSameByDomain(t, byDomain(obs), byDomain(got))
-	for s := 0; s < segments; s++ {
-		checkPrefix(t, s, readSegment(t, dir, s), perSeg[s])
-	}
-	if _, err := Verify(dir); err != nil {
-		t.Fatalf("intact %s fails verify: %v", name, err)
-	}
-
-	torn := tornFixture(t, name)
-	res, err := Salvage(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Intact || res.FromCheckpoint || res.TornSegments != 1 {
-		t.Fatalf("salvage result: %+v", res)
-	}
-	man2, err := ReadManifest(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !man2.Salvaged || man2.Version != FormatDelta {
-		t.Fatalf("salvaged manifest: %+v", man2)
-	}
-	if _, err := Verify(torn); err != nil {
-		t.Fatalf("salvaged store fails verify: %v", err)
-	}
-	for s := 0; s < segments; s++ {
-		got := readSegment(t, torn, s)
-		checkPrefix(t, s, got, perSeg[s])
-		if s != 1 && len(got) != len(perSeg[s]) {
-			t.Errorf("segment %d: %d records after salvage, want all %d", s, len(got), len(perSeg[s]))
-		}
-		if s == 1 && (len(got) == 0 || len(got) == len(perSeg[s])) {
-			t.Errorf("segment 1 was cut in half but holds %d of %d records", len(got), len(perSeg[s]))
-		}
-	}
-}
-
-func TestV1StoreBackCompat(t *testing.T) { checkLegacyStore(t, "v1.store", FormatPlain) }
-
-// TestV2StoreBackCompat adds the shape only v2 has: a crashed checkpointed
-// run whose journal predates the format field. Salvage restores exactly
-// its committed weeks and the result verifies — still v2, since nothing
-// had to be rewritten.
-func TestV2StoreBackCompat(t *testing.T) {
-	checkLegacyStore(t, "v2.store", FormatFramed)
-
-	const committedWeeks = 5
-	crashed := copyFixture(t, "v2-crashed.store")
-	res, err := Salvage(crashed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FromCheckpoint || res.TornSegments != 2 || res.DroppedBytes == 0 {
-		t.Fatalf("checkpoint salvage result: %+v", res)
-	}
-	checkSalvagedState(t, crashed, byWeek(fixtureStream(), 8), 2, committedWeeks)
-	if n := len(readSegment(t, crashed, 0)) + len(readSegment(t, crashed, 1)); n != committedWeeks*6 {
-		t.Errorf("salvaged store holds %d records, want exactly the %d committed", n, committedWeeks*6)
-	}
-	if man, err := ReadManifest(crashed); err != nil || man.Version != FormatFramed || !man.Salvaged {
-		t.Fatalf("salvaged manifest: %+v, %v", man, err)
-	}
-}

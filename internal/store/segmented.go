@@ -18,6 +18,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,10 +39,10 @@ type Manifest struct {
 	// Counts holds per-segment observation counts; Total their sum.
 	Counts []int `json:"counts"`
 	Total  int   `json:"total"`
-	// Members is the per-segment member table of a v3 or v4 store: each
-	// segment's committed gzip members with compressed length, FNV-1a sum
-	// over the compressed bytes, and record count. Verify re-hashes the
-	// raw segment files against it.
+	// Members is the per-segment member table: each segment's committed
+	// gzip members with compressed length, FNV-1a sum over the compressed
+	// bytes, and record count. Verify re-hashes the raw segment files
+	// against it.
 	Members [][]Member `json:"members,omitempty"`
 	// Salvaged marks a manifest rebuilt by Salvage from a crashed or torn
 	// store rather than written by a clean Close.
@@ -369,7 +370,7 @@ func ResumeSegmented(dir string, opt SegmentedOptions) (*SegmentedWriter, Checkp
 	}
 	if ck.Format != opt.Format {
 		return nil, Checkpoint{}, fmt.Errorf("store: %s: the checkpoint journals a format v%d archive, this resume writes v%d "+
-			"(v3 is an observation store, v4 a web-execution bundle; older ones are read-only, `fsck -repair` seals them) — nothing was changed",
+			"(v3 is an observation store, v4 a web-execution bundle) — nothing was changed",
 			dir, ck.Format, opt.Format)
 	}
 	takeover := false
@@ -428,7 +429,11 @@ func ReadManifest(dir string) (Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if os.IsNotExist(err) {
 		// A killed or still-running crawl: say how to get a readable store
-		// out of it instead of failing on the first segment read.
+		// out of it instead of failing on the first segment read — unless
+		// its journal is an earlier release's, which nothing here repairs.
+		if _, cerr := ReadCheckpoint(dir); errors.Is(cerr, errLegacy) {
+			return Manifest{}, cerr
+		}
 		journal := "and no " + CheckpointName + ": `fsck -repair` keeps each segment's valid prefix"
 		if _, cerr := os.Stat(CheckpointPath(dir)); cerr == nil {
 			journal = "but a " + CheckpointName + ": `crawl -resume` continues the run, `fsck -repair` seals its committed weeks"
@@ -443,16 +448,16 @@ func ReadManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		return Manifest{}, fmt.Errorf("store: %s: corrupt manifest: %w", dir, err)
 	}
-	if man.Version < FormatPlain || man.Version > FormatBundle {
+	switch man.Version {
+	case FormatDelta, FormatBundle:
+	case 1, 2:
+		return Manifest{}, legacyFormat(dir, man.Version)
+	default:
 		return Manifest{}, fmt.Errorf("store: %s: manifest version %d not supported", dir, man.Version)
 	}
-	if man.Segments < 1 || man.Segments != len(man.Counts) {
-		return Manifest{}, fmt.Errorf("store: %s: manifest inconsistent (%d segments, %d counts)",
-			dir, man.Segments, len(man.Counts))
-	}
-	if formatHasMembers(man.Version) && len(man.Members) != man.Segments {
-		return Manifest{}, fmt.Errorf("store: %s: manifest inconsistent (%d segments, %d member tables)",
-			dir, man.Segments, len(man.Members))
+	if man.Segments < 1 || man.Segments != len(man.Counts) || man.Segments != len(man.Members) {
+		return Manifest{}, fmt.Errorf("store: %s: manifest inconsistent (%d segments, %d counts, %d member tables)",
+			dir, man.Segments, len(man.Counts), len(man.Members))
 	}
 	if man.Partition != PartitionFNV1aDomain {
 		return Manifest{}, fmt.Errorf("store: %s: unknown partition %q", dir, man.Partition)

@@ -94,9 +94,6 @@ func (o Observation) Lib(slug string) (LibRecord, bool) {
 // Record formats. The numbers double as manifest versions: a segmented
 // store's manifest.Version is the format its segments are encoded in.
 //
-//	FormatPlain  (v1): plain gzip JSON lines, one observation per line.
-//	FormatFramed (v2): every record preceded by a "#<len> <fnv1a-hex>\n"
-//	                   frame; multi-member gzip, one member per commit.
 //	FormatDelta  (v3): per-domain delta streams ('='/'~'/'^' records, see
 //	                   delta.go) with whole-member FNV-1a checksums kept in
 //	                   the checkpoint/manifest member table (members.go).
@@ -105,24 +102,50 @@ func (o Observation) Lib(slug string) (LibRecord, bool) {
 //	                   payload encoding); durability, checkpointing, member
 //	                   checksums, and salvage behave exactly as v3.
 //
-// Only v3 and v4 are written. v1 and v2 are archives of earlier releases:
-// readers sniff the format from the first decompressed byte of each
-// stream, so they keep reading through the same entry points, and
-// `fsck -repair` (Salvage) is how one becomes a v3 store. A v4 stream is
-// not an observation store and decodeStream refuses it loudly instead of
-// misparsing it.
+// These are the only formats read or written; the first decompressed byte
+// of a stream names its format. A v4 stream is not an observation store
+// and decodeStream refuses it loudly instead of misparsing it. Versions 1
+// and 2 were archives of earlier releases and are refused as legacy.
 const (
-	FormatPlain  = 1
-	FormatFramed = 2
 	FormatDelta  = 3
 	FormatBundle = 4
 )
 
-// formatHasMembers reports whether a format keeps the member-level
-// checksum table (delta v3 and bundle v4) — a question only for bytes from
-// outside: everything this package writes has one.
-func formatHasMembers(format int) bool {
-	return format == FormatDelta || format == FormatBundle
+// legacyToolsCommit is the last commit whose tools read v1 and v2
+// archives: its `fsck -repair` rewrites them as v3.
+const legacyToolsCommit = "9af76ff"
+
+// errLegacy marks a v1 or v2 stream, manifest or journal. Every path that
+// modifies a store checks for it before it touches a file, so a legacy
+// archive is refused exactly as it lies on disk.
+var errLegacy = errors.New("archive of an earlier release")
+
+// legacyFormat is the one refusal of a v1 or v2 archive: it names the
+// format, the commit whose tools convert it, and where the recipe is.
+func legacyFormat(path string, version int) error {
+	name := "v1 (plain JSON lines)"
+	if version == 2 {
+		name = "v2 (framed records)"
+	}
+	return fmt.Errorf("store: %s: format %s is an %w, which this release does not read — "+
+		"convert it with cmd/fsck of commit %s (README, \"Archives of earlier releases\")",
+		path, name, errLegacy, legacyToolsCommit)
+}
+
+// formatOfMark returns the format of a stream whose first decompressed
+// byte is mark — the one dispatch decodeStream and sniffFormat share.
+func formatOfMark(path string, mark byte) (int, error) {
+	switch mark {
+	case fullMark, sameMark, deltaMark:
+		return FormatDelta, nil
+	case BundleMark:
+		return FormatBundle, nil
+	case '{': // a JSON observation: v1
+		return 0, legacyFormat(path, 1)
+	case '#': // a record frame header: v2
+		return 0, legacyFormat(path, 2)
+	}
+	return 0, fmt.Errorf("store: %s: corrupt stream: bad record mark %q", path, mark)
 }
 
 // Writer streams records to one segment file. Write, WriteRaw and Count
@@ -420,11 +443,10 @@ func (w *Writer) abort() error {
 // ForEach streams every observation of a store to fn, in file order. fn
 // returning an error aborts the scan with that error. The path may be a
 // store directory (see CreateSegmented), read segment by segment in
-// segment order, or a single gzip stream: one segment file of a store, or
-// the single-file archive an earlier release wrote. Read-side failures
-// (missing file, truncated or corrupt gzip, malformed JSON) come back
-// wrapped with a "store:" prefix naming the file; fn's own errors pass
-// through unwrapped.
+// segment order, or a single gzip stream: one segment file of a store.
+// Read-side failures (missing file, truncated or corrupt gzip, malformed
+// records, an archive of an earlier release) come back wrapped with a
+// "store:" prefix naming the file; fn's own errors pass through unwrapped.
 //
 // Every ForEach path shares one pooled decoder: the Observation handed to
 // fn reuses its Libs/Flash backing between calls, so fn must consume it
@@ -451,181 +473,33 @@ func forEachFile(path string, fn func(Observation) error) error {
 	return decodeStream(gz, path, fn)
 }
 
-// frameMark is the first byte of a v2 record frame header. JSON records
-// always start with '{', so one peeked byte tells the two encodings apart
-// and v1 (unframed) stores keep reading through the same entry points.
-const frameMark = '#'
-
-// maxFrameLen bounds a frame's declared record length; a corrupt header
-// must not turn into an arbitrary allocation.
-const maxFrameLen = 16 << 20
-
-// parseFrameHeader parses "#<len> <fnv1a-hex>\n" (hdr includes the '\n').
-func parseFrameHeader(hdr []byte) (length int, sum uint32, ok bool) {
-	if len(hdr) < 5 || hdr[0] != frameMark || hdr[len(hdr)-1] != '\n' {
-		return 0, 0, false
-	}
-	i := 1
-	for ; i < len(hdr) && hdr[i] >= '0' && hdr[i] <= '9'; i++ {
-		length = length*10 + int(hdr[i]-'0')
-		if length > maxFrameLen {
-			return 0, 0, false
-		}
-	}
-	if i == 1 || i >= len(hdr) || hdr[i] != ' ' {
-		return 0, 0, false
-	}
-	j := i + 1
-	for ; j < len(hdr)-1; j++ {
-		c := hdr[j]
-		switch {
-		case c >= '0' && c <= '9':
-			sum = sum<<4 | uint32(c-'0')
-		case c >= 'a' && c <= 'f':
-			sum = sum<<4 | uint32(c-'a'+10)
-		default:
-			return 0, 0, false
-		}
-	}
-	if j == i+1 {
-		return 0, 0, false
-	}
-	return length, sum, true
-}
-
-// frameReader strips and verifies record frames from a framed v2 stream,
-// exposing only the verified JSONL payload bytes. No byte of a record is
-// readable until its whole frame — length and FNV-1a checksum — has been
-// verified, so a torn or bit-flipped record surfaces as a corrupt-stream
-// error before any of it escapes to the decoder downstream.
-type frameReader struct {
-	br   *bufio.Reader
-	path string
-	rec  []byte // current verified record (payload + '\n') being drained
-	off  int    // read cursor into rec
-	err  error  // sticky: io.EOF at a clean frame boundary, else corrupt
-}
-
-func (fr *frameReader) Read(p []byte) (int, error) {
-	for fr.off == len(fr.rec) {
-		if fr.err != nil {
-			return 0, fr.err
-		}
-		fr.next()
-	}
-	n := copy(p, fr.rec[fr.off:])
-	fr.off += n
-	return n, nil
-}
-
-// next reads and verifies the next frame into fr.rec, or sets fr.err.
-func (fr *frameReader) next() {
-	corrupt := func(format string, args ...any) {
-		fr.err = fmt.Errorf("store: %s: corrupt stream: "+format, append([]any{fr.path}, args...)...)
-	}
-	hdr, err := fr.br.ReadSlice('\n')
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			if len(hdr) == 0 {
-				fr.err = io.EOF
-				return
-			}
-			corrupt("torn frame header: %w", io.ErrUnexpectedEOF)
-			return
-		}
-		corrupt("%w", err)
-		return
-	}
-	length, sum, ok := parseFrameHeader(hdr)
-	if !ok {
-		corrupt("bad frame header %q", hdr[:len(hdr)-1])
-		return
-	}
-	if cap(fr.rec) < length+1 {
-		fr.rec = make([]byte, length+1)
-	}
-	rec := fr.rec[:length+1]
-	if _, err := io.ReadFull(fr.br, rec); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			corrupt("torn record: %w", io.ErrUnexpectedEOF)
-		} else {
-			corrupt("%w", err)
-		}
-		return
-	}
-	if rec[length] != '\n' {
-		corrupt("frame length mismatch")
-		return
-	}
-	if got := fnv1aUpdate(fnvOffset32, rec[:length]); got != sum {
-		corrupt("record checksum mismatch (frame %08x, data %08x)", sum, got)
-		return
-	}
-	fr.rec, fr.off = rec, 0
-}
-
-// decodeJSONLines decodes observations from a stream of JSON lines: a v1
-// stream as it is, or a v2 stream through a frameReader, which releases no
-// byte of a record before its frame's length and FNV-1a checksum verified —
-// a torn or bit-flipped record never leaks a partial observation into a
-// callback, the scan stops with a corrupt-stream error instead. One
-// persistent json.Decoder serves the stream (a per-record Unmarshal's fresh
-// decode/scanner state costs an allocation and ~300 B per record at
-// archive-replay volume); over a frameReader it only ever buffers whole
-// verified records, so a frame error still surfaces after exactly the valid
-// record prefix has been delivered.
-func decodeJSONLines(r io.Reader, path string, fn func(Observation) error) error {
-	dec := json.NewDecoder(r)
-	var obs Observation
-	for {
-		// Keep the Libs capacity; json.Decode refills it in place. The
-		// reused slots must be zeroed first: decoding merges into existing
-		// elements, so a field omitted by omitempty would otherwise keep
-		// the previous record's value.
-		libs := obs.Libs[:cap(obs.Libs)]
-		clear(libs)
-		obs = Observation{Libs: libs[:0]}
-		if err := dec.Decode(&obs); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			if fr, ok := r.(*frameReader); ok && err == fr.err {
-				return err // already wrapped with the store path by frameReader
-			}
-			return fmt.Errorf("store: %s: corrupt stream: %w", path, err)
-		}
-		if err := fn(obs); err != nil {
-			return err
-		}
-	}
-}
-
-// decodeStream decodes one gzip-decompressed JSONL stream, sniffing the
-// encoding from its first byte: '#' selects the framed v2 decoder (every
-// record checksum-verified), '='/'~'/'^' the delta v3 decoder, anything
-// else the original plain JSONL decoder — so stores written before
-// framing or deltas keep reading byte-identically. Decode-side errors are
-// wrapped with the store prefix and path; callback errors are returned
-// as-is. A stream cut mid-observation (truncated gzip footer, severed
-// connection) surfaces as io.ErrUnexpectedEOF inside the wrap, so callers
-// can distinguish corruption from a clean end of stream.
+// decodeStream decodes one gzip-decompressed stream, dispatching on its
+// first byte: a v3 delta stream decodes, anything else is refused — a v4
+// bundle stream, an archive of an earlier release, or bytes of no format
+// at all. Decode-side errors are wrapped with the store prefix and path;
+// callback errors are returned as-is. A stream cut mid-observation
+// (truncated gzip footer, severed connection) surfaces as
+// io.ErrUnexpectedEOF inside the wrap, so callers can distinguish
+// corruption from a clean end of stream.
 func decodeStream(r io.Reader, path string, fn func(Observation) error) error {
 	br := bufrPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	defer bufrPool.Put(br)
-	if first, err := br.Peek(1); err != nil {
+	first, err := br.Peek(1)
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil // empty stream: a store that committed zero records
 		}
 		return fmt.Errorf("store: %s: corrupt stream: %w", path, err)
-	} else if first[0] == frameMark {
-		return decodeJSONLines(&frameReader{br: br, path: path}, path, fn)
-	} else if first[0] == fullMark || first[0] == sameMark || first[0] == deltaMark {
-		return decodeDelta(br, path, fn)
-	} else if first[0] == BundleMark {
+	}
+	format, err := formatOfMark(path, first[0])
+	if err != nil {
+		return err
+	}
+	if format == FormatBundle {
 		return fmt.Errorf("store: %s: web-execution bundle (v4) segment — not an observation store; replay it with wexbundle", path)
 	}
-	return decodeJSONLines(br, path, fn)
+	return decodeDelta(br, path, fn)
 }
 
 // ReadAll loads a whole observation file into memory. Intended for tests

@@ -21,17 +21,9 @@ go build ./...
 echo "==> go test -race"
 go test -race -timeout 30m ./...
 
-# Budgeted fuzz smoke runs: a few seconds each, enough to catch shallow
-# regressions on every change without turning CI into a fuzzing farm.
-FUZZTIME="${FUZZTIME:-3s}"
-echo "==> fuzz smoke (${FUZZTIME} per target)"
-go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "$FUZZTIME" ./internal/htmlx
-go test -run '^$' -fuzz '^FuzzParseVersion$' -fuzztime "$FUZZTIME" ./internal/semver
-go test -run '^$' -fuzz '^FuzzRange$' -fuzztime "$FUZZTIME" ./internal/semver
-go test -run '^$' -fuzz '^FuzzAuditHandler$' -fuzztime "$FUZZTIME" ./internal/service
-go test -run '^$' -fuzz '^FuzzSignatureScan$' -fuzztime "$FUZZTIME" ./internal/fingerprint
-go test -run '^$' -fuzz '^FuzzDecodeStream$' -fuzztime "$FUZZTIME" ./internal/store
-go test -run '^$' -fuzz '^FuzzBundleStream$' -fuzztime "$FUZZTIME" ./internal/wexbundle
+# Budgeted fuzz smoke runs of every fuzz target (FUZZTIME each, 3s by
+# default).
+sh scripts/fuzz-smoke.sh
 
 # One-iteration bench smoke of the root perf ablations bench/ has no twin for:
 # not a measurement, just proof the benchmarks still build, run, and verify
@@ -328,28 +320,30 @@ grep -q 'never sealed' "$tmp/int.err" || {
 "$tmp/fsck" -store "$tmp/int.store" -repair
 "$tmp/fsck" -store "$tmp/int.store"
 
-# Cross-version smoke: the checked-in archives of earlier releases (v1
-# single file, v1 and v2 stores) and the v3 store of the same observations
-# must verify under fsck, which names each format, and replay to
-# byte-identical reports — the on-disk format is an implementation detail
-# the analyses never see. fsck -repair is the upgrade path: a v1 store
-# that lost its manifest comes back as v3.
-echo "==> cross-version smoke (v1/v2 fixtures vs v3, fsck + repair-upgrade + diff reports)"
-fix=internal/store/testdata
-"$tmp/analyze" -in "$fix/v1-file.jsonl.gz" -weeks 8 -domains 6 >"$tmp/xver-v1.report"
-for v in 1 2 3; do
-	"$tmp/fsck" -store "$fix/v$v.store" | grep -q "ok — format v$v "
-	"$tmp/analyze" -in "$fix/v$v.store" -weeks 8 -domains 6 >"$tmp/xver.report"
-	cmp "$tmp/xver-v1.report" "$tmp/xver.report" || {
-		echo "v$v store replay differs from the v1 file of the same observations"; exit 1; }
-done
-cp -r "$fix/v1.store" "$tmp/xver-upgrade.store"
-rm "$tmp/xver-upgrade.store/manifest.json"
-"$tmp/fsck" -store "$tmp/xver-upgrade.store" -repair
-"$tmp/fsck" -store "$tmp/xver-upgrade.store" | grep -q 'ok — format v3 '
-"$tmp/analyze" -in "$tmp/xver-upgrade.store" -weeks 8 -domains 6 >"$tmp/xver.report"
-cmp "$tmp/xver-v1.report" "$tmp/xver.report" || {
-	echo "repaired (v1 -> v3) store replay differs from the v1 file"; exit 1; }
+# Legacy-refusal smoke: an archive of an earlier release — a v1 stream
+# and a store directory holding it behind a version-1 manifest, built here
+# — is refused with the message naming the commit whose fsck converts it,
+# and neither fsck nor fsck -repair changes a byte of it.
+echo "==> legacy-refusal smoke (v1 stream and store refused, untouched)"
+mkdir "$tmp/legacy.store"
+printf '{"domain":"a.example","rank":1,"week":0,"status":200,"bytes":4096}\n' | gzip >"$tmp/legacy.jsonl.gz"
+cp "$tmp/legacy.jsonl.gz" "$tmp/legacy.store/seg-0000.jsonl.gz"
+printf '{"version": 1, "segments": 1, "partition": "fnv1a-domain", "counts": [1], "total": 1}\n' \
+	>"$tmp/legacy.store/manifest.json"
+status=0
+"$tmp/analyze" -in "$tmp/legacy.jsonl.gz" -weeks 1 -domains 1 >/dev/null 2>"$tmp/legacy.err" || status=$?
+[ "$status" -eq 1 ] || { echo "analyze of a v1 stream exited $status, want 1"; exit 1; }
+grep -q 'format v1 .*commit 9af76ff' "$tmp/legacy.err" || {
+	echo "analyze refused a v1 stream without naming the converting commit:"; cat "$tmp/legacy.err"; exit 1; }
+before=$(cd "$tmp/legacy.store" && sha256sum -- *)
+if "$tmp/fsck" -store "$tmp/legacy.store" >/dev/null 2>&1; then
+	echo "fsck verified a v1 store"; exit 1
+fi
+if "$tmp/fsck" -store "$tmp/legacy.store" -repair >/dev/null 2>&1; then
+	echo "fsck -repair accepted a v1 store"; exit 1
+fi
+[ "$(cd "$tmp/legacy.store" && sha256sum -- *)" = "$before" ] || {
+	echo "fsck changed a v1 store it refused"; exit 1; }
 
 # Serve smoke: start the audit service on an ephemeral port, hit /healthz
 # and run one audit, then prove SIGTERM performs a clean graceful stop.
