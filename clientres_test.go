@@ -1,9 +1,16 @@
 package clientres
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"clientres/internal/service"
 )
 
 func TestRunAndHeadline(t *testing.T) {
@@ -143,5 +150,52 @@ func TestWeekDate(t *testing.T) {
 	}
 	if StudyWeeks != 201 {
 		t.Error("study is 201 weeks")
+	}
+}
+
+// TestEvalPolicyMatchesServerVerdict pins the facade's promise: for the
+// same page, host, policy and clock, EvalPolicy marshals to the verdict
+// bytes POST /v1/audit?policy=server answers.
+func TestEvalPolicyMatchesServerVerdict(t *testing.T) {
+	pol, err := CompilePolicy([]byte(`name: gate
+rules:
+  - name: stale-high
+    scope: finding
+    when: severity == "high" && age(disclosed) > 90d
+  - name: missing-sri
+    when: missing_sri > 0
+  - name: discontinued
+    level: warn
+    scope: library
+    when: discontinued
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Date(2026, time.January, 2, 12, 0, 0, 0, time.UTC)
+	srv := service.New(service.Config{Policy: pol, Now: func() time.Time { return now }})
+	defer srv.Close()
+	pages := []struct{ html, host string }{
+		{`<script src="https://code.jquery.com/jquery-1.12.4.min.js"></script>`, "example.com"},
+		{`<html><script src="https://cdn.test/lib.js"></script></html>`, "shop.test"},
+		{"<html></html>", "clean.test"},
+	}
+	for _, pg := range pages {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+			"/v1/audit?policy=server&host="+pg.host, strings.NewReader(pg.html)))
+		var env struct {
+			Policy json.RawMessage `json:"policy"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != 200 {
+			t.Fatalf("%s: status %d, body %s: %v", pg.host, rec.Code, rec.Body, err)
+		}
+		facade, err := json.Marshal(EvalPolicy(pol, pg.html, pg.host, now))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(facade, env.Policy) {
+			t.Errorf("%s: EvalPolicy verdict differs from the server's\nfacade: %s\nserver: %s", pg.host, facade, env.Policy)
+		}
 	}
 }

@@ -162,7 +162,7 @@ func runBatch(batchPath, policyFile, nowFlag string) int {
 		r = f
 	}
 	w := bufio.NewWriter(os.Stdout)
-	sum, err := service.RunBatch(r, w, pol, now, 0)
+	sum, err := service.RunBatch(r, w, pol, now)
 	if ferr := w.Flush(); err == nil {
 		err = ferr
 	}

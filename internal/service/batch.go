@@ -24,9 +24,9 @@ package service
 // same accounting as the single-audit 503 path, as a per-record error
 // line (the stream's status code is already on the wire).
 //
-// RunBatch is the same record loop with the worker pool replaced by an
-// inline audit — cmd/analyze -batch runs it offline, and the equivalence
-// test proves both paths emit byte-identical lines for the same inputs.
+// One record loop, Server.batch, serves both doors: the endpoint, and
+// RunBatch, which runs it on a private server for cmd/analyze -batch — so
+// the offline gate emits the online endpoint's bytes by construction.
 
 import (
 	"bufio"
@@ -70,9 +70,8 @@ func (s *Server) maxBatchLine() int {
 }
 
 // evalPolicy evaluates pol against one serialized audit response as of
-// now, returning the verdict and its canonical JSON. Every path — online
-// single, online batch, offline RunBatch — funnels through here, which is
-// what makes verdicts byte-identical across them.
+// now, returning the verdict and its canonical JSON. Server.verdict is its
+// one caller, which is what makes verdicts byte-identical across doors.
 func evalPolicy(pol *policy.Policy, auditJSON []byte, now time.Time) ([]byte, policy.Verdict, error) {
 	var resp AuditResponse
 	if err := json.Unmarshal(auditJSON, &resp); err != nil {
@@ -136,18 +135,6 @@ func formatBatchSummary(sum BatchSummary) []byte {
 	return append(b, '\n')
 }
 
-// validateBatchRecord maps one parsed record to an error message, or "".
-func validateBatchRecord(rec *batchRecord) string {
-	switch {
-	case rec.URL != "":
-		return "url records are not supported in batch audits"
-	case rec.HTML == "":
-		return `"html" is required`
-	default:
-		return ""
-	}
-}
-
 // worseVerdict folds per-record overall verdicts into a stream verdict.
 func worseVerdict(acc, v string) string {
 	rank := map[string]int{"": 0, "pass": 1, "warn": 2, "fail": 3}
@@ -158,30 +145,25 @@ func worseVerdict(acc, v string) string {
 }
 
 // pendingRecord is one admitted batch record whose line has not been
-// written yet: either an already-resolved body (cache hit, error) or a
-// job whose reply is still owed.
+// written yet. It is ready once it carries an error or its audit bytes
+// are in hand — a cache hit at admission, or a worker reply settled
+// later; until then job holds the reply still owed.
 type pendingRecord struct {
 	index int
-	ready []byte    // non-nil: emit as-is
-	job   *auditJob // else: wait on job.reply
-	resp  []byte    // job reply already collected by the streaming select
+	err   string // non-empty: the record answers with this error line
+	shed  bool   // err is a queue-full shed
+	resp  []byte
+	job   *auditJob
 	key   cacheKey
 	now   time.Time
-	miss  bool // a completed job should be banked in the cache
-	errLn bool // ready is an error line, not an audit
 }
 
 func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
-	if s.limiter != nil {
-		// One token admits the stream; records inside it are governed by
-		// queue backpressure, not the per-request bucket (a 10k-record
-		// batch is one client action, not 10k).
-		if retry, ok := s.limiter.allow(clientKey(r)); !ok {
-			s.met.shedRate.Inc()
-			w.Header().Set("Retry-After", retryAfterSeconds(retry))
-			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-			return
-		}
+	// One token admits the stream; records inside it are governed by
+	// queue backpressure, not the per-request bucket (a 10k-record batch
+	// is one client action, not 10k).
+	if !s.admit(w, r) {
+		return
 	}
 	pol, isServerPol, err := s.resolvePolicy(nil, r.URL.Query().Get("policy"))
 	if err != nil {
@@ -208,14 +190,41 @@ func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 			f.Flush()
 		}
 	}
+	_, _ = s.batch(r.Body, w, flush, pol, isServerPol)
+}
 
+// RunBatch is the offline batch gate: the batch endpoint's record loop on
+// a private server whose server policy is pol and whose clock stands at
+// now — no listener, no network. It answers exactly as cmd/serve -policy
+// answers POST /v1/audit/batch?policy=server: pol may be nil (audits
+// only), and a leading {"policy": …} control line overrides it, "server"
+// selecting pol itself. cmd/analyze -batch is this function behind flags.
+func RunBatch(r io.Reader, w io.Writer, pol *policy.Policy, now time.Time) (BatchSummary, error) {
+	s := New(Config{Policy: pol, Now: func() time.Time { return now }})
+	defer s.Close()
+	bw := bufio.NewWriter(w)
+	sum, err := s.batch(r, bw, func() {}, pol, pol != nil)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	return sum, err
+}
+
+// batch is the one NDJSON record loop: it reads records from in, audits
+// them on the worker pool, and writes one line per record to out in input
+// order, calling flush after each, then the summary line. pol (isServerPol
+// when it is the preloaded one) gates every record unless a control line
+// replaces it. The error is the first write error (the client has left and
+// no summary follows), the body's read error, or a bad control-line
+// policy; the last two after their error line.
+func (s *Server) batch(in io.Reader, out io.Writer, flush func(), pol *policy.Policy, isServerPol bool) (BatchSummary, error) {
 	// Input lines arrive through a reader goroutine so the record loop can
 	// select between "next input line" and "front-of-window audit done".
 	// That select is what makes output genuinely record-by-record: a
 	// completed audit streams out even while the client is still composing
 	// its next record, instead of buffering until the window fills or the
 	// body ends.
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 64<<10), s.maxBatchLine())
 	lines := make(chan []byte)
 	scanErr := make(chan error, 1)
@@ -244,64 +253,62 @@ func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 	// order.
 	window := make([]*pendingRecord, 0, s.batchWindow())
 	var sum BatchSummary
+	var gone error // the first write error: the client has left
 
-	emit := func(p *pendingRecord) bool {
-		line := p.ready
-		if line == nil {
-			resp := p.resp
-			if resp == nil {
-				resp = <-p.job.reply
-			}
-			if p.miss {
-				s.cacheStore(p.key, resp)
-				s.met.cacheMisses.Inc()
-			}
-			var verdictJSON []byte
-			if pol != nil {
-				vj, v, err := evalPolicy(pol, resp, p.now)
-				if err != nil {
-					line = formatBatchError(p.index, "policy evaluation failed", false)
-					sum.Errors++
-					s.met.batchErrors.Inc()
-				} else {
-					s.observeVerdict(v, isServerPol)
-					sum.Overall = worseVerdict(sum.Overall, v.Overall)
-					verdictJSON = vj
-				}
-			}
-			if line == nil {
-				line = formatBatchLine(p.index, resp, verdictJSON)
-				sum.Completed++
-				s.met.batchCompleted.Inc()
-			}
-		}
-		if _, err := w.Write(line); err != nil {
-			return false
+	write := func(line []byte) {
+		if _, err := out.Write(line); err != nil {
+			gone = err
+			return
 		}
 		flush()
-		return true
 	}
-	drainOne := func() bool {
+	settle := func(p *pendingRecord, resp []byte) {
+		p.resp, p.job = resp, nil
+		s.bank(p.key, resp)
+	}
+	// emit takes the front record out of the window and writes its line,
+	// first waiting for its reply if still owed. Once the client has left
+	// it only settles, so every admitted audit is still banked.
+	emit := func() {
 		p := window[0]
 		window = window[1:]
-		return emit(p)
+		if p.job != nil {
+			settle(p, <-p.job.reply)
+		}
+		if gone != nil {
+			return
+		}
+		var verdictJSON []byte
+		if p.err == "" && pol != nil {
+			vj, overall, err := s.verdict(pol, isServerPol, p.resp, p.now)
+			if err != nil {
+				p.err = "policy evaluation failed"
+			} else {
+				verdictJSON = vj
+				sum.Overall = worseVerdict(sum.Overall, overall)
+			}
+		}
+		if p.err != "" {
+			sum.Errors++
+			s.met.batchErrors.Inc()
+			if p.shed {
+				sum.Shed++
+			}
+			write(formatBatchError(p.index, p.err, p.shed))
+			return
+		}
+		sum.Completed++
+		s.met.batchCompleted.Inc()
+		write(formatBatchLine(p.index, p.resp, verdictJSON))
 	}
 
 	index := 0
-	clientGone := false
 	inputOpen := true
-	for inputOpen || len(window) > 0 {
+	for gone == nil {
 		// Stream out every front-of-window record whose result is in hand.
-		for len(window) > 0 && !clientGone {
-			if p0 := window[0]; p0.ready == nil && p0.resp == nil {
-				break
-			}
-			if !drainOne() {
-				clientGone = true
-			}
-		}
-		if clientGone {
-			break
+		if len(window) > 0 && window[0].job == nil {
+			emit()
+			continue
 		}
 		if !inputOpen && len(window) == 0 {
 			break
@@ -314,16 +321,16 @@ func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 		if len(window) > 0 {
 			frontReply = window[0].job.reply
 		}
-		in := lines
+		next := lines
 		if !inputOpen || len(window) >= s.batchWindow() {
-			in = nil
+			next = nil
 		}
 		var line []byte
 		select {
 		case resp := <-frontReply:
-			window[0].resp = resp
+			settle(window[0], resp)
 			continue
-		case l, ok := <-in:
+		case l, ok := <-next:
 			if !ok {
 				inputOpen = false
 				continue
@@ -335,133 +342,77 @@ func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 		perr := json.Unmarshal(line, &rec)
 
 		// An optional leading control line sets the stream policy.
-		if index == 0 && perr == nil && len(rec.Policy) > 0 && rec.HTML == "" && rec.URL == "" {
-			pol, isServerPol, err = s.resolvePolicy(rec.Policy, "")
-			if err != nil {
+		if index == 0 && perr == nil && !noPolicy(rec.Policy) && rec.HTML == "" && rec.URL == "" {
+			var err error
+			if pol, isServerPol, err = s.resolvePolicy(rec.Policy, ""); err != nil {
 				// The stream cannot proceed without the policy it asked
 				// for; report and stop before any record line.
-				_, _ = w.Write(formatBatchError(0, "bad policy: "+err.Error(), false))
-				flush()
-				return
+				write(formatBatchError(0, "bad policy: "+err.Error(), false))
+				return sum, fmt.Errorf("bad policy: %w", err)
 			}
 			continue
 		}
 
 		p := &pendingRecord{index: index}
-		switch {
-		case perr != nil:
-			p.ready = formatBatchError(index, "invalid JSON record", false)
-			p.errLn = true
-		default:
-			if msg := validateBatchRecord(&rec); msg != "" {
-				p.ready = formatBatchError(index, msg, false)
-				p.errLn = true
-			}
-		}
 		index++
 		sum.Records++
 		s.met.batchRecords.Inc()
-
-		if p.ready == nil {
+		switch {
+		case perr != nil:
+			p.err = "invalid JSON record"
+		case rec.URL != "":
+			p.err = "url records are not supported in batch audits"
+		case rec.HTML == "":
+			p.err = `"html" is required`
+		default:
 			host := rec.Host
 			if host == "" {
-				host = "audit.local"
+				host = defaultHost
 			}
-			now := s.cfg.Now()
-			key := cacheKey{hash: fnv1a64(rec.HTML), n: len(rec.HTML), host: host}
-			if s.cache != nil {
-				if cached, ok := s.cache.get(key); ok {
-					s.met.cacheHits.Inc()
-					if pol != nil {
-						vj, v, err := evalPolicy(pol, cached, now)
-						if err != nil {
-							p.ready = formatBatchError(p.index, "policy evaluation failed", false)
-							p.errLn = true
-						} else {
-							s.observeVerdict(v, isServerPol)
-							sum.Overall = worseVerdict(sum.Overall, v.Overall)
-							p.ready = formatBatchLine(p.index, cached, vj)
-						}
-					} else {
-						p.ready = formatBatchLine(p.index, cached, nil)
-					}
-					if !p.errLn {
-						sum.Completed++
-						s.met.batchCompleted.Inc()
-					}
-				}
+			p.now = s.cfg.Now()
+			p.key = cacheKey{hash: fnv1a64(rec.HTML), n: len(rec.HTML), host: host}
+			if resp, ok := s.cached(p.key); ok {
+				p.resp = resp
+				break
 			}
-			if p.ready == nil {
-				job := &auditJob{html: rec.HTML, host: host, now: now, reply: make(chan []byte, 1)}
-				// Backpressure: make room in our own window first, then
-				// shed through the same accounting as the single-audit
-				// 503 path if the shared queue is still full.
-				submitted := s.submit(job)
-				for !submitted && len(window) > 0 {
-					if !drainOne() {
-						clientGone = true
-						break
-					}
-					submitted = s.submit(job)
-				}
-				if clientGone {
-					break
-				}
-				if submitted {
-					p.job, p.key, p.now, p.miss = job, key, now, s.cache != nil
-				} else {
-					s.met.shedQueue.Inc()
-					s.met.batchShedRecords.Inc()
-					p.ready = formatBatchError(p.index, "audit queue full", true)
-					p.errLn = true
-				}
+			p.job = &auditJob{html: rec.HTML, host: host, now: p.now, reply: make(chan []byte, 1)}
+			// Backpressure: make room in our own window first, then shed
+			// through the same accounting as the single-audit 503 path if
+			// the shared queue is still full.
+			submitted := s.submit(p.job)
+			for !submitted && len(window) > 0 {
+				emit()
+				submitted = s.submit(p.job)
 			}
-		}
-		if p.errLn {
-			sum.Errors++
-			s.met.batchErrors.Inc()
-			if bytes.Contains(p.ready, []byte(`"shed":true`)) {
-				sum.Shed++
+			if !submitted {
+				p.job = nil
+				p.err, p.shed = "audit queue full", true
+				s.met.shedQueue.Inc()
+				s.met.batchShedRecords.Inc()
 			}
 		}
 		window = append(window, p)
 	}
 
-	// Drain whatever is still in flight, then reconcile. Even on a
-	// mid-stream client disconnect the admitted jobs must be consumed so
-	// their buffered replies are banked in the cache, not leaked.
+	// The loop only leaves records behind when the client has left: they
+	// are still settled, so their replies are banked in the cache rather
+	// than leaked.
 	for len(window) > 0 {
-		p := window[0]
-		window = window[1:]
-		if clientGone && p.job != nil {
-			resp := p.resp
-			if resp == nil {
-				resp = <-p.job.reply
-			}
-			if p.miss {
-				s.cacheStore(p.key, resp)
-				s.met.cacheMisses.Inc()
-			}
-			continue
-		}
-		if !emit(p) {
-			clientGone = true
-		}
+		emit()
 	}
-	if clientGone {
-		return
+	if gone != nil {
+		return sum, gone
 	}
 	if err := <-scanErr; err != nil {
 		msg := "error reading batch body"
 		if errors.Is(err, bufio.ErrTooLong) {
 			msg = fmt.Sprintf("batch record exceeds %d bytes", s.maxBatchLine())
 		}
-		_, _ = w.Write(formatBatchError(index, msg, false))
-		flush()
-		return
+		write(formatBatchError(index, msg, false))
+		return sum, err
 	}
-	_, _ = w.Write(formatBatchSummary(sum))
-	flush()
+	write(formatBatchSummary(sum))
+	return sum, gone
 }
 
 // batchWindow bounds in-flight records per stream: enough to keep the
@@ -479,114 +430,4 @@ func (s *Server) batchWindow() int {
 		n = 32
 	}
 	return n
-}
-
-// RunBatch is the offline batch path: the same NDJSON record loop as
-// POST /v1/audit/batch with the worker pool replaced by an inline audit —
-// no server, no network. pol may be nil (audits only); a leading
-// {"policy": …} control line overrides it, with inline forms only (there
-// is no server to name). The emitted lines are byte-identical to what the
-// online batch endpoint streams for the same records, policy, and clock;
-// cmd/analyze -batch is this function behind flags.
-func RunBatch(r io.Reader, w io.Writer, pol *policy.Policy, now time.Time, maxRecordBytes int) (BatchSummary, error) {
-	var sum BatchSummary
-	if maxRecordBytes <= 0 {
-		maxRecordBytes = (2 << 20) + (2<<20)/4 + 4096 // mirror the server default
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
-	index := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec batchRecord
-		perr := json.Unmarshal(line, &rec)
-		if index == 0 && perr == nil && len(rec.Policy) > 0 && rec.HTML == "" && rec.URL == "" {
-			p, err := compileInlinePolicy(rec.Policy)
-			if err != nil {
-				_, _ = bw.Write(formatBatchError(0, "bad policy: "+err.Error(), false))
-				return sum, fmt.Errorf("batch: %v", err)
-			}
-			pol = p
-			continue
-		}
-		var out []byte
-		isErr := false
-		switch {
-		case perr != nil:
-			out = formatBatchError(index, "invalid JSON record", false)
-			isErr = true
-		default:
-			if msg := validateBatchRecord(&rec); msg != "" {
-				out = formatBatchError(index, msg, false)
-				isErr = true
-			}
-		}
-		sum.Records++
-		if out == nil {
-			host := rec.Host
-			if host == "" {
-				host = "audit.local"
-			}
-			resp := Audit(rec.HTML, host, now)
-			auditJSON, err := json.Marshal(resp)
-			if err != nil {
-				auditJSON = []byte("{}")
-			}
-			auditJSON = append(auditJSON, '\n')
-			var verdictJSON []byte
-			if pol != nil {
-				vj, v, err := evalPolicy(pol, auditJSON, now)
-				if err != nil {
-					out = formatBatchError(index, "policy evaluation failed", false)
-					isErr = true
-				} else {
-					sum.Overall = worseVerdict(sum.Overall, v.Overall)
-					verdictJSON = vj
-				}
-			}
-			if out == nil {
-				out = formatBatchLine(index, auditJSON, verdictJSON)
-				sum.Completed++
-			}
-		}
-		if isErr {
-			sum.Errors++
-		}
-		if _, err := bw.Write(out); err != nil {
-			return sum, err
-		}
-		index++
-	}
-	if err := sc.Err(); err != nil {
-		msg := "error reading batch body"
-		if errors.Is(err, bufio.ErrTooLong) {
-			msg = fmt.Sprintf("batch record exceeds %d bytes", maxRecordBytes)
-		}
-		_, _ = bw.Write(formatBatchError(index, msg, false))
-		return sum, err
-	}
-	_, _ = bw.Write(formatBatchSummary(sum))
-	return sum, nil
-}
-
-// compileInlinePolicy handles the control-line policy forms that make
-// sense offline: an inline object or a source string (the "server"
-// selector needs a server).
-func compileInlinePolicy(raw json.RawMessage) (*policy.Policy, error) {
-	if len(raw) > policy.MaxSourceBytes {
-		return nil, fmt.Errorf("inline policy larger than %d bytes", policy.MaxSourceBytes)
-	}
-	var src string
-	if json.Unmarshal(raw, &src) == nil {
-		if src == "server" || src == "default" {
-			return nil, fmt.Errorf("policy %q requires a server; pass the policy inline", src)
-		}
-		return policy.Compile([]byte(src))
-	}
-	return policy.Compile(raw)
 }

@@ -480,7 +480,7 @@ func TestPolicyVerdictEquivalence(t *testing.T) {
 
 	// Offline RunBatch on the identical NDJSON input and clock.
 	var out bytes.Buffer
-	sum, err := RunBatch(strings.NewReader(in.String()), &out, nil, fixedNow, 0)
+	sum, err := RunBatch(strings.NewReader(in.String()), &out, nil, fixedNow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func batchLineRaw(t *testing.T, body []byte, i int) []byte {
 func TestRunBatchOfflineErrors(t *testing.T) {
 	var out bytes.Buffer
 	in := "not json\n" + `{"url":"http://x.test/"}` + "\n" + `{"html":"<html></html>"}` + "\n"
-	sum, err := RunBatch(strings.NewReader(in), &out, nil, fixedNow, 0)
+	sum, err := RunBatch(strings.NewReader(in), &out, nil, fixedNow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,5 +554,112 @@ func TestStatusWriterForwardsFlush(t *testing.T) {
 	}
 	if sw.Unwrap() != rec {
 		t.Error("Unwrap must return the wrapped writer")
+	}
+}
+
+// TestRunBatchMatchesServerBatch pins the offline gate to the online
+// endpoint byte for byte over a whole stream — repeated pages, a url
+// record, invalid JSON, a record with no html, and the summary line:
+// RunBatch(pol) must answer exactly what a server preloaded with pol
+// answers to POST /v1/audit/batch?policy=server. The online server's
+// cache already holds the repeated page, so both its lines are hits there
+// and cold audits offline.
+func TestRunBatchMatchesServerBatch(t *testing.T) {
+	pol, err := policy.Compile([]byte(gateYAML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in bytes.Buffer
+	fmt.Fprintf(&in, `{"html":%s,"host":"example.com"}`+"\n", mustJSON(t, vulnerablePage))
+	fmt.Fprintf(&in, `{"url":"http://x.test/"}`+"\n")
+	fmt.Fprintf(&in, `{"html":%s,"host":"example.com"}`+"\n", mustJSON(t, vulnerablePage))
+	fmt.Fprintf(&in, "not json\n")
+	fmt.Fprintf(&in, `{"host":"clean.test"}`+"\n")
+	fmt.Fprintf(&in, `{"html":"<html></html>","host":"clean.test"}`+"\n")
+
+	s := newTestServer(t, Config{Policy: pol})
+	if rec := postAudit(s, vulnerablePage, ""); rec.Code != 200 {
+		t.Fatalf("warm-up status = %d", rec.Code)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/audit/batch?policy=server", bytes.NewReader(in.Bytes()))
+	online := httptest.NewRecorder()
+	s.ServeHTTP(online, req)
+	if online.Code != 200 {
+		t.Fatalf("batch status = %d", online.Code)
+	}
+	if hits := s.met.cacheHits.Load(); hits != 2 {
+		t.Fatalf("online cacheHits = %d, want 2 (the repeated page)", hits)
+	}
+
+	var offline bytes.Buffer
+	sum, err := RunBatch(bytes.NewReader(in.Bytes()), &offline, pol, fixedNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (BatchSummary{Records: 6, Completed: 3, Errors: 3, Overall: "fail"}); sum != want {
+		t.Errorf("offline summary = %+v, want %+v", sum, want)
+	}
+	if !bytes.Equal(online.Body.Bytes(), offline.Bytes()) {
+		t.Errorf("offline stream differs from the online endpoint\nonline:\n%s\noffline:\n%s", online.Body, offline.Bytes())
+	}
+}
+
+// TestRunBatchServerSelector pins the offline "server" selector: a
+// {"policy":"server"} control line selects RunBatch's pol, as it selects
+// cmd/serve -policy online, and with no pol it fails with the online
+// message.
+func TestRunBatchServerSelector(t *testing.T) {
+	pol, err := policy.Compile([]byte(gateYAML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := `{"policy":"server"}` + "\n" + fmt.Sprintf(`{"html":%s,"host":"example.com"}`, mustJSON(t, vulnerablePage)) + "\n"
+	var out bytes.Buffer
+	sum, err := RunBatch(strings.NewReader(in), &out, pol, fixedNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Records != 1 || sum.Completed != 1 || sum.Overall != "fail" {
+		t.Fatalf("summary = %+v, want one completed record failing the gate", sum)
+	}
+
+	out.Reset()
+	if _, err := RunBatch(strings.NewReader(in), &out, nil, fixedNow); err == nil || !strings.Contains(err.Error(), "no server policy is loaded") {
+		t.Fatalf("err = %v, want no server policy is loaded", err)
+	}
+	lines := parseBatchLines(t, out.Bytes())
+	if len(lines) != 1 || lines[0].Error != "bad policy: no server policy is loaded" {
+		t.Fatalf("lines = %+v, want one bad-policy line", lines)
+	}
+}
+
+// TestPolicyNullMeansNoPolicy pins that a JSON null "policy" member
+// selects nothing on both doors: the single audit answers the plain
+// audit, and a leading {"policy":null} batch line is an ordinary record
+// (without html), not a control line.
+func TestPolicyNullMeansNoPolicy(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := postAudit(s, `{"html":"<p>x</p>","policy":null}`, "application/json")
+	if rec.Code != 200 {
+		t.Fatalf("single status = %d, body %s", rec.Code, rec.Body)
+	}
+	plain := postAudit(s, "<p>x</p>", "")
+	if !bytes.Equal(rec.Body.Bytes(), plain.Body.Bytes()) || rec.Header().Get("X-Policy-Verdict") != "" {
+		t.Errorf("policy:null answered %s, want the plain audit %s", rec.Body, plain.Body)
+	}
+
+	b := postBatch(s, `{"policy":null}`+"\n"+`{"html":"<p>x</p>"}`+"\n")
+	lines := parseBatchLines(t, b.Body.Bytes())
+	if len(lines) != 3 {
+		t.Fatalf("lines = %+v, want 2 records + summary", lines)
+	}
+	if lines[0].Index != 0 || lines[0].Error != `"html" is required` {
+		t.Errorf("record 0 = %+v, want the html-required error", lines[0])
+	}
+	if lines[1].Index != 1 || lines[1].Audit == nil || lines[1].Policy != nil {
+		t.Errorf("record 1 = %+v, want a plain audit", lines[1])
+	}
+	if sum := lines[2].Summary; sum == nil || sum.Records != 2 || sum.Completed != 1 || sum.Errors != 1 {
+		t.Errorf("summary = %+v", sum)
 	}
 }

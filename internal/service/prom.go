@@ -19,6 +19,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "# TYPE clientres_http_requests_total counter\n")
 	for _, em := range s.met.endpoints {
 		fmt.Fprintf(&b, "clientres_http_requests_total{endpoint=%q} %d\n", em.name, em.total.Load())
+	}
+	fmt.Fprintf(&b, "# HELP clientres_http_responses_total HTTP responses by endpoint and status class.\n")
+	fmt.Fprintf(&b, "# TYPE clientres_http_responses_total counter\n")
+	for _, em := range s.met.endpoints {
 		for cls := 1; cls <= 5; cls++ {
 			if n := em.codes[cls].Load(); n > 0 {
 				fmt.Fprintf(&b, "clientres_http_responses_total{endpoint=%q,code=\"%dxx\"} %d\n", em.name, cls, n)
@@ -59,9 +63,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "clientres_audit_duration_us_bucket{le=\"+Inf\"} %d\n", cum)
 	}
 
-	fmt.Fprintf(&b, "# HELP clientres_audit_cache Response-cache traffic.\n")
+	fmt.Fprintf(&b, "# HELP clientres_audit_cache_hits_total Audits answered from the response cache.\n")
 	fmt.Fprintf(&b, "# TYPE clientres_audit_cache_hits_total counter\n")
 	fmt.Fprintf(&b, "clientres_audit_cache_hits_total %d\n", s.met.cacheHits.Load())
+	fmt.Fprintf(&b, "# HELP clientres_audit_cache_misses_total Audit replies banked in the response cache.\n")
 	fmt.Fprintf(&b, "# TYPE clientres_audit_cache_misses_total counter\n")
 	fmt.Fprintf(&b, "clientres_audit_cache_misses_total %d\n", s.met.cacheMisses.Load())
 	fmt.Fprintf(&b, "# TYPE clientres_audit_cache_evictions_total counter\n")
@@ -81,8 +86,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "# TYPE clientres_audit_fetch_failures_total counter\n")
 	fmt.Fprintf(&b, "clientres_audit_fetch_failures_total %d\n", s.met.fetchFailures.Load())
 
-	fmt.Fprintf(&b, "# TYPE clientres_audit_queue gauge\n")
+	fmt.Fprintf(&b, "# TYPE clientres_audit_queue_depth gauge\n")
 	fmt.Fprintf(&b, "clientres_audit_queue_depth %d\n", len(s.jobs))
+	fmt.Fprintf(&b, "# TYPE clientres_audit_queue_capacity gauge\n")
 	fmt.Fprintf(&b, "clientres_audit_queue_capacity %d\n", cap(s.jobs))
 
 	fmt.Fprintf(&b, "# HELP clientres_policy_verdicts_total Policy evaluations by overall verdict (all policies).\n")
@@ -104,11 +110,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	fmt.Fprintf(&b, "# HELP clientres_batch Batch audit stream traffic.\n")
+	fmt.Fprintf(&b, "# HELP clientres_batch_streams_total Batch audit streams opened.\n")
 	fmt.Fprintf(&b, "# TYPE clientres_batch_streams_total counter\n")
 	fmt.Fprintf(&b, "clientres_batch_streams_total %d\n", s.met.batchStreams.Load())
 	fmt.Fprintf(&b, "# TYPE clientres_batch_streams_active gauge\n")
 	fmt.Fprintf(&b, "clientres_batch_streams_active %d\n", s.met.batchActive.Load())
+	fmt.Fprintf(&b, "# HELP clientres_batch_records_total Batch records by result; shed records are also errors.\n")
 	fmt.Fprintf(&b, "# TYPE clientres_batch_records_total counter\n")
 	fmt.Fprintf(&b, "clientres_batch_records_total{result=\"completed\"} %d\n", s.met.batchCompleted.Load())
 	fmt.Fprintf(&b, "clientres_batch_records_total{result=\"error\"} %d\n", s.met.batchErrors.Load())

@@ -7,6 +7,8 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -194,5 +196,69 @@ func TestRateLimitXFFSprayCannotEscapeBucket(t *testing.T) {
 	}
 	if shed := s.met.shedRate.Load(); shed != 3 {
 		t.Errorf("shedRate = %d, want 3 (burst of 2 then throttled)", shed)
+	}
+}
+
+// goneWriter is a batch client that has left: every body write fails.
+type goneWriter struct{ *httptest.ResponseRecorder }
+
+func (goneWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestAbandonedAuditsCountOneHitOrMiss pins the one cache-miss rule: with
+// a cache, every admitted audit is exactly one hit or one miss, also when
+// its client leaves before the reply — a single audit cancelled while a
+// worker holds it, and a batch stream whose client leaves with records
+// still in its window.
+func TestAbandonedAuditsCountOneHitOrMiss(t *testing.T) {
+	started := make(chan struct{}, 16)
+	release := make(chan struct{}, 16)
+	cfg := Config{Workers: 4}
+	cfg.testHookAuditStart = func() { started <- struct{}{}; <-release }
+	s := newTestServer(t, cfg)
+	lookups := func() int64 { return s.met.cacheHits.Load() + s.met.cacheMisses.Load() }
+
+	ctx, cancel := context.WithCancel(context.Background())
+	status := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/audit?host=example.com",
+			strings.NewReader(vulnerablePage)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		status <- rec.Code
+	}()
+	<-started
+	cancel()
+	release <- struct{}{}
+	if code := <-status; code != http.StatusServiceUnavailable {
+		t.Fatalf("abandoned single audit status = %d, want 503", code)
+	}
+	if n := lookups(); n != 1 {
+		t.Fatalf("after one abandoned single audit hits+misses = %d, want 1", n)
+	}
+
+	// The batch's front record is held by a worker until all four records
+	// are admitted; its line is the first write, which fails. The record
+	// repeating the single audit's page is a hit; the other three are
+	// misses banked after the client left.
+	body := `{"html":"<html>b</html>"}` + "\n" + `{"html":"<html>c</html>"}` + "\n" +
+		fmt.Sprintf(`{"html":%q,"host":"example.com"}`, vulnerablePage) + "\n" + `{"html":"<html>d</html>"}` + "\n"
+	done := make(chan struct{})
+	go func() {
+		s.ServeHTTP(goneWriter{httptest.NewRecorder()}, httptest.NewRequest(http.MethodPost, "/v1/audit/batch", strings.NewReader(body)))
+		close(done)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.met.batchRecords.Load() != 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("batch admitted %d of 4 records", s.met.batchRecords.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 3; i++ {
+		release <- struct{}{}
+	}
+	<-done
+	if hits, misses := s.met.cacheHits.Load(), s.met.cacheMisses.Load(); hits != 1 || misses != 4 {
+		t.Errorf("hits=%d misses=%d, want 1 hit and 4 misses for 5 admitted audits", hits, misses)
 	}
 }

@@ -395,22 +395,32 @@ type auditRequest struct {
 	// URL audits a live page fetched through the resilient crawler path.
 	URL string `json:"url,omitempty"`
 	// HTML audits an inline document; Host sets the serving host for
-	// internal/external classification (default "audit.local").
+	// internal/external classification (default defaultHost).
 	HTML string `json:"html,omitempty"`
 	Host string `json:"host,omitempty"`
 	// Policy selects a policy to evaluate against the audit: the JSON
 	// string "server" for the preloaded policy, an inline JSON policy
 	// object, or a JSON string holding YAML/JSON policy source. When set,
-	// the response becomes {"audit":…,"policy":…}.
+	// the response becomes {"audit":…,"policy":…}; null means unset.
 	Policy json.RawMessage `json:"policy,omitempty"`
 }
 
-// resolvePolicy picks the policy for a request: the JSON "policy" member
-// when present, else the ?policy=server query toggle (the only selector a
-// raw-HTML POST can express). isServer reports the preloaded policy was
-// chosen — only that policy has per-rule metric series.
+// defaultHost serves an audit whose request names no host.
+const defaultHost = "audit.local"
+
+// noPolicy reports a "policy" member that selects nothing: absent or JSON
+// null (json.RawMessage keeps the literal).
+func noPolicy(raw json.RawMessage) bool {
+	return len(raw) == 0 || string(raw) == "null"
+}
+
+// resolvePolicy picks the policy for a request or batch stream: the JSON
+// "policy" member when present, else the ?policy=server query toggle (the
+// only selector a raw-HTML POST can express). isServer reports the
+// preloaded policy was chosen — only that policy has per-rule metric
+// series.
 func (s *Server) resolvePolicy(raw json.RawMessage, query string) (pol *policy.Policy, isServer bool, err error) {
-	if len(raw) == 0 {
+	if noPolicy(raw) {
 		switch query {
 		case "":
 			return nil, false, nil
@@ -442,14 +452,24 @@ func (s *Server) resolvePolicy(raw json.RawMessage, query string) (pol *policy.P
 	return pol, false, err
 }
 
+// admit spends the request's rate-limit token; false means it was
+// refused with 429 and the handler must stop.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+	if s.limiter == nil {
+		return true
+	}
+	retry, ok := s.limiter.allow(clientKey(r))
+	if !ok {
+		s.met.shedRate.Inc()
+		w.Header().Set("Retry-After", retryAfterSeconds(retry))
+		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
+	}
+	return ok
+}
+
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if s.limiter != nil {
-		if retry, ok := s.limiter.allow(clientKey(r)); !ok {
-			s.met.shedRate.Inc()
-			w.Header().Set("Retry-After", retryAfterSeconds(retry))
-			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-			return
-		}
+	if !s.admit(w, r) {
+		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -507,7 +527,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if host == "" {
-		host = "audit.local"
+		host = defaultHost
 	}
 	pol, isServerPol, err := s.resolvePolicy(polRaw, r.URL.Query().Get("policy"))
 	if err != nil {
@@ -517,15 +537,10 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	now := s.cfg.Now()
 
 	key := cacheKey{hash: fnv1a64(html), n: len(html), host: host}
-	var respBytes []byte
-	if s.cache != nil {
-		if cached, ok := s.cache.get(key); ok {
-			s.met.cacheHits.Inc()
-			w.Header().Set("X-Cache", "hit")
-			respBytes = cached
-		}
-	}
-	if respBytes == nil {
+	resp, hit := s.cached(key)
+	if hit {
+		w.Header().Set("X-Cache", "hit")
+	} else {
 		job := &auditJob{html: html, host: host, now: now, reply: make(chan []byte, 1)}
 		if !s.submit(job) {
 			s.met.shedQueue.Inc()
@@ -534,40 +549,34 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		select {
-		case resp := <-job.reply:
-			s.cacheStore(key, resp)
+		case resp = <-job.reply:
+			s.bank(key, resp)
 			if s.cache != nil {
-				// Misses only exist where a cache does: with caching
-				// disabled the counter stays zero instead of narrating
-				// traffic a nonexistent cache never saw.
-				s.met.cacheMisses.Inc()
 				w.Header().Set("X-Cache", "miss")
 			}
-			respBytes = resp
 		case <-r.Context().Done():
 			// The client went away after the audit was admitted. The work
 			// is already paid for — drain the worker's buffered reply and
 			// bank it in the cache so the client's retry is a hit, rather
 			// than dropping a fully-computed response on the floor.
 			if s.cache != nil {
-				s.cacheStore(key, <-job.reply)
+				s.bank(key, <-job.reply)
 			}
 			http.Error(w, "client closed request", http.StatusServiceUnavailable)
 			return
 		}
 	}
 	if pol == nil {
-		writeJSONBytes(w, respBytes)
+		writeJSONBytes(w, resp)
 		return
 	}
-	verdictJSON, verdict, err := evalPolicy(pol, respBytes, now)
+	verdictJSON, overall, err := s.verdict(pol, isServerPol, resp, now)
 	if err != nil {
 		http.Error(w, "policy evaluation failed", http.StatusInternalServerError)
 		return
 	}
-	s.observeVerdict(verdict, isServerPol)
-	w.Header().Set("X-Policy-Verdict", verdict.Overall)
-	writeJSONBytes(w, policyEnvelope(respBytes, verdictJSON))
+	w.Header().Set("X-Policy-Verdict", overall)
+	writeJSONBytes(w, policyEnvelope(resp, verdictJSON))
 }
 
 // submit tries to queue one audit without blocking; false means the queue
@@ -581,14 +590,45 @@ func (s *Server) submit(job *auditJob) bool {
 	}
 }
 
-// cacheStore banks a serialized response, charging evictions to metrics.
-func (s *Server) cacheStore(key cacheKey, resp []byte) {
+// cached, bank and verdict are the only steps that touch the response
+// cache or evaluate a policy, for single audits and batch records alike.
+// With a cache, every admitted audit is exactly one hit (cached) or one
+// miss (bank) — also when its client has left before the reply.
+
+// cached returns the banked reply for key, counting the hit.
+func (s *Server) cached(key cacheKey) ([]byte, bool) {
+	if s.cache == nil {
+		return nil, false
+	}
+	resp, ok := s.cache.get(key)
+	if ok {
+		s.met.cacheHits.Inc()
+	}
+	return resp, ok
+}
+
+// bank stores a worker's reply, counting the miss and any evictions.
+// Misses only exist where a cache does: with caching disabled the counter
+// stays zero instead of narrating traffic a nonexistent cache never saw.
+func (s *Server) bank(key cacheKey, resp []byte) {
 	if s.cache == nil {
 		return
 	}
+	s.met.cacheMisses.Inc()
 	if ev := s.cache.add(key, resp); ev > 0 {
 		s.met.cacheEvictions.Add(int64(ev))
 	}
+}
+
+// verdict evaluates pol against one audit reply as of now and counts the
+// outcome, returning the verdict JSON and its overall outcome.
+func (s *Server) verdict(pol *policy.Policy, isServerPol bool, resp []byte, now time.Time) ([]byte, string, error) {
+	vj, v, err := evalPolicy(pol, resp, now)
+	if err != nil {
+		return nil, "", err
+	}
+	s.observeVerdict(v, isServerPol)
+	return vj, v.Overall, nil
 }
 
 // observeVerdict feeds a policy evaluation into /metrics: aggregate

@@ -369,7 +369,7 @@ wait "$serve_pid" || { echo "serve did not stop cleanly"; cat "$tmp/serve.log"; 
 grep -q "drained and stopped" "$tmp/serve.log"
 
 # Policy + batch smoke: a serve instance preloaded with a failing policy
-# and a pinned clock. A 3-record NDJSON batch must stream one verdict line
+# and a pinned clock. A 5-record NDJSON batch must stream one verdict line
 # per record plus an exactly-reconciling summary; the offline batch gate
 # (cmd/analyze -batch) must emit byte-identical lines and exit 1; and the
 # auditsite example gated by the same policy must exit nonzero both
@@ -403,22 +403,28 @@ curl -fsS -X POST --data-binary \
 grep -q '"overall":"fail"' "$tmp/policy-single.json"
 grep -q '"rule":"stale-high"' "$tmp/policy-single.json"
 
-# 3-record batch: a vulnerable page (fail), a clean page (pass), and a url
-# record (per-record error) — 3 record lines plus the summary.
+# 5-record batch: a vulnerable page (fail), a clean page (pass), a url
+# record (per-record error), the vulnerable page again (answered from the
+# cache online) and a line that is not JSON (the other error kind) — 5
+# record lines plus the summary.
 cat >"$tmp/batch.ndjson" <<'EOF'
 {"html":"<script src=\"https://code.jquery.com/jquery-1.12.4.min.js\"></script>","host":"smoke.test"}
 {"html":"<p>no scripts here</p>","host":"smoke.test"}
 {"url":"https://smoke.test/"}
+{"html":"<script src=\"https://code.jquery.com/jquery-1.12.4.min.js\"></script>","host":"smoke.test"}
+not json
 EOF
 curl -fsS -X POST -H 'Content-Type: application/x-ndjson' \
 	--data-binary @"$tmp/batch.ndjson" \
 	"$pbase/v1/audit/batch?policy=server" >"$tmp/batch-online.out"
-[ "$(wc -l <"$tmp/batch-online.out")" -eq 4 ] || {
-	echo "batch reply is not 3 records + summary:"; cat "$tmp/batch-online.out"; exit 1; }
+[ "$(wc -l <"$tmp/batch-online.out")" -eq 6 ] || {
+	echo "batch reply is not 5 records + summary:"; cat "$tmp/batch-online.out"; exit 1; }
 grep -q '"index":0.*"overall":"fail"' "$tmp/batch-online.out"
 grep -q '"index":1.*"overall":"pass"' "$tmp/batch-online.out"
 grep -q '"index":2,"error"' "$tmp/batch-online.out"
-grep -q '"summary":{"records":3,"completed":2,"errors":1,"shed":0,"overall":"fail"}' "$tmp/batch-online.out"
+grep -q '"index":3.*"overall":"fail"' "$tmp/batch-online.out"
+grep -q '"index":4,"error":"invalid JSON record"' "$tmp/batch-online.out"
+grep -q '"summary":{"records":5,"completed":3,"errors":2,"shed":0,"overall":"fail"}' "$tmp/batch-online.out"
 
 # Offline equivalence: the same records through cmd/analyze -batch with the
 # same policy and clock must produce byte-identical lines and exit 1.
