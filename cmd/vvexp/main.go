@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -41,6 +42,12 @@ func main() {
 		}
 	}
 
+	render(w, findings)
+}
+
+// render writes Table 2, Figure 4, Figure 13 and the incorrect-version
+// count for findings.
+func render(w io.Writer, findings []poclab.Finding) {
 	report.Table2(w, findings, nil)
 	report.Figure4(w, findings, "jquery", "Figure 4: jQuery disclosed vs true vulnerable versions")
 	report.Figure13(w, findings)

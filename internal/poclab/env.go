@@ -72,6 +72,13 @@ func (e *Env) Steps() int { return e.steps }
 // denial of service for the experiment's fixed input size.
 const redosThreshold = 1_000_000
 
+// redosBudget is the step budget every ReDoS emulator passes to
+// matchSteps. The matcher gives up on step budget+1 — exactly the first
+// step DoSObserved counts as a blow-up — so a vulnerable pattern stops at
+// redosThreshold+1 steps with the same verdict a larger budget would give,
+// and no work is spent past the point the verdict is decided.
+const redosBudget = redosThreshold
+
 // DoSObserved reports whether the last operation blew the step budget.
 func (e *Env) DoSObserved() bool { return e.steps > redosThreshold }
 

@@ -2,6 +2,8 @@ package poclab
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"clientres/internal/semver"
 	"clientres/internal/vulndb"
@@ -78,17 +80,18 @@ func Run(advisoryID string) (Finding, error) {
 		return Finding{}, fmt.Errorf("poclab: no catalog for %q", adv.Lib)
 	}
 
+	// NewEnv fails only on an unknown slug: check it once, before the
+	// fan-out, so runEnvs cannot fail.
+	if _, err := NewEnv(adv.Lib, semver.Version{}); err != nil {
+		return Finding{}, err
+	}
+
 	f := Finding{Advisory: adv, PoC: poc}
 	versions := cat.Versions()
 	semver.Sort(versions)
-	triggered := make([]bool, len(versions))
+	triggered := runEnvs(adv.Lib, versions, poc)
 	for i, v := range versions {
-		env, err := NewEnv(adv.Lib, v)
-		if err != nil {
-			return Finding{}, err
-		}
-		if poc.Run(env) {
-			triggered[i] = true
+		if triggered[i] {
 			f.Vulnerable = append(f.Vulnerable, v)
 		}
 	}
@@ -139,6 +142,32 @@ func RunAll() ([]Finding, error) {
 		out = append(out, f)
 	}
 	return out, nil
+}
+
+// runEnvs runs poc in a fresh environment per version on a fixed pool of
+// GOMAXPROCS goroutines and reports, in version order, where it triggered.
+// Environments share no state and each goroutine writes only its own
+// versions' slots, so the result does not depend on scheduling.
+func runEnvs(slug string, versions []semver.Version, poc PoC) []bool {
+	triggered := make([]bool, len(versions))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				env, _ := NewEnv(slug, versions[i])
+				triggered[i] = poc.Run(env)
+			}
+		}()
+	}
+	for i := range versions {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return triggered
 }
 
 // compressIntervals turns per-version trigger flags into contiguous

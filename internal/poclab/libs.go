@@ -187,7 +187,7 @@ func (mo *Moment) ParseDuration(input string) bool {
 	if mo.env.in("2.8.1", "2.15.2") {
 		pattern = `((\d+ ?)+)*ms` // nested quantifier: catastrophic
 	}
-	ok, steps := matchSteps(pattern, input, redosThreshold*2)
+	ok, steps := matchSteps(pattern, input, redosBudget)
 	mo.env.steps = steps
 	return ok
 }
@@ -199,7 +199,7 @@ func (mo *Moment) ParseRFC2822(input string) bool {
 	if mo.env.in("", "2.19.3") {
 		pattern = `(([A-Za-z]+|,| )+)*\d\d\d\d` // overlapping alternation
 	}
-	ok, steps := matchSteps(pattern, input, redosThreshold*2)
+	ok, steps := matchSteps(pattern, input, redosBudget)
 	mo.env.steps = steps
 	return ok
 }
@@ -220,7 +220,7 @@ func (p *Prototype) StripTags(input string) string {
 	// group's own separator — the ambiguity that makes backtracking
 	// explode on an unterminated tag.
 	pattern := `<\w+(( )+("[^"]*"|[^>])+)*>`
-	ok, steps := matchSteps(pattern, input, redosThreshold*2)
+	ok, steps := matchSteps(pattern, input, redosBudget)
 	p.env.steps = steps
 	if ok {
 		return ""

@@ -161,6 +161,36 @@ func TestReDoSStepBlowup(t *testing.T) {
 	}
 }
 
+// TestReDoSBudgetCut pins the margin that makes redosBudget exact: across
+// every catalogued version, a triggered ReDoS PoC stops on the first step
+// past the threshold, and an untriggered one finishes three orders of
+// magnitude below it. A pattern or input change that moves a safe version
+// toward the threshold fails here before it can flip a verdict.
+func TestReDoSBudgetCut(t *testing.T) {
+	for _, id := range []string{"CVE-2017-18214", "CVE-2016-4055", "CVE-2020-27511"} {
+		poc, err := PoCFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, ok := vulndb.CatalogFor(poc.Lib)
+		if !ok {
+			t.Fatalf("no catalog for %q", poc.Lib)
+		}
+		for _, v := range cat.Versions() {
+			e, err := NewEnv(poc.Lib, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch triggered := poc.Run(e); {
+			case triggered && e.Steps() != redosThreshold+1:
+				t.Errorf("%s %s: triggered at %d steps, want %d", id, v, e.Steps(), redosThreshold+1)
+			case !triggered && e.Steps() >= 1000:
+				t.Errorf("%s %s: safe version took %d steps, want < 1000", id, v, e.Steps())
+			}
+		}
+	}
+}
+
 func TestBregexBasics(t *testing.T) {
 	cases := []struct {
 		pattern, input string

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -317,16 +318,19 @@ func TestBatchShedsWhenQueueFull(t *testing.T) {
 	cfg := Config{Workers: 1, QueueDepth: 1, CacheEntries: -1}
 	cfg.testHookAuditStart = func() { started <- struct{}{}; <-release }
 	s := newTestServer(t, cfg)
+	// Registered after newTestServer's Close, so it runs first.
+	releaseWorker := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseWorker)
 
-	// Occupy the worker and fill the one-slot queue with single audits.
+	// Occupy the worker, then fill the one-slot queue, with single audits.
 	singleDone := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			rec := postAudit(s, fmt.Sprintf("<html>%d</html>", i), "")
-			singleDone <- rec.Code
-		}(i)
+	audit := func(i int) {
+		rec := postAudit(s, fmt.Sprintf("<html>%d</html>", i), "")
+		singleDone <- rec.Code
 	}
+	go audit(0)
 	<-started
+	go audit(1)
 	deadline := time.Now().Add(5 * time.Second)
 	for len(s.jobs) != 1 {
 		if time.Now().After(deadline) {
@@ -349,7 +353,7 @@ func TestBatchShedsWhenQueueFull(t *testing.T) {
 			s.met.shedQueue.Load(), s.met.batchShedRecords.Load())
 	}
 
-	close(release)
+	releaseWorker()
 	for i := 0; i < 2; i++ {
 		if code := <-singleDone; code != 200 {
 			t.Errorf("single audit status = %d", code)

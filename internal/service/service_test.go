@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -224,16 +225,22 @@ func TestQueueFullSheds503(t *testing.T) {
 	cfg := Config{Workers: 1, QueueDepth: 1, CacheEntries: -1}
 	cfg.testHookAuditStart = func() { started <- struct{}{}; <-release }
 	s := newTestServer(t, cfg)
+	// Registered after newTestServer's Close, so it runs first: a failed
+	// assertion must not leave the worker parked while Close waits for it.
+	releaseWorker := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseWorker)
 
 	type result struct{ code int }
 	results := make(chan result, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			rec := postAudit(s, fmt.Sprintf("<html>%d</html>", i), "")
-			results <- result{rec.Code}
-		}(i)
+	audit := func(i int) {
+		rec := postAudit(s, fmt.Sprintf("<html>%d</html>", i), "")
+		results <- result{rec.Code}
 	}
+	// The second audit starts only once the worker holds the first, so it
+	// queues instead of racing the first to the one-slot queue.
+	go audit(0)
 	<-started // worker busy; the second request sits in the queue
+	go audit(1)
 	// Wait for the queue to actually hold the second job.
 	deadline := time.Now().Add(5 * time.Second)
 	for len(s.jobs) != 1 {
@@ -253,7 +260,7 @@ func TestQueueFullSheds503(t *testing.T) {
 	if s.met.shedQueue.Load() != 1 {
 		t.Errorf("shedQueue = %d, want 1", s.met.shedQueue.Load())
 	}
-	close(release)
+	releaseWorker()
 	for i := 0; i < 2; i++ {
 		if r := <-results; r.code != http.StatusOK {
 			t.Errorf("in-flight audit status = %d, want 200", r.code)

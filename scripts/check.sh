@@ -29,8 +29,8 @@ sh scripts/fuzz-smoke.sh
 # not a measurement, just proof the benchmarks still build, run, and verify
 # their own observation counts (BenchmarkServeAudit additionally reconciles
 # the service's /metrics counters against the load it generated).
-echo "==> bench smoke (segment decode + fingerprint memo + signature scan + serve audit, 1 iteration)"
-go test -run '^$' -bench 'BenchmarkStoreDecodeSegment|BenchmarkFingerprintMemo|BenchmarkSignatureScan|BenchmarkServeAudit|BenchmarkServeBatch' \
+echo "==> bench smoke (segment decode + fingerprint memo + signature scan + serve audit + ReDoS input size, 1 iteration)"
+go test -run '^$' -bench 'BenchmarkStoreDecodeSegment|BenchmarkFingerprintMemo|BenchmarkSignatureScan|BenchmarkServeAudit|BenchmarkServeBatch|BenchmarkAblationReDoSInputSize' \
 	-benchmem -benchtime 1x .
 
 # Chaos-crawl smoke: an end-to-end cmd/crawl run with fault injection and
