@@ -69,15 +69,15 @@ func (s *Server) maxBatchLine() int {
 	return n + n/4 + 4096 // room for JSON string escaping and framing
 }
 
-// evalPolicy evaluates pol against one serialized audit response as of
-// now, returning the verdict and its canonical JSON. Server.verdict is its
-// one caller, which is what makes verdicts byte-identical across doors.
-func evalPolicy(pol *policy.Policy, auditJSON []byte, now time.Time) ([]byte, policy.Verdict, error) {
-	var resp AuditResponse
-	if err := json.Unmarshal(auditJSON, &resp); err != nil {
-		return nil, policy.Verdict{}, err
-	}
-	v := pol.Eval(resp.PolicyDoc(now))
+// evalPolicy evaluates pol against one audit's policy document as of now,
+// returning the verdict and its canonical JSON. Server.verdict is its one
+// caller, which is what makes verdicts byte-identical across doors. doc
+// may be a banked document that concurrent hits share, so the request
+// clock goes on a shallow copy; Policy.Eval only reads the document.
+func evalPolicy(pol *policy.Policy, doc *policy.Doc, now time.Time) ([]byte, policy.Verdict, error) {
+	d := *doc
+	d.Now = now
+	v := pol.Eval(&d)
 	b, err := json.Marshal(v)
 	return b, v, err
 }
@@ -145,14 +145,14 @@ func worseVerdict(acc, v string) string {
 }
 
 // pendingRecord is one admitted batch record whose line has not been
-// written yet. It is ready once it carries an error or its audit bytes
-// are in hand — a cache hit at admission, or a worker reply settled
+// written yet. It is ready once it carries an error or its audit reply
+// is in hand — a cache hit at admission, or a worker reply settled
 // later; until then job holds the reply still owed.
 type pendingRecord struct {
 	index int
 	err   string // non-empty: the record answers with this error line
 	shed  bool   // err is a queue-full shed
-	resp  []byte
+	resp  audited
 	job   *auditJob
 	key   cacheKey
 	now   time.Time
@@ -262,9 +262,9 @@ func (s *Server) batch(in io.Reader, out io.Writer, flush func(), pol *policy.Po
 		}
 		flush()
 	}
-	settle := func(p *pendingRecord, resp []byte) {
-		p.resp, p.job = resp, nil
-		s.bank(p.key, resp)
+	settle := func(p *pendingRecord, res audited) {
+		p.resp, p.job = res, nil
+		s.bank(p.key, res)
 	}
 	// emit takes the front record out of the window and writes its line,
 	// first waiting for its reply if still owed. Once the client has left
@@ -280,7 +280,7 @@ func (s *Server) batch(in io.Reader, out io.Writer, flush func(), pol *policy.Po
 		}
 		var verdictJSON []byte
 		if p.err == "" && pol != nil {
-			vj, overall, err := s.verdict(pol, isServerPol, p.resp, p.now)
+			vj, overall, err := s.verdict(pol, isServerPol, p.resp.doc, p.now)
 			if err != nil {
 				p.err = "policy evaluation failed"
 			} else {
@@ -299,7 +299,7 @@ func (s *Server) batch(in io.Reader, out io.Writer, flush func(), pol *policy.Po
 		}
 		sum.Completed++
 		s.met.batchCompleted.Inc()
-		write(formatBatchLine(p.index, p.resp, verdictJSON))
+		write(formatBatchLine(p.index, p.resp.body, verdictJSON))
 	}
 
 	index := 0
@@ -317,7 +317,7 @@ func (s *Server) batch(in io.Reader, out io.Writer, flush func(), pol *policy.Po
 		// Wait for whichever happens first: the front job completing (its
 		// line can go out) or the next input line (more work to admit).
 		// A nil channel blocks forever, which is how each case is disabled.
-		var frontReply chan []byte
+		var frontReply chan audited
 		if len(window) > 0 {
 			frontReply = window[0].job.reply
 		}
@@ -327,8 +327,8 @@ func (s *Server) batch(in io.Reader, out io.Writer, flush func(), pol *policy.Po
 		}
 		var line []byte
 		select {
-		case resp := <-frontReply:
-			settle(window[0], resp)
+		case res := <-frontReply:
+			settle(window[0], res)
 			continue
 		case l, ok := <-next:
 			if !ok {
@@ -371,11 +371,11 @@ func (s *Server) batch(in io.Reader, out io.Writer, flush func(), pol *policy.Po
 			}
 			p.now = s.cfg.Now()
 			p.key = cacheKey{hash: fnv1a64(rec.HTML), n: len(rec.HTML), host: host}
-			if resp, ok := s.cached(p.key); ok {
-				p.resp = resp
+			if res, ok := s.cached(p.key); ok {
+				p.resp = res
 				break
 			}
-			p.job = &auditJob{html: rec.HTML, host: host, now: p.now, reply: make(chan []byte, 1)}
+			p.job = &auditJob{html: rec.HTML, host: host, now: p.now, reply: make(chan audited, 1)}
 			// Backpressure: make room in our own window first, then shed
 			// through the same accounting as the single-audit 503 path if
 			// the shared queue is still full.

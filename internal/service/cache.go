@@ -16,7 +16,7 @@ type cacheKey struct {
 	host string
 }
 
-// lruCache is a mutex-guarded LRU over serialized audit responses. Unlike
+// lruCache is a mutex-guarded LRU over audit replies. Unlike
 // fingerprint.Memo (single-shard, epoch-evicting) the service cache is hit
 // from every handler goroutine at once and must bound memory smoothly under
 // a shifting working set, so it pays for a real recency list.
@@ -28,8 +28,8 @@ type lruCache struct {
 }
 
 type cacheEntry struct {
-	key  cacheKey
-	body []byte
+	key cacheKey
+	val audited
 }
 
 // newLRUCache builds a cache holding at most capacity responses.
@@ -37,31 +37,31 @@ func newLRUCache(capacity int) *lruCache {
 	return &lruCache{cap: capacity, ll: list.New(), m: make(map[cacheKey]*list.Element, capacity)}
 }
 
-// get returns the cached response body for key, refreshing its recency.
-// The returned slice is shared — callers must not mutate it.
-func (c *lruCache) get(key cacheKey) ([]byte, bool) {
+// get returns the cached reply for key, refreshing its recency. The
+// reply's bytes and document are shared — callers must not mutate them.
+func (c *lruCache) get(key cacheKey) (audited, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		return nil, false
+		return audited{}, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*cacheEntry).val, true
 }
 
-// add stores a response body under key and returns how many entries were
-// evicted to stay within capacity (0 or 1; 0 also when key already existed
-// — concurrent identical-input audits both store the same bytes).
-func (c *lruCache) add(key cacheKey, body []byte) (evicted int) {
+// add stores a reply under key and returns how many entries were evicted
+// to stay within capacity (0 or 1; 0 also when key already existed —
+// concurrent identical-input audits both store the same reply).
+func (c *lruCache) add(key cacheKey, val audited) (evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
+		el.Value.(*cacheEntry).val = val
 		return 0
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
+	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		c.ll.Remove(back)

@@ -12,15 +12,15 @@ import (
 func TestLRUEviction(t *testing.T) {
 	c := newLRUCache(2)
 	k := func(i int) cacheKey { return cacheKey{hash: uint64(i), n: i, host: "h"} }
-	if ev := c.add(k(1), []byte("a")); ev != 0 {
+	if ev := c.add(k(1), audited{body: []byte("a")}); ev != 0 {
 		t.Fatalf("evicted %d from empty cache", ev)
 	}
-	c.add(k(2), []byte("b"))
+	c.add(k(2), audited{body: []byte("b")})
 	if _, ok := c.get(k(1)); !ok {
 		t.Fatal("entry 1 missing before capacity reached")
 	}
 	// Entry 1 is now most recent; inserting 3 must evict 2.
-	if ev := c.add(k(3), []byte("c")); ev != 1 {
+	if ev := c.add(k(3), audited{body: []byte("c")}); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
 	}
 	if _, ok := c.get(k(2)); ok {
@@ -33,11 +33,11 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	// Re-adding an existing key updates in place, no eviction.
-	if ev := c.add(k(1), []byte("a2")); ev != 0 {
+	if ev := c.add(k(1), audited{body: []byte("a2")}); ev != 0 {
 		t.Fatalf("update evicted %d", ev)
 	}
-	if b, _ := c.get(k(1)); string(b) != "a2" {
-		t.Fatalf("update lost: %q", b)
+	if b, _ := c.get(k(1)); string(b.body) != "a2" {
+		t.Fatalf("update lost: %q", b.body)
 	}
 }
 

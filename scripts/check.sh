@@ -403,6 +403,16 @@ curl -fsS -X POST --data-binary \
 grep -q '"overall":"fail"' "$tmp/policy-single.json"
 grep -q '"rule":"stale-high"' "$tmp/policy-single.json"
 
+# The same audit again is a cache hit: it evaluates the banked policy
+# document, and its reply must be byte-identical to the cold one.
+curl -fsS -X POST --data-binary \
+	'<script src="https://code.jquery.com/jquery-1.12.4.min.js"></script>' \
+	"$pbase/v1/audit?host=smoke.test&policy=server" >"$tmp/policy-single-hit.json"
+cmp "$tmp/policy-single.json" "$tmp/policy-single-hit.json" || {
+	echo "cached policy reply differs from the cold one"; exit 1; }
+curl -fsS "$pbase/metrics" | grep -q '^clientres_audit_cache_hits_total 1$' || {
+	echo "repeat audit was not counted as a cache hit"; exit 1; }
+
 # 5-record batch: a vulnerable page (fail), a clean page (pass), a url
 # record (per-record error), the vulnerable page again (answered from the
 # cache online) and a line that is not JSON (the other error kind) — 5
