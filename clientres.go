@@ -28,7 +28,6 @@ import (
 	"clientres/internal/core"
 	"clientres/internal/crawler"
 	"clientres/internal/distcrawl"
-	"clientres/internal/fingerprint"
 	"clientres/internal/poclab"
 	"clientres/internal/policy"
 	"clientres/internal/service"
@@ -83,11 +82,6 @@ type Config struct {
 	// partition, so a replay with shards == segments decodes every segment
 	// concurrently straight into its shard's collectors.
 	StoreSegments int
-	// FingerprintCacheSize bounds the per-shard fingerprint memo cache on
-	// the crawl path (entries; 0 = default, negative = disable). Unchanged
-	// pages — the common case week over week — skip re-fingerprinting;
-	// results are identical either way.
-	FingerprintCacheSize int
 	// RecordBundle, when set (with Crawl), archives every fetched response
 	// — landing pages and same-site scripts, raw bytes plus headers,
 	// status, and timing — into a web-execution bundle at this directory.
@@ -125,10 +119,9 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		Mode:       mode, Workers: cfg.Workers, Shards: cfg.Shards,
 		Resilience: crawler.Resilience{Enabled: cfg.PoliteCrawl},
 		StorePath:  cfg.StorePath, StoreSegments: cfg.StoreSegments,
-		FingerprintCacheSize: cfg.FingerprintCacheSize,
-		RecordBundle:         cfg.RecordBundle,
-		ReplayBundle:         cfg.ReplayBundle,
-		Progress:             cfg.Progress,
+		RecordBundle: cfg.RecordBundle,
+		ReplayBundle: cfg.ReplayBundle,
+		Progress:     cfg.Progress,
 	})
 	if err != nil {
 		return nil, err
@@ -231,43 +224,25 @@ type AuditReport struct {
 
 // AuditPage fingerprints one HTML document fetched from pageHost and
 // reports vulnerable libraries and hygiene problems — the single-page
-// scanner the paper's methodology implies.
+// scanner the paper's methodology implies. It is the service's audit
+// (service.Audit) with its fields projected onto AuditReport.
 func AuditPage(html, pageHost string) AuditReport {
-	det := fingerprint.Page(html, pageHost)
-	var rep AuditReport
-	for _, hit := range det.Libraries {
-		label := hit.Slug
-		if !hit.Version.IsZero() {
-			label += "@" + hit.Version.String()
+	resp := service.Audit(html, pageHost, time.Time{})
+	rep := AuditReport{MissingSRI: resp.MissingSRI, UsesFlash: resp.UsesFlash, InsecureFlash: resp.InsecureFlash}
+	for _, l := range resp.Libraries {
+		label := l.Slug
+		if l.Version != "" {
+			label += "@" + l.Version
 		}
 		rep.Libraries = append(rep.Libraries, label)
-		if hit.External && !hit.SRI {
-			rep.MissingSRI++
-		}
-		if !hit.Known || hit.Version.IsZero() {
-			continue
-		}
-		for _, adv := range vulndb.AdvisoriesFor(hit.Slug) {
-			inTVV := adv.EffectiveTrueRange().Contains(hit.Version)
-			inCVE := adv.CVERange.Contains(hit.Version)
-			if !inTVV && !inCVE {
-				continue
-			}
-			finding := AuditFinding{
-				Library: hit.Slug, Version: hit.Version.String(),
-				Advisory: adv.ID, Attack: string(adv.Attack),
-				Disclosed:  adv.Disclosed.Format("2006-01-02"),
-				PerCVEOnly: inCVE && !inTVV,
-			}
-			if !adv.Patched.IsZero() {
-				finding.FixedIn = adv.Patched.String()
-			}
-			rep.Findings = append(rep.Findings, finding)
-		}
 	}
-	if det.Flash != nil {
-		rep.UsesFlash = true
-		rep.InsecureFlash = det.Flash.Always
+	for _, f := range resp.Findings {
+		rep.Findings = append(rep.Findings, AuditFinding{
+			Library: f.Library, Version: f.Version,
+			Advisory: f.Advisory, Attack: f.Attack,
+			FixedIn: f.FixedIn, Disclosed: f.Disclosed,
+			PerCVEOnly: f.PerCVEOnly,
+		})
 	}
 	return rep
 }

@@ -41,7 +41,6 @@ func main() {
 	fetchTimeout := flag.Duration("fetch-timeout", 0, "per-page fetch deadline covering all retries and script fetches (0 disables; an expired fetch records the usual status-0 observation)")
 	shards := flag.Int("shards", 1, "parallel fingerprint/analysis shards (results identical to -shards 1)")
 	segments := flag.Int("segments", 1, "segment files in the store directory; they write and replay in parallel (reports identical at every count)")
-	fpcache := flag.Int("fpcache", 0, "per-shard fingerprint memo entries (0 = default, negative = disable)")
 	out := flag.String("out", "crawl.store", "output store directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -76,7 +75,6 @@ func main() {
 		Mode:       core.ModeCrawl, Workers: *workers, Shards: *shards,
 		FetchTimeout: *fetchTimeout,
 		StorePath:    *out, StoreSegments: *segments,
-		FingerprintCacheSize: *fpcache,
 		Resilience: crawler.Resilience{
 			Enabled:          *politeness,
 			MaxPerHost:       *hostParallel,

@@ -20,7 +20,6 @@ type UpdateDelay struct {
 	weeks int
 	// ruleset per advisory id: both rulesets tracked in parallel.
 	states map[delayKey]*delayState
-	byLib  map[string][]vulndb.Advisory
 }
 
 type delayKey struct {
@@ -40,18 +39,7 @@ type delayState struct {
 
 // NewUpdateDelay builds the collector.
 func NewUpdateDelay(weeks int) *UpdateDelay {
-	u := &UpdateDelay{
-		weeks:  weeks,
-		states: map[delayKey]*delayState{},
-		byLib:  map[string][]vulndb.Advisory{},
-	}
-	for _, a := range vulndb.Advisories() {
-		if a.Patched.IsZero() {
-			continue // no patched version: no window to measure
-		}
-		u.byLib[a.Lib] = append(u.byLib[a.Lib], a)
-	}
-	return u
+	return &UpdateDelay{weeks: weeks, states: map[delayKey]*delayState{}}
 }
 
 // Name implements Collector.
@@ -64,7 +52,7 @@ func (u *UpdateDelay) Observe(obs store.Observation) {
 	}
 	date := WeekDate(obs.Week)
 	for _, lib := range obs.Libs {
-		advisories := u.byLib[lib.Slug]
+		advisories := vulndb.AdvisoriesFor(lib.Slug)
 		if len(advisories) == 0 {
 			continue
 		}
@@ -73,6 +61,9 @@ func (u *UpdateDelay) Observe(obs store.Observation) {
 			continue
 		}
 		for _, adv := range advisories {
+			if adv.Patched.IsZero() {
+				continue // no patched version: no window to measure
+			}
 			if date.Before(adv.PatchDate) {
 				// The patch is not out yet; nothing measurable.
 				continue

@@ -95,7 +95,12 @@ func (l *LibraryStats) Observe(obs store.Observation) {
 		if v, ok := parseVersion(lib.Version); ok {
 			key := v.Canonical()
 			ls.versions[key]++
-			ls.verRaw[key] = lib.Version
+			// Two spellings of one version ("3.5", "3.5.0") display as the
+			// lexicographically smaller, the rule Merge applies, so a
+			// sharded run shows what a serial one does.
+			if cur, ok := ls.verRaw[key]; !ok || lib.Version < cur {
+				ls.verRaw[key] = lib.Version
+			}
 			ws := ls.verWeek[key]
 			if ws == nil {
 				ws = newWeekSeries()
@@ -138,8 +143,7 @@ func (ls *libStats) merge(o *libStats) {
 	ls.cdnHits += o.cdnHits
 	mergeCounts(ls.hosts, o.hosts)
 	mergeCounts(ls.versions, o.versions)
-	// Display strings are consistent per canonical key in practice; keep
-	// the lexicographically smaller on the (theoretical) conflict so the
+	// Keep the lexicographically smaller spelling, as Observe does, so the
 	// merge stays order-independent.
 	for key, raw := range o.verRaw {
 		if cur, ok := ls.verRaw[key]; !ok || raw < cur {

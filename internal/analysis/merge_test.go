@@ -230,6 +230,29 @@ func checkMerge[T Collector](t *testing.T, all []store.Observation, parts [][]st
 	}
 }
 
+// checkAllMerges runs checkMerge for every collector over one study shape.
+func checkAllMerges(t *testing.T, all []store.Observation, parts [][]store.Observation, weeks, domains int) {
+	t.Helper()
+	checkMerge(t, all, parts,
+		func() *Collection { return NewCollection(weeks) }, (*Collection).Merge)
+	checkMerge(t, all, parts,
+		func() *LibraryStats { return NewLibraryStats(weeks) }, (*LibraryStats).Merge)
+	checkMerge(t, all, parts,
+		func() *VulnPrevalence { return NewVulnPrevalence(weeks) }, (*VulnPrevalence).Merge)
+	checkMerge(t, all, parts,
+		func() *UpdateDelay { return NewUpdateDelay(weeks) }, (*UpdateDelay).Merge)
+	checkMerge(t, all, parts,
+		func() *SRI { return NewSRI(weeks) }, (*SRI).Merge)
+	checkMerge(t, all, parts,
+		func() *Flash { return NewFlash(weeks, domains) }, (*Flash).Merge)
+	checkMerge(t, all, parts,
+		func() *WordPress { return NewWordPress(weeks) }, (*WordPress).Merge)
+	checkMerge(t, all, parts,
+		func() *Discontinued { return NewDiscontinued(weeks) }, (*Discontinued).Merge)
+	checkMerge(t, all, parts,
+		func() *Regressions { return NewRegressions(weeks) }, (*Regressions).Merge)
+}
+
 func TestMergeEquivalenceAllCollectors(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		obs := randomStream(seed)
@@ -241,27 +264,26 @@ func TestMergeEquivalenceAllCollectors(t *testing.T) {
 						t.Fatalf("shard %d/%d received no observations", s, shards)
 					}
 				}
-				checkMerge(t, obs, parts,
-					func() *Collection { return NewCollection(streamWeeks) }, (*Collection).Merge)
-				checkMerge(t, obs, parts,
-					func() *LibraryStats { return NewLibraryStats(streamWeeks) }, (*LibraryStats).Merge)
-				checkMerge(t, obs, parts,
-					func() *VulnPrevalence { return NewVulnPrevalence(streamWeeks) }, (*VulnPrevalence).Merge)
-				checkMerge(t, obs, parts,
-					func() *UpdateDelay { return NewUpdateDelay(streamWeeks) }, (*UpdateDelay).Merge)
-				checkMerge(t, obs, parts,
-					func() *SRI { return NewSRI(streamWeeks) }, (*SRI).Merge)
-				checkMerge(t, obs, parts,
-					func() *Flash { return NewFlash(streamWeeks, streamDomains) }, (*Flash).Merge)
-				checkMerge(t, obs, parts,
-					func() *WordPress { return NewWordPress(streamWeeks) }, (*WordPress).Merge)
-				checkMerge(t, obs, parts,
-					func() *Discontinued { return NewDiscontinued(streamWeeks) }, (*Discontinued).Merge)
-				checkMerge(t, obs, parts,
-					func() *Regressions { return NewRegressions(streamWeeks) }, (*Regressions).Merge)
+				checkAllMerges(t, obs, parts, streamWeeks, streamDomains)
 			})
 		}
 	}
+	// Two spellings of one version on two domains of different shards: the
+	// serial collector sees "3.5" then "3.5.0", each shard sees one, and
+	// both must display the same one.
+	t.Run("spellings", func(t *testing.T) {
+		obs := []store.Observation{
+			{Domain: "a.example", Rank: 1, Status: 200, Bytes: 4096, HasJS: true,
+				Libs: []store.LibRecord{{Slug: "jquery", Version: "3.5", Known: true}}},
+			{Domain: "b.example", Rank: 2, Status: 200, Bytes: 4096, HasJS: true,
+				Libs: []store.LibRecord{{Slug: "jquery", Version: "3.5.0", Known: true}}},
+		}
+		parts := splitByDomain(obs, 2)
+		if len(parts[0]) != 1 || len(parts[1]) != 1 {
+			t.Fatalf("the two domains must land on different shards: %d/%d", len(parts[0]), len(parts[1]))
+		}
+		checkAllMerges(t, obs, parts, 1, 2)
+	})
 }
 
 // TestMergeIntoEmptyIsIdentity pins the algebra the sharded pipeline builds
@@ -269,30 +291,9 @@ func TestMergeEquivalenceAllCollectors(t *testing.T) {
 // fresh collector is a neutral element).
 func TestMergeIntoEmptyIsIdentity(t *testing.T) {
 	obs := randomStream(5)
-	whole := [][]store.Observation{obs}
 	// A single "shard" carrying the full stream, merged into an empty
 	// collector, must equal the serial collector.
-	checkMergeIdentity := func(t *testing.T) {
-		checkMerge(t, obs, append(whole, nil),
-			func() *Collection { return NewCollection(streamWeeks) }, (*Collection).Merge)
-		checkMerge(t, obs, append(whole, nil),
-			func() *LibraryStats { return NewLibraryStats(streamWeeks) }, (*LibraryStats).Merge)
-		checkMerge(t, obs, append(whole, nil),
-			func() *VulnPrevalence { return NewVulnPrevalence(streamWeeks) }, (*VulnPrevalence).Merge)
-		checkMerge(t, obs, append(whole, nil),
-			func() *UpdateDelay { return NewUpdateDelay(streamWeeks) }, (*UpdateDelay).Merge)
-		checkMerge(t, obs, append(whole, nil),
-			func() *SRI { return NewSRI(streamWeeks) }, (*SRI).Merge)
-		checkMerge(t, obs, append(whole, nil),
-			func() *Flash { return NewFlash(streamWeeks, streamDomains) }, (*Flash).Merge)
-		checkMerge(t, obs, append(whole, nil),
-			func() *WordPress { return NewWordPress(streamWeeks) }, (*WordPress).Merge)
-		checkMerge(t, obs, append(whole, nil),
-			func() *Discontinued { return NewDiscontinued(streamWeeks) }, (*Discontinued).Merge)
-		checkMerge(t, obs, append(whole, nil),
-			func() *Regressions { return NewRegressions(streamWeeks) }, (*Regressions).Merge)
-	}
-	checkMergeIdentity(t)
+	checkAllMerges(t, obs, [][]store.Observation{obs, nil}, streamWeeks, streamDomains)
 }
 
 // TestMergeGroundTruthStream re-runs the equivalence over a realistic
@@ -300,23 +301,5 @@ func TestMergeIntoEmptyIsIdentity(t *testing.T) {
 // property holds on production-shaped data, not just the synthetic walk.
 func TestMergeGroundTruthStream(t *testing.T) {
 	src := truthObservations(t, 160, 20, 3)
-	parts := splitByDomain(src, 4)
-	checkMerge(t, src, parts,
-		func() *Collection { return NewCollection(20) }, (*Collection).Merge)
-	checkMerge(t, src, parts,
-		func() *LibraryStats { return NewLibraryStats(20) }, (*LibraryStats).Merge)
-	checkMerge(t, src, parts,
-		func() *VulnPrevalence { return NewVulnPrevalence(20) }, (*VulnPrevalence).Merge)
-	checkMerge(t, src, parts,
-		func() *UpdateDelay { return NewUpdateDelay(20) }, (*UpdateDelay).Merge)
-	checkMerge(t, src, parts,
-		func() *SRI { return NewSRI(20) }, (*SRI).Merge)
-	checkMerge(t, src, parts,
-		func() *Flash { return NewFlash(20, 160) }, (*Flash).Merge)
-	checkMerge(t, src, parts,
-		func() *WordPress { return NewWordPress(20) }, (*WordPress).Merge)
-	checkMerge(t, src, parts,
-		func() *Discontinued { return NewDiscontinued(20) }, (*Discontinued).Merge)
-	checkMerge(t, src, parts,
-		func() *Regressions { return NewRegressions(20) }, (*Regressions).Merge)
+	checkAllMerges(t, src, splitByDomain(src, 4), 20, 160)
 }

@@ -28,7 +28,6 @@ type Regressions struct {
 	// exitState tracks, per (domain, advisory), whether the site has been
 	// seen outside the vulnerable range after having been inside it.
 	exitState map[regAdvKey]bool
-	byLib     map[string][]vulndb.Advisory
 }
 
 type regKey struct{ domain, lib string }
@@ -36,19 +35,14 @@ type regAdvKey struct{ domain, advID string }
 
 // NewRegressions builds the collector.
 func NewRegressions(weeks int) *Regressions {
-	r := &Regressions{
+	return &Regressions{
 		weeks:            weeks,
 		last:             map[regKey]string{},
 		downgrades:       map[string]int{},
 		reopened:         map[string]int{},
 		regressedDomains: map[string]bool{},
 		exitState:        map[regAdvKey]bool{},
-		byLib:            map[string][]vulndb.Advisory{},
 	}
-	for _, a := range vulndb.Advisories() {
-		r.byLib[a.Lib] = append(r.byLib[a.Lib], a)
-	}
-	return r
 }
 
 // Name implements Collector.
@@ -76,7 +70,7 @@ func (r *Regressions) Observe(obs store.Observation) {
 
 		// Vulnerability window re-opening: entering a range after having
 		// been seen outside it (post-disclosure).
-		for _, adv := range r.byLib[lib.Slug] {
+		for _, adv := range vulndb.AdvisoriesFor(lib.Slug) {
 			if adv.Disclosed.After(date) {
 				continue
 			}

@@ -36,8 +36,6 @@ type VulnPrevalence struct {
 	// clean under CVE ranges (domain → best rank) — the population behind
 	// the paper's microsoft.com / docusign.com examples.
 	undisclosed map[string]int
-
-	byLib map[string][]vulndb.Advisory
 }
 
 // NewVulnPrevalence builds the collector.
@@ -53,10 +51,8 @@ func NewVulnPrevalence(weeks int) *VulnPrevalence {
 		histCVE:        map[int]int{},
 		histTVV:        map[int]int{},
 		undisclosed:    map[string]int{},
-		byLib:          map[string][]vulndb.Advisory{},
 	}
 	for _, a := range vulndb.Advisories() {
-		v.byLib[a.Lib] = append(v.byLib[a.Lib], a)
 		v.perAdvisoryCVE[a.ID] = newWeekSeries()
 		v.perAdvisoryTVV[a.ID] = newWeekSeries()
 	}
@@ -79,7 +75,7 @@ func (v *VulnPrevalence) Observe(obs store.Observation) {
 		if !ok {
 			continue
 		}
-		for _, adv := range v.byLib[lib.Slug] {
+		for _, adv := range vulndb.AdvisoriesFor(lib.Slug) {
 			if adv.Disclosed.After(date) {
 				continue
 			}

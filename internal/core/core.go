@@ -130,12 +130,6 @@ type Config struct {
 	// backoff and Resilience is not mounted. A replayed run's report is
 	// byte-identical to the live run that recorded it.
 	ReplayBundle string
-	// FingerprintCacheSize bounds the per-shard fingerprint memo cache
-	// used on the crawl path (entries; 0 = default, negative = disable).
-	// Unchanged page bodies — the common case week over week, per the
-	// paper's 531-day mean update delay — skip re-tokenizing and hit the
-	// cache instead; results are identical either way.
-	FingerprintCacheSize int
 	// Progress, when set, receives one line per collected week.
 	Progress func(format string, args ...any)
 	// SkipPoC skips the version-validation experiment.
@@ -379,9 +373,9 @@ func truthSource(eco *webgen.Ecosystem, shards int) source[int] {
 }
 
 // observationFromPage reduces one crawled page to an Observation, running
-// the fingerprint engine on usable bodies. memo, when non-nil,
-// short-circuits unchanged page bodies to their cached Detection; it must
-// be private to the calling goroutine (one memo per shard).
+// the fingerprint engine on usable bodies. memo short-circuits unchanged
+// page and script bodies to their cached results; it must be private to
+// the calling goroutine (one memo per shard).
 func observationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
 	dom := byName[p.Domain]
 	var det fingerprint.Detection
@@ -389,15 +383,11 @@ func observationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo,
 	if p.Err != nil {
 		status = 0
 	} else if status == 200 {
-		if len(p.Scripts) > 0 {
-			scripts := make([]fingerprint.ScriptBody, len(p.Scripts))
-			for i, s := range p.Scripts {
-				scripts[i] = fingerprint.ScriptBody{URL: s.URL, Body: s.Body}
-			}
-			det = memo.PageWithScripts(p.Body, p.Domain, scripts)
-		} else {
-			det = memo.Page(p.Body, p.Domain)
+		scripts := make([]fingerprint.ScriptBody, len(p.Scripts))
+		for i, s := range p.Scripts {
+			scripts[i] = fingerprint.ScriptBody{URL: s.URL, Body: s.Body}
 		}
+		det = memo.PageWithScripts(p.Body, p.Domain, scripts)
 	}
 	return analysis.ObservationFromCrawl(dom, p.Week, status, p.Body, det)
 }
@@ -477,7 +467,7 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shar
 		}
 	}
 
-	src, cr := crawlSource(cfg, ccfg, eco, 0, 1, len(shards), advance)
+	src, cr := crawlSource(ccfg, eco, 0, 1, len(shards), advance)
 	err := collect(ctx, cfg, shards, start, src, writer, runCommit(cfg, bw, writer))
 	snap := cr.Metrics()
 	return &snap, err
@@ -497,7 +487,7 @@ func CrawlPartition(ctx context.Context, cfg Config, eco *webgen.Ecosystem, part
 	}
 	ccfg := crawlerConfig(cfg)
 	ccfg.BaseURL = baseURL
-	src, cr := crawlSource(cfg, ccfg, eco, part, parts, 1, func(int) error { return nil })
+	src, cr := crawlSource(ccfg, eco, part, parts, 1, func(int) error { return nil })
 	err := collect(ctx, cfg, []*shard{{runner: analysis.NewRunner()}}, start, src, w, func(week int) error {
 		return commit(week, cr.Metrics())
 	})
@@ -518,9 +508,9 @@ func crawlerConfig(cfg Config) crawler.Config {
 // crawlSource fetches partition part of parts (a whole study is 0 of 1)
 // every week through a crawler built from ccfg, returned for its metrics,
 // and fingerprints the pages on the owning shard's worker with the shard's
-// private memo (nil when disabled: plain fingerprint.Page calls). advance
-// readies the transport for a week before its first fetch.
-func crawlSource(cfg Config, ccfg crawler.Config, eco *webgen.Ecosystem, part, parts, shards int, advance func(int) error) (source[crawler.Page], *crawler.Crawler) {
+// private memo. advance readies the transport for a week before its first
+// fetch.
+func crawlSource(ccfg crawler.Config, eco *webgen.Ecosystem, part, parts, shards int, advance func(int) error) (source[crawler.Page], *crawler.Crawler) {
 	cr := crawler.New(ccfg)
 	byName := eco.List.ByName()
 	var domains []string
@@ -530,10 +520,8 @@ func crawlSource(cfg Config, ccfg crawler.Config, eco *webgen.Ecosystem, part, p
 		}
 	}
 	memos := make([]*fingerprint.Memo, shards)
-	if cfg.FingerprintCacheSize >= 0 {
-		for s := range memos {
-			memos[s] = fingerprint.NewMemo(cfg.FingerprintCacheSize)
-		}
+	for s := range memos {
+		memos[s] = fingerprint.NewMemo(0)
 	}
 	return source[crawler.Page]{
 		did: "crawled",

@@ -168,29 +168,29 @@ func TestSegmentedCrawlStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrawlMemoByteIdenticalReport pins that the fingerprint memo cache
-// is semantics-preserving end-to-end: a crawl with the cache disabled
-// must render the same report as one with it enabled (both serial and
-// sharded).
+// TestCrawlMemoByteIdenticalReport pins that the fingerprint memo is
+// semantics-preserving end-to-end: the memoized crawl, serial and sharded,
+// renders the same report as direct collection from generator truth, which
+// fingerprints nothing.
 func TestCrawlMemoByteIdenticalReport(t *testing.T) {
 	base := Config{Domains: 100, Weeks: 7, Seed: 6, Mode: ModeCrawl,
 		Workers: 16, SkipPoC: true}
-	noCache := base
-	noCache.FingerprintCacheSize = -1
-	plain, err := Run(context.Background(), noCache)
+	direct := base
+	direct.Mode = ModeDirect
+	truth, err := Run(context.Background(), direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := reportOf(t, plain)
+	want := reportOf(t, truth)
 	for _, shards := range []int{1, 4} {
-		cached := base
-		cached.Shards = shards
-		res, err := Run(context.Background(), cached)
+		crawl := base
+		crawl.Shards = shards
+		res, err := Run(context.Background(), crawl)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got := reportOf(t, res); got != want {
-			t.Errorf("shards=%d: memoized crawl report differs from uncached crawl", shards)
+			t.Errorf("shards=%d: memoized crawl report differs from the direct report", shards)
 		}
 	}
 }

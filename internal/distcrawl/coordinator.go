@@ -91,17 +91,9 @@ func NewCoordinator(spec RunSpec) (*Coordinator, error) {
 	}
 	c := &Coordinator{statePath: statePath(spec.Dir)}
 	if data, err := os.ReadFile(c.statePath); err == nil {
-		var st coordState
-		if err := json.Unmarshal(data, &st); err != nil {
-			return nil, fmt.Errorf("distcrawl: %s: corrupt state: %w", c.statePath, err)
-		}
-		if st.Spec != spec {
-			return nil, fmt.Errorf("distcrawl: %s: state belongs to a different run (have %+v, want %+v)",
-				c.statePath, st.Spec, spec)
-		}
-		if len(st.Parts) != spec.Partitions {
-			return nil, fmt.Errorf("distcrawl: %s: state has %d partitions, spec %d",
-				c.statePath, len(st.Parts), spec.Partitions)
+		st, err := parseState(data, spec)
+		if err != nil {
+			return nil, fmt.Errorf("%w (%s)", err, c.statePath)
 		}
 		c.st = st
 		return c, nil
@@ -116,6 +108,31 @@ func NewCoordinator(spec RunSpec) (*Coordinator, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// parseState decodes a persisted assignment state and refuses one that
+// belongs to another run or that the coordinator could not serve: a
+// partition missing or null, or a frontier outside [0, spec.Weeks].
+func parseState(data []byte, spec RunSpec) (coordState, error) {
+	var st coordState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return coordState{}, fmt.Errorf("distcrawl: corrupt state: %w", err)
+	}
+	if st.Spec != spec {
+		return coordState{}, fmt.Errorf("distcrawl: state belongs to a different run (have %+v, want %+v)", st.Spec, spec)
+	}
+	if len(st.Parts) != spec.Partitions {
+		return coordState{}, fmt.Errorf("distcrawl: state has %d partitions, spec %d", len(st.Parts), spec.Partitions)
+	}
+	for p, part := range st.Parts {
+		switch {
+		case part == nil:
+			return coordState{}, fmt.Errorf("distcrawl: corrupt state: partition %d is null", p)
+		case part.NextWeek < 0 || part.NextWeek > spec.Weeks:
+			return coordState{}, fmt.Errorf("distcrawl: corrupt state: partition %d next_week %d outside [0, %d]", p, part.NextWeek, spec.Weeks)
+		}
+	}
+	return st, nil
 }
 
 func statePath(dir string) string { return dir + string(os.PathSeparator) + StateName }

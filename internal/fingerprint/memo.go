@@ -63,13 +63,10 @@ func NewMemo(capacity int) *Memo {
 }
 
 // Page returns the fingerprint of an HTML document, from cache when the
-// same (content, host) pair was seen before. A nil Memo is valid and
-// simply never caches. Semantics are identical to the package-level Page
-// for every input (property-tested against randomized rendered pages).
+// same (content, host) pair was seen before. Semantics are identical to
+// the package-level Page for every input (property-tested against
+// randomized rendered pages).
 func (mc *Memo) Page(html, pageHost string) Detection {
-	if mc == nil {
-		return Page(html, pageHost)
-	}
 	key := memoKey{hash: fnv1a64(html), n: len(html), host: pageHost}
 	if det, ok := mc.m[key]; ok {
 		mc.hits++
@@ -85,13 +82,9 @@ func (mc *Memo) Page(html, pageHost string) Detection {
 }
 
 // ScanScript returns the content-signature hits for one script body, from
-// cache when the same content was scanned before. A nil Memo is valid and
-// simply never caches. The returned slice is shared cache state: callers
-// must treat it as read-only (mergeScans does).
+// cache when the same content was scanned before. The returned slice is
+// shared cache state: callers must treat it as read-only (mergeScans does).
 func (mc *Memo) ScanScript(body string) []SignatureHit {
-	if mc == nil {
-		return ScanScript(body)
-	}
 	key := scanKey{hash: fnv1a64(body), n: len(body)}
 	if hits, ok := mc.scans[key]; ok {
 		mc.scanHits++
@@ -113,27 +106,19 @@ func (mc *Memo) ScanScript(body string) []SignatureHit {
 // PageWithScripts: the page detection comes from the page cache, each
 // script body's signature scan from the scan cache, and the merge runs
 // copy-on-write so cached Detections are never mutated. Semantics are
-// identical to the package-level function for every input.
+// identical to the package-level function for every input; with no
+// scripts it is Page.
 func (mc *Memo) PageWithScripts(html, pageHost string, scripts []ScriptBody) Detection {
-	if mc == nil {
-		return PageWithScripts(html, pageHost, scripts)
-	}
 	return mergeScans(mc.Page(html, pageHost), scripts, mc.ScanScript)
 }
 
 // Stats reports cache hits and misses since creation.
 func (mc *Memo) Stats() (hits, misses uint64) {
-	if mc == nil {
-		return 0, 0
-	}
 	return mc.hits, mc.misses
 }
 
 // ScanStats reports body-scan cache hits and misses since creation.
 func (mc *Memo) ScanStats() (hits, misses uint64) {
-	if mc == nil {
-		return 0, 0
-	}
 	return mc.scanHits, mc.scanMisses
 }
 

@@ -72,24 +72,6 @@ func TestMemoScanIndependentOfPageCache(t *testing.T) {
 	}
 }
 
-// TestMemoScanNil: a nil memo scans like the package-level function, and
-// PageWithScripts degrades the same way.
-func TestMemoScanNil(t *testing.T) {
-	var memo *Memo
-	body := `var support={jquery:"3.5.1",expando:"n"};`
-	if got, want := memo.ScanScript(body), ScanScript(body); !reflect.DeepEqual(got, want) {
-		t.Errorf("nil memo scan differs: %+v vs %+v", got, want)
-	}
-	if h, m := memo.ScanStats(); h != 0 || m != 0 {
-		t.Errorf("nil memo scan stats = %d/%d", h, m)
-	}
-	html := `<html><script src="/assets/bundle.ff.js"></script></html>`
-	scripts := []ScriptBody{{URL: "/assets/bundle.ff.js", Body: body}}
-	if got, want := memo.PageWithScripts(html, "h.example", scripts), PageWithScripts(html, "h.example", scripts); !reflect.DeepEqual(got, want) {
-		t.Errorf("nil memo PageWithScripts differs: %+v vs %+v", got, want)
-	}
-}
-
 // TestMemoPageWithScriptsMatchesCold: the fully memoized merge path returns
 // detections deep-equal to the uncached PageWithScripts — including on
 // cache hits, where the cached Detection's Libraries slice is shared and

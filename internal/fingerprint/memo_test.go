@@ -12,7 +12,8 @@ import (
 // TestMemoMatchesPageOnRenderedPages is the semantics-preservation
 // property: over randomized generator-rendered pages — including many
 // repeats, the cache-hit case — the memoized path must return Detections
-// deep-equal to the uncached Page for every single call.
+// deep-equal to the uncached Page for every single call, through Page and
+// through PageWithScripts with no scripts (the crawl's one call).
 func TestMemoMatchesPageOnRenderedPages(t *testing.T) {
 	e := webgen.New(webgen.Config{Domains: 120, Seed: 11})
 	memo := NewMemo(0)
@@ -28,7 +29,12 @@ func TestMemoMatchesPageOnRenderedPages(t *testing.T) {
 		}
 		host := e.Sites[site].Domain.Name
 		want := Page(html, host)
-		got := memo.Page(html, host)
+		var got Detection
+		if i%2 == 0 {
+			got = memo.Page(html, host)
+		} else {
+			got = memo.PageWithScripts(html, host, nil)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("site %d week %d: memoized detection differs\n got %+v\nwant %+v",
 				site, week, got, want)
@@ -77,19 +83,6 @@ func TestMemoEpochEviction(t *testing.T) {
 		if len(memo.m) > 8 {
 			t.Fatalf("cache grew to %d entries past its cap of 8", len(memo.m))
 		}
-	}
-}
-
-// TestMemoNil: a nil memo is the disabled cache and must behave exactly
-// like plain Page.
-func TestMemoNil(t *testing.T) {
-	var memo *Memo
-	html := `<html><script src="/jquery-3.5.1.min.js"></script></html>`
-	if got, want := memo.Page(html, "x.example"), Page(html, "x.example"); !reflect.DeepEqual(got, want) {
-		t.Errorf("nil memo differs from Page: %+v vs %+v", got, want)
-	}
-	if h, m := memo.Stats(); h != 0 || m != 0 {
-		t.Errorf("nil memo stats = %d/%d", h, m)
 	}
 }
 

@@ -280,16 +280,30 @@ func Advisories() []Advisory {
 	return out
 }
 
-// AdvisoriesFor returns the advisories affecting one library.
-func AdvisoriesFor(slug string) []Advisory {
-	var out []Advisory
-	for _, a := range advisories {
-		if a.Lib == slug {
-			out = append(out, a)
-		}
+// advisoriesByLib is the one per-library advisory index: every consumer
+// that asks which advisories affect a library — the collectors, the audit
+// service, the facade — reads it through AdvisoriesFor.
+var advisoriesByLib = indexByLib(advisories)
+
+// indexByLib groups advisories by library slug, each list in the paper's
+// row order and capped at its length, so an append by one caller copies
+// instead of writing into storage every caller shares.
+func indexByLib(advs []Advisory) map[string][]Advisory {
+	idx := map[string][]Advisory{}
+	for _, a := range advs {
+		idx[a.Lib] = append(idx[a.Lib], a)
 	}
-	return out
+	for lib, s := range idx {
+		idx[lib] = s[:len(s):len(s)]
+	}
+	return idx
 }
+
+// AdvisoriesFor returns the advisories affecting one library in the
+// paper's row order (nil for a library without any). The slice is shared
+// by every caller and must be treated as read-only; the lookup allocates
+// nothing.
+func AdvisoriesFor(slug string) []Advisory { return advisoriesByLib[slug] }
 
 // AdvisoriesDisclosedBy returns advisories publicly disclosed on or before t,
 // sorted by disclosure date. The prevalence analysis uses this to avoid

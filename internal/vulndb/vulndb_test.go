@@ -1,6 +1,7 @@
 package vulndb
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -281,6 +282,41 @@ func TestPatchedVersionInsideCatalog(t *testing.T) {
 		// The patched version must not be inside the CVE's own range.
 		if a.CVERange.Contains(a.Patched) {
 			t.Errorf("%s: patched version %s is inside the CVE range %s", a.ID, a.Patched, a.CVERange)
+		}
+	}
+}
+
+// advisoriesSink keeps the allocation probe's lookups from being elided.
+var advisoriesSink []Advisory
+
+// TestAdvisoriesForIndex: the per-library index answers exactly what a
+// paper-order scan of Advisories() would — for every library, every
+// advisory's library and an unknown slug — its slices leave no room for an
+// append to write into shared state, and a lookup allocates nothing.
+func TestAdvisoriesForIndex(t *testing.T) {
+	slugs := []string{"no-such-library"}
+	for _, l := range Libraries() {
+		slugs = append(slugs, l.Slug)
+	}
+	for _, a := range Advisories() {
+		slugs = append(slugs, a.Lib)
+	}
+	for _, slug := range slugs {
+		var want []Advisory
+		for _, a := range Advisories() {
+			if a.Lib == slug {
+				want = append(want, a)
+			}
+		}
+		got := AdvisoriesFor(slug)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: AdvisoriesFor = %d advisories, the scan finds %d (or another order)", slug, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: capacity %d beyond length %d", slug, cap(got), len(got))
+		}
+		if n := testing.AllocsPerRun(100, func() { advisoriesSink = AdvisoriesFor(slug) }); n != 0 {
+			t.Errorf("%s: AdvisoriesFor allocates %.1f times per call", slug, n)
 		}
 	}
 }
