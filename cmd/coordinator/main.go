@@ -42,6 +42,11 @@ func main() {
 	out := flag.String("out", "", "write the merged study report here after the run completes (empty = merge skipped)")
 	poll := flag.Duration("poll", 200*time.Millisecond, "completion poll interval")
 	flag.Parse()
+	if *domains < 1 || *weeks < 1 {
+		fmt.Fprintf(os.Stderr, "coordinator: -domains and -weeks must be at least 1 (got %d and %d)\n", *domains, *weeks)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	spec := distcrawl.RunSpec{
 		Domains: *domains, Weeks: *weeks, Seed: *seed,

@@ -59,6 +59,11 @@ func main() {
 	record := flag.String("record", "", "record every fetched response into a web-execution bundle at this directory (honors -checkpoint/-resume; reports are identical either way)")
 	replay := flag.String("replay", "", "replay the crawl from a recorded bundle directory with zero network and zero waiting (no loopback server is started, retries take no backoff sleep, -politeness is ignored)")
 	flag.Parse()
+	if *domains < 1 || *weeks < 1 {
+		fmt.Fprintf(os.Stderr, "crawl: -domains and -weeks must be at least 1 (got %d and %d)\n", *domains, *weeks)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

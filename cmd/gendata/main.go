@@ -29,6 +29,11 @@ func main() {
 	bundleFrac := flag.Float64("bundle-frac", 0, "fraction of eligible generated sites that ship their libraries as one bundled script (0 disables)")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	flag.Parse()
+	if *domains < 1 || *weeks < 1 {
+		fmt.Fprintf(os.Stderr, "gendata: -domains and -weeks must be at least 1 (got %d and %d)\n", *domains, *weeks)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := core.Config{
 		Domains: *domains, Weeks: *weeks, Seed: *seed,

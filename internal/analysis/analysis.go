@@ -76,29 +76,71 @@ func parseVersion(s string) (semver.Version, bool) {
 	return v, true
 }
 
-// weekSeries is a dense per-week int series.
-type weekSeries struct {
-	counts map[int]int
+// parsedVersion is one version string parsed once: the Version and its
+// Canonical spelling.
+type parsedVersion struct {
+	v     semver.Version
+	canon string
 }
 
-func newWeekSeries() *weekSeries { return &weekSeries{counts: map[int]int{}} }
+// versionTable memoizes parseVersion for one collector: a stream repeats a
+// few hundred version strings across millions of observations. Only
+// strings that parse are kept, so the table is bounded by the distinct
+// valid versions the collector observed. Each collector owns its table
+// (no sharing, no locks) and Merge takes the union, so a merged collector
+// holds exactly the table a serial one builds.
+type versionTable map[string]parsedVersion
 
-func (s *weekSeries) add(week, n int) { s.counts[week] += n }
+// parse returns s parsed, from the table when s was seen before.
+func (t versionTable) parse(s string) (parsedVersion, bool) {
+	if p, ok := t[s]; ok {
+		return p, true
+	}
+	v, ok := parseVersion(s)
+	if !ok {
+		return parsedVersion{}, false
+	}
+	p := parsedVersion{v: v, canon: v.Canonical()}
+	t[s] = p
+	return p, true
+}
+
+// merge unions o into t. Equal strings parse equally, so a key present in
+// both already holds the same value.
+func (t versionTable) merge(o versionTable) {
+	for s, p := range o {
+		t[s] = p
+	}
+}
+
+// weekSeries is a dense per-week int series over weeks [0, weeks), sized
+// once by the collector's constructor. Observations outside the study's
+// weeks are dropped, so no week number read from a store ever sizes an
+// allocation.
+type weekSeries []int
+
+func newWeekSeries(weeks int) weekSeries { return make(weekSeries, weeks) }
+
+func (s weekSeries) add(week, n int) {
+	if week >= 0 && week < len(s) {
+		s[week] += n
+	}
+}
 
 // merge folds another series' counts into s.
-func (s *weekSeries) merge(o *weekSeries) {
-	for w, n := range o.counts {
-		s.counts[w] += n
+func (s weekSeries) merge(o weekSeries) {
+	for w, n := range o[:min(len(o), len(s))] {
+		s[w] += n
 	}
 }
 
 // mergeSeriesMap folds a map of lazily-created weekSeries into dst,
-// creating missing entries.
-func mergeSeriesMap(dst, src map[string]*weekSeries) {
+// creating missing entries of the given week count.
+func mergeSeriesMap(dst, src map[string]weekSeries, weeks int) {
 	for k, os := range src {
-		ds := dst[k]
-		if ds == nil {
-			ds = newWeekSeries()
+		ds, ok := dst[k]
+		if !ok {
+			ds = newWeekSeries(weeks)
 			dst[k] = ds
 		}
 		ds.merge(os)
@@ -135,19 +177,11 @@ func mergeMinRank(dst, src map[string]int) {
 	}
 }
 
-// Series materializes weeks [0, weeks) as a slice.
-func (s *weekSeries) Series(weeks int) []int {
-	out := make([]int, weeks)
-	for w, n := range s.counts {
-		if w >= 0 && w < weeks {
-			out[w] = n
-		}
-	}
-	return out
-}
+// Series returns a copy of the weekly counts.
+func (s weekSeries) Series() []int { return append([]int(nil), s...) }
 
-// Mean returns the average over the weeks that have any observation in ref
-// (a denominators series); weeks with a zero denominator are skipped.
+// meanRatio returns the average of num[i]/den[i] over the weeks whose
+// denominator is positive; weeks with a zero denominator are skipped.
 func meanRatio(num, den []int) float64 {
 	sum, n := 0.0, 0
 	for i := range num {

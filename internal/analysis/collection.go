@@ -7,20 +7,20 @@ import "clientres/internal/store"
 // pages used (Figure 2b).
 type Collection struct {
 	weeks     int
-	attempted *weekSeries
-	collected *weekSeries
+	attempted weekSeries
+	collected weekSeries
 
-	js, css, favicon, imported, xml, svg, flash, axd *weekSeries
+	js, css, favicon, imported, xml, svg, flash, axd weekSeries
 }
 
 // NewCollection builds the collector for a study of the given week count.
 func NewCollection(weeks int) *Collection {
 	return &Collection{
 		weeks:     weeks,
-		attempted: newWeekSeries(), collected: newWeekSeries(),
-		js: newWeekSeries(), css: newWeekSeries(), favicon: newWeekSeries(),
-		imported: newWeekSeries(), xml: newWeekSeries(), svg: newWeekSeries(),
-		flash: newWeekSeries(), axd: newWeekSeries(),
+		attempted: newWeekSeries(weeks), collected: newWeekSeries(weeks),
+		js: newWeekSeries(weeks), css: newWeekSeries(weeks), favicon: newWeekSeries(weeks),
+		imported: newWeekSeries(weeks), xml: newWeekSeries(weeks), svg: newWeekSeries(weeks),
+		flash: newWeekSeries(weeks), axd: newWeekSeries(weeks),
 	}
 }
 
@@ -35,7 +35,7 @@ func (c *Collection) Observe(obs store.Observation) {
 	}
 	c.collected.add(obs.Week, 1)
 	r := obs.Resources
-	mark := func(s *weekSeries, on bool) {
+	mark := func(s weekSeries, on bool) {
 		if on {
 			s.add(obs.Week, 1)
 		}
@@ -66,14 +66,14 @@ func (c *Collection) Merge(o *Collection) {
 }
 
 // CollectedSeries returns the weekly count of usable pages (Figure 2a).
-func (c *Collection) CollectedSeries() []int { return c.collected.Series(c.weeks) }
+func (c *Collection) CollectedSeries() []int { return c.collected.Series() }
 
 // AttemptedSeries returns the weekly count of attempted fetches.
-func (c *Collection) AttemptedSeries() []int { return c.attempted.Series(c.weeks) }
+func (c *Collection) AttemptedSeries() []int { return c.attempted.Series() }
 
 // MeanCollected returns the average usable-page count per week (the paper's
 // 782,300 of 1M).
-func (c *Collection) MeanCollected() float64 { return meanInt(c.CollectedSeries()) }
+func (c *Collection) MeanCollected() float64 { return meanInt(c.collected) }
 
 // ResourceShare is one Figure 2b series: the weekly fraction of collected
 // sites using a resource type.
@@ -85,9 +85,8 @@ type ResourceShare struct {
 
 // ResourceShares returns the Figure 2b series in the paper's legend order.
 func (c *Collection) ResourceShares() []ResourceShare {
-	den := c.CollectedSeries()
-	mk := func(name string, s *weekSeries) ResourceShare {
-		num := s.Series(c.weeks)
+	den := c.collected
+	mk := func(name string, num weekSeries) ResourceShare {
 		weekly := make([]float64, c.weeks)
 		for i := range weekly {
 			if den[i] > 0 {

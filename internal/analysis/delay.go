@@ -20,6 +20,7 @@ type UpdateDelay struct {
 	weeks int
 	// ruleset per advisory id: both rulesets tracked in parallel.
 	states map[delayKey]*delayState
+	parsed versionTable
 }
 
 type delayKey struct {
@@ -39,7 +40,7 @@ type delayState struct {
 
 // NewUpdateDelay builds the collector.
 func NewUpdateDelay(weeks int) *UpdateDelay {
-	return &UpdateDelay{weeks: weeks, states: map[delayKey]*delayState{}}
+	return &UpdateDelay{weeks: weeks, states: map[delayKey]*delayState{}, parsed: versionTable{}}
 }
 
 // Name implements Collector.
@@ -56,10 +57,11 @@ func (u *UpdateDelay) Observe(obs store.Observation) {
 		if len(advisories) == 0 {
 			continue
 		}
-		ver, ok := parseVersion(lib.Version)
+		pv, ok := u.parsed.parse(lib.Version)
 		if !ok {
 			continue
 		}
+		ver := pv.v
 		for _, adv := range advisories {
 			if adv.Patched.IsZero() {
 				continue // no patched version: no window to measure
@@ -108,6 +110,7 @@ func (u *UpdateDelay) step(domain, advID string, tvv, affected bool, patchDate, 
 // deterministic, commutative rule: a closed window wins over an open one,
 // then the earlier window start, then the shorter delay.
 func (u *UpdateDelay) Merge(o *UpdateDelay) {
+	u.parsed.merge(o.parsed)
 	for key, os := range o.states {
 		st := u.states[key]
 		if st == nil {

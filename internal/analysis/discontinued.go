@@ -9,9 +9,9 @@ import (
 // (Section 6.3) and the jQuery-Cookie → JS-Cookie migration.
 type Discontinued struct {
 	weeks     int
-	collected *weekSeries
+	collected weekSeries
 	// usage per discontinued slug per week.
-	usage map[string]*weekSeries
+	usage map[string]weekSeries
 	// Migration tracking: domains ever seen with jquery-cookie, and of
 	// those, domains later seen with js-cookie but no jquery-cookie.
 	everJQCookie map[string]bool
@@ -23,14 +23,14 @@ type Discontinued struct {
 func NewDiscontinued(weeks int) *Discontinued {
 	d := &Discontinued{
 		weeks:        weeks,
-		collected:    newWeekSeries(),
-		usage:        map[string]*weekSeries{},
+		collected:    newWeekSeries(weeks),
+		usage:        map[string]weekSeries{},
 		everJQCookie: map[string]bool{},
 		migrated:     map[string]bool{},
 	}
 	for _, lib := range vulndb.Libraries() {
 		if lib.Discontinued {
-			d.usage[lib.Slug] = newWeekSeries()
+			d.usage[lib.Slug] = newWeekSeries(weeks)
 		}
 	}
 	return d
@@ -71,7 +71,7 @@ func (d *Discontinued) Observe(obs store.Observation) {
 // machine that only merges exactly under domain-disjoint sharding.
 func (d *Discontinued) Merge(o *Discontinued) {
 	d.collected.merge(o.collected)
-	mergeSeriesMap(d.usage, o.usage)
+	mergeSeriesMap(d.usage, o.usage, d.weeks)
 	mergeSets(d.everJQCookie, o.everJQCookie)
 	mergeSets(d.migrated, o.migrated)
 }
@@ -83,7 +83,7 @@ func (d *Discontinued) MeanUsage(slug string) float64 {
 	if !ok {
 		return 0
 	}
-	return meanRatio(s.Series(d.weeks), d.collected.Series(d.weeks))
+	return meanRatio(s, d.collected)
 }
 
 // UsageSeries returns the weekly site counts of a discontinued library.
@@ -92,7 +92,7 @@ func (d *Discontinued) UsageSeries(slug string) []int {
 	if !ok {
 		return make([]int, d.weeks)
 	}
-	return s.Series(d.weeks)
+	return s.Series()
 }
 
 // MigrationStats returns the jQuery-Cookie population and how many of those

@@ -17,9 +17,9 @@ type Flash struct {
 	// the modeled population.
 	totalDomains int
 
-	all, top10k, top1k *weekSeries
-	scriptAccess       *weekSeries
-	always             *weekSeries
+	all, top10k, top1k weekSeries
+	scriptAccess       weekSeries
+	always             weekSeries
 
 	// Post-EOL holdouts by country (the Section 8 case study).
 	postEOLCountry map[string]map[string]bool // country → domains
@@ -43,9 +43,9 @@ var FlashEOLWeek = weekOfDate(time.Date(2021, time.January, 1, 0, 0, 0, 0, time.
 func NewFlash(weeks, totalDomains int) *Flash {
 	return &Flash{
 		weeks: weeks, totalDomains: totalDomains,
-		all: newWeekSeries(), top10k: newWeekSeries(), top1k: newWeekSeries(),
-		scriptAccess:   newWeekSeries(),
-		always:         newWeekSeries(),
+		all: newWeekSeries(weeks), top10k: newWeekSeries(weeks), top1k: newWeekSeries(weeks),
+		scriptAccess:   newWeekSeries(weeks),
+		always:         newWeekSeries(weeks),
 		postEOLCountry: map[string]map[string]bool{},
 		holdouts:       map[string]*holdout{},
 	}
@@ -163,36 +163,34 @@ func (f *Flash) HoldoutVisibility() (visible, invisible int) {
 // UsageSeries returns the Figure 8 series: all domains, the top-1 % band
 // (the paper's top 10K), and the top-0.1 % band (top 1K).
 func (f *Flash) UsageSeries() (all, top10k, top1k []int) {
-	return f.all.Series(f.weeks), f.top10k.Series(f.weeks), f.top1k.Series(f.weeks)
+	return f.all.Series(), f.top10k.Series(), f.top1k.Series()
 }
 
 // MeanPostEOL returns the average weekly count of Flash sites after the end
 // of life (the paper's 3,553 of 1M).
 func (f *Flash) MeanPostEOL() float64 {
-	series := f.all.Series(f.weeks)
 	if FlashEOLWeek >= f.weeks {
 		return 0
 	}
-	return meanInt(series[FlashEOLWeek:])
+	return meanInt(f.all[FlashEOLWeek:])
 }
 
 // ScriptAccessSeries returns the Figure 11 series: Flash sites, sites using
 // the AllowScriptAccess parameter, and sites with the insecure "always"
 // option.
 func (f *Flash) ScriptAccessSeries() (flash, param, always []int) {
-	return f.all.Series(f.weeks), f.scriptAccess.Series(f.weeks), f.always.Series(f.weeks)
+	return f.all.Series(), f.scriptAccess.Series(), f.always.Series()
 }
 
 // MeanInsecureShare returns the average share of Flash sites whose
 // AllowScriptAccess is "always" (the paper's 24.7 % rising ~21 %→30 %).
 func (f *Flash) MeanInsecureShare() float64 {
-	return meanRatio(f.always.Series(f.weeks), f.all.Series(f.weeks))
+	return meanRatio(f.always, f.all)
 }
 
 // InsecureShareAt returns the insecure share at one week.
 func (f *Flash) InsecureShareAt(week int) float64 {
-	a := f.always.Series(f.weeks)
-	t := f.all.Series(f.weeks)
+	a, t := f.always, f.all
 	if week < 0 || week >= f.weeks || t[week] == 0 {
 		return 0
 	}

@@ -14,32 +14,33 @@ import (
 // Table 5 (top CDNs per library).
 type LibraryStats struct {
 	weeks     int
-	collected *weekSeries
-	jsSites   *weekSeries
-	libSites  *weekSeries // sites using ≥1 detected library (any slug)
+	collected weekSeries
+	jsSites   weekSeries
+	libSites  weekSeries // sites using ≥1 detected library (any slug)
 
 	libs     map[string]*libStats
 	distinct map[string]bool
+	parsed   versionTable
 }
 
 type libStats struct {
-	usage    *weekSeries
+	usage    weekSeries
 	internal int
 	external int
 	cdnHits  int
 	hosts    map[string]int
 
-	versions map[string]int         // canonical version → total observations
-	verWeek  map[string]*weekSeries // canonical version → weekly sites
-	verWP    map[string]*weekSeries // same, restricted to WordPress sites
-	verRaw   map[string]string      // canonical → display string
+	versions map[string]int        // canonical version → total observations
+	verWeek  map[string]weekSeries // canonical version → weekly sites
+	verWP    map[string]weekSeries // same, restricted to WordPress sites
+	verRaw   map[string]string     // canonical → display string
 }
 
-func newLibStats() *libStats {
+func newLibStats(weeks int) *libStats {
 	return &libStats{
-		usage: newWeekSeries(), hosts: map[string]int{},
-		versions: map[string]int{}, verWeek: map[string]*weekSeries{},
-		verWP: map[string]*weekSeries{}, verRaw: map[string]string{},
+		usage: newWeekSeries(weeks), hosts: map[string]int{},
+		versions: map[string]int{}, verWeek: map[string]weekSeries{},
+		verWP: map[string]weekSeries{}, verRaw: map[string]string{},
 	}
 }
 
@@ -47,11 +48,12 @@ func newLibStats() *libStats {
 func NewLibraryStats(weeks int) *LibraryStats {
 	return &LibraryStats{
 		weeks:     weeks,
-		collected: newWeekSeries(),
-		jsSites:   newWeekSeries(),
-		libSites:  newWeekSeries(),
+		collected: newWeekSeries(weeks),
+		jsSites:   newWeekSeries(weeks),
+		libSites:  newWeekSeries(weeks),
 		libs:      map[string]*libStats{},
 		distinct:  map[string]bool{},
+		parsed:    versionTable{},
 	}
 }
 
@@ -76,7 +78,7 @@ func (l *LibraryStats) Observe(obs store.Observation) {
 		l.distinct[lib.Slug] = true
 		ls := l.libs[lib.Slug]
 		if ls == nil {
-			ls = newLibStats()
+			ls = newLibStats(l.weeks)
 			l.libs[lib.Slug] = ls
 		}
 		if !seen[lib.Slug] {
@@ -92,8 +94,8 @@ func (l *LibraryStats) Observe(obs store.Observation) {
 		} else {
 			ls.internal++
 		}
-		if v, ok := parseVersion(lib.Version); ok {
-			key := v.Canonical()
+		if pv, ok := l.parsed.parse(lib.Version); ok {
+			key := pv.canon
 			ls.versions[key]++
 			// Two spellings of one version ("3.5", "3.5.0") display as the
 			// lexicographically smaller, the rule Merge applies, so a
@@ -103,14 +105,14 @@ func (l *LibraryStats) Observe(obs store.Observation) {
 			}
 			ws := ls.verWeek[key]
 			if ws == nil {
-				ws = newWeekSeries()
+				ws = newWeekSeries(l.weeks)
 				ls.verWeek[key] = ws
 			}
 			ws.add(obs.Week, 1)
 			if isWP {
 				wp := ls.verWP[key]
 				if wp == nil {
-					wp = newWeekSeries()
+					wp = newWeekSeries(l.weeks)
 					ls.verWP[key] = wp
 				}
 				wp.add(obs.Week, 1)
@@ -126,17 +128,18 @@ func (l *LibraryStats) Merge(o *LibraryStats) {
 	l.jsSites.merge(o.jsSites)
 	l.libSites.merge(o.libSites)
 	mergeSets(l.distinct, o.distinct)
+	l.parsed.merge(o.parsed)
 	for slug, os := range o.libs {
 		ls := l.libs[slug]
 		if ls == nil {
-			ls = newLibStats()
+			ls = newLibStats(l.weeks)
 			l.libs[slug] = ls
 		}
-		ls.merge(os)
+		ls.merge(os, l.weeks)
 	}
 }
 
-func (ls *libStats) merge(o *libStats) {
+func (ls *libStats) merge(o *libStats, weeks int) {
 	ls.usage.merge(o.usage)
 	ls.internal += o.internal
 	ls.external += o.external
@@ -150,19 +153,19 @@ func (ls *libStats) merge(o *libStats) {
 			ls.verRaw[key] = raw
 		}
 	}
-	mergeSeriesMap(ls.verWeek, o.verWeek)
-	mergeSeriesMap(ls.verWP, o.verWP)
+	mergeSeriesMap(ls.verWeek, o.verWeek, weeks)
+	mergeSeriesMap(ls.verWP, o.verWP, weeks)
 }
 
 // UsageSeries returns the weekly share of collected sites using a library.
 func (l *LibraryStats) UsageSeries(slug string) []float64 {
-	den := l.collected.Series(l.weeks)
+	den := l.collected
 	out := make([]float64, l.weeks)
 	ls := l.libs[slug]
 	if ls == nil {
 		return out
 	}
-	num := ls.usage.Series(l.weeks)
+	num := ls.usage
 	for i := range out {
 		if den[i] > 0 {
 			out[i] = float64(num[i]) / float64(den[i])
@@ -177,7 +180,7 @@ func (l *LibraryStats) MeanUsage(slug string) float64 {
 	if ls == nil {
 		return 0
 	}
-	return meanRatio(ls.usage.Series(l.weeks), l.collected.Series(l.weeks))
+	return meanRatio(ls.usage, l.collected)
 }
 
 // Table1Row is one row of the paper's Table 1.
@@ -306,7 +309,7 @@ func (l *LibraryStats) VersionSeries(slug, version string) []int {
 	if ws == nil {
 		return make([]int, l.weeks)
 	}
-	return ws.Series(l.weeks)
+	return ws.Series()
 }
 
 // VersionSeriesWordPress returns the same series restricted to WordPress
@@ -324,7 +327,7 @@ func (l *LibraryStats) VersionSeriesWordPress(slug, version string) []int {
 	if ws == nil {
 		return make([]int, l.weeks)
 	}
-	return ws.Series(l.weeks)
+	return ws.Series()
 }
 
 // HostCount is one Table 5 cell: an external host and its inclusion count.
@@ -364,5 +367,5 @@ func (l *LibraryStats) DistinctLibraries() int { return len(l.distinct) }
 // LibShareOfJSSites returns the share of JavaScript-using sites that use at
 // least one identified library (the paper's 97.04 %).
 func (l *LibraryStats) LibShareOfJSSites() float64 {
-	return meanRatio(l.libSites.Series(l.weeks), l.jsSites.Series(l.weeks))
+	return meanRatio(l.libSites, l.jsSites)
 }

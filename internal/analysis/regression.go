@@ -28,6 +28,7 @@ type Regressions struct {
 	// exitState tracks, per (domain, advisory), whether the site has been
 	// seen outside the vulnerable range after having been inside it.
 	exitState map[regAdvKey]bool
+	parsed    versionTable
 }
 
 type regKey struct{ domain, lib string }
@@ -42,6 +43,7 @@ func NewRegressions(weeks int) *Regressions {
 		reopened:         map[string]int{},
 		regressedDomains: map[string]bool{},
 		exitState:        map[regAdvKey]bool{},
+		parsed:           versionTable{},
 	}
 }
 
@@ -55,13 +57,14 @@ func (r *Regressions) Observe(obs store.Observation) {
 	}
 	date := WeekDate(obs.Week)
 	for _, lib := range obs.Libs {
-		ver, ok := parseVersion(lib.Version)
+		pv, ok := r.parsed.parse(lib.Version)
 		if !ok {
 			continue
 		}
+		ver := pv.v
 		key := regKey{obs.Domain, lib.Slug}
 		if prevStr, seen := r.last[key]; seen {
-			if prev, ok := parseVersion(prevStr); ok && ver.Less(prev) {
+			if prev, ok := r.parsed.parse(prevStr); ok && ver.Less(prev.v) {
 				r.downgrades[lib.Slug]++
 				r.regressedDomains[obs.Domain] = true
 			}
@@ -100,6 +103,7 @@ func (r *Regressions) Merge(o *Regressions) {
 		}
 	}
 	mergeCounts(r.downgrades, o.downgrades)
+	r.parsed.merge(o.parsed)
 	mergeCounts(r.reopened, o.reopened)
 	mergeSets(r.regressedDomains, o.regressedDomains)
 	for key, v := range o.exitState {

@@ -14,15 +14,15 @@ type SRI struct {
 	weeks int
 	// Weekly counts of sites with ≥1 external library, split by whether at
 	// least one external inclusion lacks integrity.
-	sitesWithExternal *weekSeries
-	sitesMissingSRI   *weekSeries
+	sitesWithExternal weekSeries
+	sitesMissingSRI   weekSeries
 
 	// crossorigin value counts among integrity-bearing inclusions.
 	crossorigin map[string]int
 
 	// Version-control hosting.
-	vcSites    *weekSeries
-	vcSitesSRI *weekSeries
+	vcSites    weekSeries
+	vcSitesSRI weekSeries
 	vcHosts    map[string]int
 	// vcTopSites records the top-ranked sites loading from VC hosts:
 	// domain → (best rank, hosts seen).
@@ -34,11 +34,11 @@ type SRI struct {
 func NewSRI(weeks int) *SRI {
 	return &SRI{
 		weeks:             weeks,
-		sitesWithExternal: newWeekSeries(),
-		sitesMissingSRI:   newWeekSeries(),
+		sitesWithExternal: newWeekSeries(weeks),
+		sitesMissingSRI:   newWeekSeries(weeks),
 		crossorigin:       map[string]int{},
-		vcSites:           newWeekSeries(),
-		vcSitesSRI:        newWeekSeries(),
+		vcSites:           newWeekSeries(weeks),
+		vcSitesSRI:        newWeekSeries(weeks),
 		vcHosts:           map[string]int{},
 		vcSiteRank:        map[string]int{},
 		vcSiteHosts:       map[string]map[string]bool{},
@@ -126,15 +126,15 @@ func (s *SRI) Merge(o *SRI) {
 // have at least one external inclusion without integrity (the paper's
 // 99.7 %).
 func (s *SRI) MissingSRIShare() float64 {
-	return meanRatio(s.sitesMissingSRI.Series(s.weeks), s.sitesWithExternal.Series(s.weeks))
+	return meanRatio(s.sitesMissingSRI, s.sitesWithExternal)
 }
 
 // SRISeries returns the Figure 10 weekly pair: sites with at least one
 // integrity-less external library, and sites where every external library
 // carries integrity.
 func (s *SRI) SRISeries() (missing, fullyCovered []int) {
-	withExt := s.sitesWithExternal.Series(s.weeks)
-	miss := s.sitesMissingSRI.Series(s.weeks)
+	withExt := s.sitesWithExternal
+	miss := s.sitesMissingSRI.Series()
 	covered := make([]int, s.weeks)
 	for i := range covered {
 		covered[i] = withExt[i] - miss[i]
@@ -166,12 +166,12 @@ func (s *SRI) CrossoriginShares() map[string]float64 {
 
 // MeanVCSites returns the average weekly count of sites loading libraries
 // from version-control hosts (the paper's ~1,670 of 782K).
-func (s *SRI) MeanVCSites() float64 { return meanInt(s.vcSites.Series(s.weeks)) }
+func (s *SRI) MeanVCSites() float64 { return meanInt(s.vcSites) }
 
 // VCWithSRIShare returns the share of those sites where every VC-hosted
 // inclusion carries integrity (the paper's 0.6 %).
 func (s *SRI) VCWithSRIShare() float64 {
-	return meanRatio(s.vcSitesSRI.Series(s.weeks), s.vcSites.Series(s.weeks))
+	return meanRatio(s.vcSitesSRI, s.vcSites)
 }
 
 // VCHostCount is one Table 6 aggregate row.

@@ -18,16 +18,16 @@ import (
 // could have known.
 type VulnPrevalence struct {
 	weeks     int
-	collected *weekSeries
-	vulnCVE   *weekSeries // sites with ≥1 vulnerability, CVE ranges
-	vulnTVV   *weekSeries // same under TVV ranges
+	collected weekSeries
+	vulnCVE   weekSeries // sites with ≥1 vulnerability, CVE ranges
+	vulnTVV   weekSeries // same under TVV ranges
 	// vulnUncond restricts to advisories the paper's Section 9 does NOT
 	// flag as condition-dependent — a "readily exploitable" lower bound
 	// (an extension beyond the paper's headline metric).
-	vulnUncond *weekSeries
+	vulnUncond weekSeries
 
-	perAdvisoryCVE map[string]*weekSeries
-	perAdvisoryTVV map[string]*weekSeries
+	perAdvisoryCVE map[string]weekSeries
+	perAdvisoryTVV map[string]weekSeries
 
 	histCVE map[int]int // per-(site,week) vulnerability count histogram
 	histTVV map[int]int
@@ -36,25 +36,28 @@ type VulnPrevalence struct {
 	// clean under CVE ranges (domain → best rank) — the population behind
 	// the paper's microsoft.com / docusign.com examples.
 	undisclosed map[string]int
+
+	parsed versionTable
 }
 
 // NewVulnPrevalence builds the collector.
 func NewVulnPrevalence(weeks int) *VulnPrevalence {
 	v := &VulnPrevalence{
 		weeks:          weeks,
-		collected:      newWeekSeries(),
-		vulnCVE:        newWeekSeries(),
-		vulnTVV:        newWeekSeries(),
-		vulnUncond:     newWeekSeries(),
-		perAdvisoryCVE: map[string]*weekSeries{},
-		perAdvisoryTVV: map[string]*weekSeries{},
+		collected:      newWeekSeries(weeks),
+		vulnCVE:        newWeekSeries(weeks),
+		vulnTVV:        newWeekSeries(weeks),
+		vulnUncond:     newWeekSeries(weeks),
+		perAdvisoryCVE: map[string]weekSeries{},
+		perAdvisoryTVV: map[string]weekSeries{},
 		histCVE:        map[int]int{},
 		histTVV:        map[int]int{},
 		undisclosed:    map[string]int{},
+		parsed:         versionTable{},
 	}
 	for _, a := range vulndb.Advisories() {
-		v.perAdvisoryCVE[a.ID] = newWeekSeries()
-		v.perAdvisoryTVV[a.ID] = newWeekSeries()
+		v.perAdvisoryCVE[a.ID] = newWeekSeries(weeks)
+		v.perAdvisoryTVV[a.ID] = newWeekSeries(weeks)
 	}
 	return v
 }
@@ -71,10 +74,11 @@ func (v *VulnPrevalence) Observe(obs store.Observation) {
 	date := WeekDate(obs.Week)
 	nCVE, nTVV, nUncond := 0, 0, 0
 	for _, lib := range obs.Libs {
-		ver, ok := parseVersion(lib.Version)
+		pv, ok := v.parsed.parse(lib.Version)
 		if !ok {
 			continue
 		}
+		ver := pv.v
 		for _, adv := range vulndb.AdvisoriesFor(lib.Slug) {
 			if adv.Disclosed.After(date) {
 				continue
@@ -118,11 +122,12 @@ func (v *VulnPrevalence) Merge(o *VulnPrevalence) {
 	v.vulnCVE.merge(o.vulnCVE)
 	v.vulnTVV.merge(o.vulnTVV)
 	v.vulnUncond.merge(o.vulnUncond)
-	mergeSeriesMap(v.perAdvisoryCVE, o.perAdvisoryCVE)
-	mergeSeriesMap(v.perAdvisoryTVV, o.perAdvisoryTVV)
+	mergeSeriesMap(v.perAdvisoryCVE, o.perAdvisoryCVE, v.weeks)
+	mergeSeriesMap(v.perAdvisoryTVV, o.perAdvisoryTVV, v.weeks)
 	mergeHist(v.histCVE, o.histCVE)
 	mergeHist(v.histTVV, o.histTVV)
 	mergeMinRank(v.undisclosed, o.undisclosed)
+	v.parsed.merge(o.parsed)
 }
 
 // MeanVulnerableShare returns the average weekly share of collected sites
@@ -133,7 +138,7 @@ func (v *VulnPrevalence) MeanVulnerableShare(useTVV bool) float64 {
 	if useTVV {
 		s = v.vulnTVV
 	}
-	return meanRatio(s.Series(v.weeks), v.collected.Series(v.weeks))
+	return meanRatio(s, v.collected)
 }
 
 // VulnerableSeries returns the weekly vulnerable-site share series.
@@ -142,8 +147,7 @@ func (v *VulnPrevalence) VulnerableSeries(useTVV bool) []float64 {
 	if useTVV {
 		s = v.vulnTVV
 	}
-	num := s.Series(v.weeks)
-	den := v.collected.Series(v.weeks)
+	num, den := s, v.collected
 	out := make([]float64, v.weeks)
 	for i := range out {
 		if den[i] > 0 {
@@ -160,7 +164,7 @@ func (v *VulnPrevalence) AdvisorySeries(id string) (cve, tvv []int) {
 	if !ok {
 		return make([]int, v.weeks), make([]int, v.weeks)
 	}
-	return c.Series(v.weeks), v.perAdvisoryTVV[id].Series(v.weeks)
+	return c.Series(), v.perAdvisoryTVV[id].Series()
 }
 
 // MeanAffected returns the average weekly number of sites affected by one
@@ -188,10 +192,9 @@ func (v *VulnPrevalence) MeanAffected(id string, useTVV bool) float64 {
 	if from >= v.weeks {
 		return 0
 	}
-	series := s.Series(v.weeks)
 	sum, n := 0, 0
 	for w := from; w < v.weeks; w++ {
-		sum += series[w]
+		sum += s[w]
 		n++
 	}
 	if n == 0 {
@@ -263,9 +266,7 @@ type YearShare struct {
 // observation that the CVE/TVV gap grows from 0.1 points (2018) to
 // 2.9 points (2022).
 func (v *VulnPrevalence) YearlyShares() []YearShare {
-	cve := v.vulnCVE.Series(v.weeks)
-	tvv := v.vulnTVV.Series(v.weeks)
-	den := v.collected.Series(v.weeks)
+	cve, tvv, den := v.vulnCVE, v.vulnTVV, v.collected
 	type acc struct {
 		c, t float64
 		n    int
@@ -324,15 +325,14 @@ func (v *VulnPrevalence) TopUndisclosedSites(n int) []UndisclosedSite {
 // only advisories without Section 9's exploitation preconditions — the
 // exploitability-aware refinement the paper lists as future work.
 func (v *VulnPrevalence) MeanReadilyExploitableShare() float64 {
-	return meanRatio(v.vulnUncond.Series(v.weeks), v.collected.Series(v.weeks))
+	return meanRatio(v.vulnUncond, v.collected)
 }
 
 // MeanUndisclosedVulnerable quantifies the CVE-accuracy impact: the average
 // weekly count of sites vulnerable under TVV ranges beyond those counted
 // under the CVE ranges (the paper's "undisclosed in the wild" population).
 func (v *VulnPrevalence) MeanUndisclosedVulnerable() float64 {
-	tvv := v.vulnTVV.Series(v.weeks)
-	cve := v.vulnCVE.Series(v.weeks)
+	tvv, cve := v.vulnTVV, v.vulnCVE
 	diff := make([]int, v.weeks)
 	for i := range diff {
 		d := tvv[i] - cve[i]

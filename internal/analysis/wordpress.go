@@ -9,25 +9,27 @@ import (
 // CVE exposure — the context for the auto-update finding of Section 7.
 type WordPress struct {
 	weeks     int
-	collected *weekSeries
-	wpSites   *weekSeries
+	collected weekSeries
+	wpSites   weekSeries
 	// affected counts sites per WP advisory per week (from disclosure on).
-	affected map[string]*weekSeries
+	affected map[string]weekSeries
 	// versions counts WP versions for the 521-versions-found statistic.
 	versions map[string]int
+	parsed   versionTable
 }
 
 // NewWordPress builds the collector.
 func NewWordPress(weeks int) *WordPress {
 	w := &WordPress{
 		weeks:     weeks,
-		collected: newWeekSeries(),
-		wpSites:   newWeekSeries(),
-		affected:  map[string]*weekSeries{},
+		collected: newWeekSeries(weeks),
+		wpSites:   newWeekSeries(weeks),
+		affected:  map[string]weekSeries{},
 		versions:  map[string]int{},
+		parsed:    versionTable{},
 	}
 	for _, a := range vulndb.WordPressAdvisories() {
-		w.affected[a.ID] = newWeekSeries()
+		w.affected[a.ID] = newWeekSeries(weeks)
 	}
 	return w
 }
@@ -45,11 +47,12 @@ func (w *WordPress) Observe(obs store.Observation) {
 		return
 	}
 	w.wpSites.add(obs.Week, 1)
-	ver, ok := parseVersion(obs.WordPress)
+	pv, ok := w.parsed.parse(obs.WordPress)
 	if !ok {
 		return
 	}
-	w.versions[ver.Canonical()]++
+	ver := pv.v
+	w.versions[pv.canon]++
 	date := WeekDate(obs.Week)
 	for _, adv := range vulndb.WordPressAdvisories() {
 		if adv.Disclosed.After(date) {
@@ -67,19 +70,20 @@ func (w *WordPress) Observe(obs store.Observation) {
 func (w *WordPress) Merge(o *WordPress) {
 	w.collected.merge(o.collected)
 	w.wpSites.merge(o.wpSites)
-	mergeSeriesMap(w.affected, o.affected)
+	mergeSeriesMap(w.affected, o.affected, w.weeks)
+	w.parsed.merge(o.parsed)
 	mergeCounts(w.versions, o.versions)
 }
 
 // MeanShare returns the average share of collected sites built with
 // WordPress (the paper's 26.9 %).
 func (w *WordPress) MeanShare() float64 {
-	return meanRatio(w.wpSites.Series(w.weeks), w.collected.Series(w.weeks))
+	return meanRatio(w.wpSites, w.collected)
 }
 
 // UsageSeries returns the Figure 9 weekly WordPress site counts.
 func (w *WordPress) UsageSeries() (all, wp []int) {
-	return w.collected.Series(w.weeks), w.wpSites.Series(w.weeks)
+	return w.collected.Series(), w.wpSites.Series()
 }
 
 // Table4Row is one row of Table 4 as measured on this dataset.
@@ -94,7 +98,7 @@ type Table4Row struct {
 func (w *WordPress) Table4() []Table4Row {
 	var rows []Table4Row
 	for _, adv := range vulndb.WordPressAdvisories() {
-		series := w.affected[adv.ID].Series(w.weeks)
+		series := w.affected[adv.ID]
 		from := weekOfDate(adv.Disclosed)
 		if from < 0 {
 			from = 0

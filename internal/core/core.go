@@ -204,8 +204,12 @@ func (r *Results) Merge(o *Results) {
 	r.Regress.Merge(o.Regress)
 }
 
-// Run executes the pipeline.
+// Run executes the pipeline. A zero Domains or Weeks takes its default; a
+// negative one is an error.
 func Run(ctx context.Context, cfg Config) (*Results, error) {
+	if cfg.Domains < 0 || cfg.Weeks < 0 {
+		return nil, fmt.Errorf("core: negative study shape: %d domains x %d weeks", cfg.Domains, cfg.Weeks)
+	}
 	if cfg.Domains == 0 {
 		cfg.Domains = 2000
 	}

@@ -11,6 +11,21 @@ import (
 	"clientres/internal/store"
 )
 
+func TestRunRefusesNegativeShape(t *testing.T) {
+	for _, cfg := range []Config{
+		{Domains: -3, Weeks: 2, SkipPoC: true},
+		{Domains: 5, Weeks: -1, SkipPoC: true},
+		{Domains: -1, Weeks: -1, SkipPoC: true, StorePath: filepath.Join(t.TempDir(), "neg.store")},
+	} {
+		res, err := Run(context.Background(), cfg)
+		if err == nil || res != nil {
+			t.Errorf("Run(%d domains x %d weeks) = %v, %v; want an error", cfg.Domains, cfg.Weeks, res, err)
+		} else if !strings.Contains(err.Error(), "negative") {
+			t.Errorf("Run(%d domains x %d weeks) error = %v; want it to name the negative shape", cfg.Domains, cfg.Weeks, err)
+		}
+	}
+}
+
 func TestRunDirect(t *testing.T) {
 	res, err := Run(context.Background(), Config{Domains: 300, Weeks: 25, Seed: 8})
 	if err != nil {
