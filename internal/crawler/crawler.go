@@ -31,7 +31,8 @@ type Config struct {
 	// Workers bounds concurrent fetches (default 64, what cmd/crawl and
 	// cmd/worker ship).
 	Workers int
-	// Timeout bounds one fetch including body read (default 10s).
+	// Timeout bounds one attempt — one HTTP exchange, headers and body
+	// read — with a context deadline (default 10s).
 	Timeout time.Duration
 	// FetchTimeout, when positive, bounds one whole Fetch — every attempt,
 	// backoff sleep, and same-site script fetch of one (domain, week) —
@@ -204,7 +205,7 @@ func New(cfg Config) *Crawler {
 	}
 	c := &Crawler{
 		cfg:     cfg,
-		client:  &http.Client{Transport: transport, Timeout: cfg.Timeout},
+		client:  &http.Client{Transport: transport},
 		backoff: cfg.Backoff.withDefaults(),
 	}
 	if r := cfg.Resilience; r.Enabled {
@@ -388,7 +389,14 @@ const drainLimit = 256 << 10
 // body, and the attempt's wall time. Connection-level failures — dial,
 // timeout, mid-body errors — come back as err, still with the time the
 // failure took to surface.
+//
+// Config.Timeout is the deadline of the attempt's context, which covers Do
+// and the body read alike. It is not http.Client.Timeout: for a transport
+// that is not an *http.Transport — the record and replay wrappers — that
+// would cost a timer goroutine per request.
 func (c *Crawler) attempt(ctx context.Context, url string) (status int, body string, dur time.Duration, err error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, "", 0, err

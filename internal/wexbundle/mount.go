@@ -3,7 +3,6 @@
 package wexbundle
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -111,7 +110,11 @@ func (b *Bundle) load(lo, hi int) error {
 		}(s, c)
 	}
 	wg.Wait()
-	b.lo, b.hi, b.index = lo, hi, make(map[string]Record)
+	n := 0
+	for _, recs := range kept {
+		n += len(recs)
+	}
+	b.lo, b.hi, b.index = lo, hi, make(map[string]Record, n)
 	decoded, ended := 0, true
 	for s, c := range b.segs {
 		for _, rec := range kept[s] {
@@ -149,6 +152,7 @@ func (b *Bundle) Close() {
 type cursor struct {
 	path  string
 	lines *store.RawLines
+	dec   recordDecoder
 	done  bool
 	// ahead, when held, is a decoded record that belongs to a later read.
 	ahead Record
@@ -171,9 +175,8 @@ func (c *cursor) read(lo, hi int, keep func(Record)) (err error) {
 			if line, err = c.lines.Next(); err != nil {
 				break
 			}
-			c.ahead = Record{} // Unmarshal would merge into the last Header
-			if uerr := json.Unmarshal(line[1:], &c.ahead); uerr != nil {
-				err = fmt.Errorf("wexbundle: %s: corrupt record: %w", c.path, uerr)
+			if derr := c.dec.decode(line[1:], &c.ahead); derr != nil {
+				err = fmt.Errorf("wexbundle: %s: corrupt record: %w", c.path, derr)
 				break
 			}
 			if c.ahead.Week < c.week {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -49,7 +50,7 @@ func (t *RecordingTransport) RoundTrip(req *http.Request) (*http.Response, error
 	if aerr := t.W.Append(rec); aerr != nil {
 		return nil, fmt.Errorf("wexbundle: record: %w", aerr)
 	}
-	resp.Body = &replayBody{data: body, err: rerr}
+	resp.Body = &replayBody{data: rec.Body, err: rerr}
 	return resp, nil
 }
 
@@ -81,27 +82,40 @@ func (t *replayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if rec.Err != "" {
 		berr = errors.New(rec.Err) // mid-body failure after the recorded prefix
 	}
-	hdr := make(http.Header, len(rec.Header))
-	for k, v := range rec.Header {
-		hdr[k] = append([]string(nil), v...)
+	hdr := rec.Header.Clone() // the caller may write to it; the record is shared
+	if hdr == nil {
+		hdr = http.Header{}
 	}
 	return &http.Response{
-		Status:        fmt.Sprintf("%d %s", rec.Status, http.StatusText(rec.Status)),
+		Status:        statusLine(rec.Status),
 		StatusCode:    rec.Status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
 		Header:        hdr,
-		Body:          &replayBody{data: []byte(rec.Body), err: berr},
+		Body:          &replayBody{data: rec.Body, err: berr},
 		ContentLength: int64(len(rec.Body)),
 		Request:       req,
 	}, nil
 }
 
+// statusLine is Response.Status as net/http reports it live from a Go
+// server: the code and its reason phrase, or "status code N" for a code
+// with none.
+func statusLine(code int) string {
+	n := strconv.Itoa(code)
+	if text := http.StatusText(code); text != "" {
+		return n + " " + text
+	}
+	return n + " status code " + n
+}
+
 // replayBody yields data, then err (or EOF) — reproducing a recorded body
-// byte-for-byte including where a live read failed mid-stream.
+// byte-for-byte including where a live read failed mid-stream. It reads
+// the record's own string: replay copies a body only into the caller's
+// buffer.
 type replayBody struct {
-	data []byte
+	data string
 	off  int
 	err  error
 }

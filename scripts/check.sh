@@ -32,6 +32,8 @@ sh scripts/fuzz-smoke.sh
 echo "==> bench smoke (segment decode + fingerprint memo + signature scan + serve audit + ReDoS input size, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkStoreDecodeSegment|BenchmarkFingerprintMemo|BenchmarkSignatureScan|BenchmarkServeAudit|BenchmarkServeBatch|BenchmarkAblationReDoSInputSize' \
 	-benchmem -benchtime 1x .
+echo "==> bench smoke (bundle record decode, 1 iteration)"
+go test -run '^$' -bench 'BenchmarkDecodeRecord' -benchmem -benchtime 1x ./internal/wexbundle
 
 # Chaos-crawl smoke: an end-to-end cmd/crawl run with fault injection and
 # the resilience layer on. Proves the fault drill terminates and the
