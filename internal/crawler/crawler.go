@@ -283,8 +283,8 @@ func (c *Crawler) Fetch(ctx context.Context, week int, domain string) Page {
 func (c *Crawler) fetchScripts(ctx context.Context, week int, domain, html string) []Script {
 	var out []Script
 	for _, src := range htmlx.ScriptSrcs(html) {
-		if strings.HasPrefix(src, "//") || strings.Contains(src, "://") {
-			continue // cross-origin: landing-page study fetches same-site only
+		if !sameSitePath(src) {
+			continue // landing-page study fetches same-site scripts only
 		}
 		if len(out) >= MaxScriptsPerPage {
 			break
@@ -297,6 +297,31 @@ func (c *Crawler) fetchScripts(ctx context.Context, week int, domain, html strin
 		out = append(out, Script{URL: src, Body: body, Status: sp.Status, Duration: sp.Duration})
 	}
 	return out
+}
+
+// sameSitePath reports whether a script src names a path on the page's own
+// site: it has no scheme ("https:", "data:", "javascript:", "blob:") and
+// no authority ("//cdn.example/x.js"). A scheme is a letter followed by
+// letters, digits, '+', '-' and '.', ended by the first ':' with no '/',
+// '?' or '#' before it — so "/r?u=https://a/b.js" is a same-site path.
+func sameSitePath(src string) bool {
+	if strings.HasPrefix(src, "//") {
+		return false
+	}
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; {
+		case c == ':':
+			return i == 0
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+		case '0' <= c && c <= '9' || c == '+' || c == '-' || c == '.':
+			if i == 0 {
+				return true
+			}
+		default:
+			return true
+		}
+	}
+	return true
 }
 
 // FetchURL retrieves an arbitrary http(s) URL through the same resilient

@@ -23,7 +23,6 @@ package webgen
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"clientres/internal/semver"
@@ -72,7 +71,7 @@ func (s *Site) genBundle(cfg Config) {
 	if b.Fraction <= 0 || s.Static || s.WordPress || len(s.Libs) == 0 {
 		return
 	}
-	rng := rand.New(rand.NewSource(mix(s.seed, 0xb0d1e5)))
+	rng := newStream(mix(s.seed, 0xb0d1e5))
 	if rng.Float64() >= b.Fraction {
 		return
 	}
@@ -190,7 +189,7 @@ func librarySource(slug string, ver semver.Version, minify bool) string {
 	if f, ok := codeIdioms[slug]; ok {
 		idiom = fmt.Sprintf(f, v)
 	}
-	rng := rand.New(rand.NewSource(mix(contentSeed(slug), contentSeed(v))))
+	rng := newStream(mix(contentSeed(slug), contentSeed(v)))
 	nf := 3 + rng.Intn(5)
 	type filler struct{ mul, mod, init int }
 	fills := make([]filler, nf)
@@ -276,9 +275,12 @@ func (e *Ecosystem) AssetJS(i, week int, path string) (string, bool) {
 		return "", false
 	}
 	if t.Bundled {
-		name, body := bundleInfo(s, t)
-		if path == "/assets/"+name {
-			return body, true
+		// Only a bundle path is worth assembling the bundle for: its name
+		// carries the hash of the whole body.
+		if strings.HasPrefix(path, "/assets/bundle.") {
+			if name, body := bundleInfo(s, t); path == "/assets/"+name {
+				return body, true
+			}
 		}
 	} else {
 		style := siteURLStyle(s)

@@ -2,7 +2,6 @@ package webgen
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"clientres/internal/cdn"
@@ -37,17 +36,13 @@ const (
 	styleQueryVersion                 // /js/jquery.min.js?v=1.12.4
 )
 
-// renderRNG returns the site's stable rendering RNG; every week renders the
-// same structural choices so that version changes are the only diffs.
-func renderRNG(s *Site) *rand.Rand {
-	return rand.New(rand.NewSource(mix(s.seed, 0x12e4de12)))
-}
-
 // siteURLStyle resolves the site's internal asset URL shape — the first
-// draw of the rendering RNG, shared by renderPage and AssetJS so the
-// served body for a src always matches the tag that referenced it.
+// draw of the site's stable rendering stream, so every week renders the same
+// structural choice and version changes are the only diffs. renderPage and
+// AssetJS share it so the served body for a src always matches the tag that
+// referenced it.
 func siteURLStyle(s *Site) urlStyle {
-	return urlStyle(renderRNG(s).Intn(3))
+	return urlStyle(newStream(mix(s.seed, 0x12e4de12)).Intn(3))
 }
 
 func renderPage(s *Site, t PageTruth) string {

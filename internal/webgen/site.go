@@ -377,7 +377,7 @@ const pctWPMigrateTheme = 0.72
 // (cfg.Seed, rank) so profiles are independent of generation order.
 func newSite(cfg Config, dom alexa.Domain) *Site {
 	seed := mix(cfg.Seed, int64(dom.Rank))
-	rng := rand.New(rand.NewSource(seed))
+	rng := newStream(seed)
 	s := &Site{Domain: dom, seed: seed, DeadFromWeek: -1}
 
 	s.genAccessibility(cfg, rng)

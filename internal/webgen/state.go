@@ -1,7 +1,6 @@
 package webgen
 
 import (
-	"math/rand"
 	"time"
 
 	"clientres/internal/semver"
@@ -70,12 +69,23 @@ func (e *Ecosystem) Truth(i, week int) PageTruth {
 	return e.Sites[i].truth(week)
 }
 
+// Dead reports whether the domain of site index i is gone at week w: the
+// weeks PageHTML answers with status 0, decided without resolving the rest
+// of the page.
+func (e *Ecosystem) Dead(i, week int) bool {
+	return e.Sites[i].deadAt(week)
+}
+
+func (s *Site) deadAt(week int) bool {
+	return s.DeadFromWeek >= 0 && week >= s.DeadFromWeek
+}
+
 func (s *Site) truth(week int) PageTruth {
 	t := PageTruth{Week: week}
 	date := WeekDate(week)
 
 	// Accessibility.
-	if s.DeadFromWeek >= 0 && week >= s.DeadFromWeek {
+	if s.deadAt(week) {
 		return t // Status 0: gone
 	}
 	if failRoll(s.seed, week) < s.TransientFailP {
@@ -312,66 +322,4 @@ func transientStatus(seed int64, week int) int {
 	default:
 		return 503
 	}
-}
-
-// The per-(site, week) draws are the first draw of a math/rand v1 source
-// seeded for that (site, week), computed without building the source.
-//
-// rand.NewSource(s) fills its 607-word register from the Lehmer LCG
-// x ← 48271·x mod (2³¹−1), started at the normalised seed x₀: word i is
-// x₂₁₊₃ᵢ<<40 ^ x₂₂₊₃ᵢ<<20 ^ x₂₃₊₃ᵢ ^ rngCooked[i], with xₖ = x₀·48271ᵏ mod
-// (2³¹−1), and its first Int63 is (word[333] + word[606]) & (2⁶³−1). The
-// Go 1 compatibility promise freezes that stream (math/rand keeps its
-// seeded sequence stable across releases), so six powers and two cooked
-// words are all it takes; TestFirstDrawMatchesMathRand and FuzzFirstDraw
-// hold them to the real source.
-const (
-	lcgModulus = 1<<31 - 1
-	// 48271ᵏ mod (2³¹−1) for k = 1020, 1021, 1022 (word 333) and
-	// k = 1839, 1840, 1841 (word 606).
-	pow1020, pow1021, pow1022 = 2082024995, 1341337692, 1079773482
-	pow1839, pow1840, pow1841 = 933195560, 665897288, 2140244399
-	// rngCooked[333] and rngCooked[606] of GOROOT/src/math/rand/rng.go.
-	cooked333 = -4633371852008891965
-	cooked606 = 4152330101494654406
-)
-
-// firstInt63 returns rand.NewSource(seed).Int63() in O(1).
-func firstInt63(seed int64) int64 {
-	x := seed % lcgModulus
-	if x < 0 {
-		x += lcgModulus
-	}
-	if x == 0 {
-		x = 89482311
-	}
-	w333 := seededWord(uint64(x), pow1020, pow1021, pow1022, cooked333)
-	w606 := seededWord(uint64(x), pow1839, pow1840, pow1841, cooked606)
-	return (w333 + w606) & (1<<63 - 1)
-}
-
-// seededWord is one register word of a freshly seeded source: x₀ jumped
-// ahead by the three powers, shifted together and XORed with its cooked
-// word. x₀ and the powers are below 2³¹, so each product fits in 64 bits.
-func seededWord(x0, p0, p1, p2 uint64, cooked int64) int64 {
-	a, b, c := int64(x0*p0%lcgModulus), int64(x0*p1%lcgModulus), int64(x0*p2%lcgModulus)
-	return a<<40 ^ b<<20 ^ c ^ cooked
-}
-
-// firstFloat64 returns rand.New(rand.NewSource(seed)).Float64().
-func firstFloat64(seed int64) float64 {
-	if f := float64(firstInt63(seed)) / (1 << 63); f < 1 {
-		return f
-	}
-	// The quotient rounded up to 1, where Float64 draws again. A seed
-	// normalises to one of 2³¹−1 LCG states, and an exhaustive pass over
-	// them found none whose first Int63 comes within 4·10⁹ of 2⁶³, so this
-	// only guards the equivalence.
-	return rand.New(rand.NewSource(seed)).Float64()
-}
-
-// firstIntn4 returns rand.New(rand.NewSource(seed)).Intn(4). For a power of
-// two, Intn masks the low bits of Int31, the top 31 bits of the first Int63.
-func firstIntn4(seed int64) int {
-	return int(int32(firstInt63(seed)>>32) & 3)
 }

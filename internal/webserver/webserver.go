@@ -120,11 +120,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveAsset answers a same-site script request from the generator's
-// asset resolver. Dead weeks abort like the page does; anything the page
-// does not reference is a plain 404.
+// asset resolver, without rendering the page. Dead weeks abort like the
+// page does; inaccessible weeks and anything the page does not reference
+// are a plain 404.
 func (s *Server) serveAsset(w http.ResponseWriter, r *http.Request, i, week int, rest string) {
-	_, status := s.eco.PageHTML(i, week)
-	if status == 0 {
+	if s.eco.Dead(i, week) {
 		abort(w)
 		return
 	}

@@ -34,6 +34,8 @@ go test -run '^$' -bench 'BenchmarkStoreDecodeSegment|BenchmarkFingerprintMemo|B
 	-benchmem -benchtime 1x .
 echo "==> bench smoke (bundle record decode, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkDecodeRecord' -benchmem -benchtime 1x ./internal/wexbundle
+echo "==> bench smoke (synthetic web request mix, 1 iteration)"
+go test -run '^$' -bench 'BenchmarkServeRequestMix' -benchmem -benchtime 1x ./internal/webserver
 
 # Chaos-crawl smoke: an end-to-end cmd/crawl run with fault injection and
 # the resilience layer on. Proves the fault drill terminates and the
