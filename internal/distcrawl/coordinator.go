@@ -363,6 +363,11 @@ func (c *Coordinator) Spans() []Span {
 	return c.Status().Spans
 }
 
+// maxRequestBytes bounds one protocol request body. The largest request, a
+// commit carrying the worker's metrics snapshot, is a few kilobytes; a
+// longer body is refused with 400 instead of streamed into the decoder.
+const maxRequestBytes = 1 << 20
+
 // Handler returns the coordinator's HTTP protocol surface.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -372,7 +377,7 @@ func (c *Coordinator) Handler() http.Handler {
 				http.Error(w, "POST only", http.StatusMethodNotAllowed)
 				return
 			}
-			resp, err := fn(json.NewDecoder(r.Body))
+			resp, err := fn(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)))
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return

@@ -2,12 +2,11 @@ package distcrawl
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
+	"clientres/internal/alexa"
 	"clientres/internal/core"
 	"clientres/internal/store"
-	"clientres/internal/webgen"
 )
 
 // MergeOptions parameterizes Merge.
@@ -20,9 +19,7 @@ type MergeOptions struct {
 
 // Merge turns a completed (or partially crawled) distributed run into one
 // Results: every accepted span's generation is sealed if its worker
-// never closed it — ResumeSegmented truncates the torn tail back to the
-// last store commit and an immediate Close writes the manifest of
-// exactly the committed prefix — then all spans replay through
+// never closed it (see sealGeneration), then all spans replay through
 // core.MergeWorkerStores with their coordinator-accepted week ranges.
 // The per-partition expected observation counts are recomputed from the
 // spec's seed, so a short or padded generation fails the merge loudly.
@@ -41,12 +38,11 @@ func Merge(spec RunSpec, spans []Span, opt MergeOptions) (*core.Results, error) 
 			FromWeek: sp.FromWeek, ToWeek: sp.ToWeek,
 		})
 	}
-	// The expected per-partition domain counts come from the same
-	// deterministic population every worker crawled.
-	eco := webgen.New(webgen.Config{Domains: spec.Domains, Weeks: spec.Weeks, Seed: spec.Seed, Bundling: spec.Bundling})
+	// The expected per-partition domain counts come from the same domain
+	// list every worker's ecosystem was generated on.
 	perPart := make([]int, spec.Partitions)
-	for i := range eco.Sites {
-		perPart[store.ShardOf(eco.Sites[i].Domain.Name, spec.Partitions)]++
+	for _, d := range alexa.Generate(spec.Domains, spec.Seed).Domains {
+		perPart[store.ShardOf(d.Name, spec.Partitions)]++
 	}
 	return core.MergeWorkerStores(replay, core.MergeConfig{
 		Weeks: spec.Weeks, Domains: spec.Domains, Partitions: spec.Partitions,
@@ -56,26 +52,16 @@ func Merge(spec RunSpec, spans []Span, opt MergeOptions) (*core.Results, error) 
 
 // sealGeneration makes an unsealed generation directory readable: a
 // worker that crashed (or was fenced) left fsynced segments plus a
-// checkpoint but no manifest. Resuming at the checkpoint's own identity
-// amputates any torn tail past the last commit, and closing immediately
-// writes a manifest covering exactly the committed prefix. A generation
-// its worker closed cleanly already has a manifest and is left alone.
+// checkpoint but no manifest. store.Salvage — the seal `fsck -repair`
+// uses — truncates every segment back to the journal's committed offsets,
+// re-hashes the committed members against it and writes a manifest marked
+// salvaged. A generation its worker closed cleanly already has a manifest
+// and is left alone.
 func sealGeneration(dir string) error {
 	if store.IsSegmented(dir) {
 		return nil
 	}
-	if _, err := os.Stat(dir); err != nil {
-		return fmt.Errorf("distcrawl: generation %s missing: %w", dir, err)
-	}
-	ck, err := store.ReadCheckpoint(dir)
-	if err != nil {
-		return fmt.Errorf("distcrawl: sealing %s: %w", dir, err)
-	}
-	w, _, err := store.ResumeSegmented(dir, store.SegmentedOptions{Run: ck.Run})
-	if err != nil {
-		return fmt.Errorf("distcrawl: sealing %s: %w", dir, err)
-	}
-	if err := w.Close(); err != nil {
+	if _, err := store.Salvage(dir); err != nil {
 		return fmt.Errorf("distcrawl: sealing %s: %w", dir, err)
 	}
 	return nil

@@ -14,15 +14,14 @@
 // Failure model: leases are time-boxed and renewed by heartbeat. A
 // missed renewal expires the lease and the partition is reassigned to a
 // surviving worker under a new, strictly larger epoch; the new assignment
-// starts at the dead worker's last *accepted* week. Every epoch writes
-// its own generation directory — a zombie whose lease expired keeps
-// appending only to files nobody else will ever adopt, and its late
-// week-commits are fenced twice: the coordinator rejects the stale epoch,
-// and the store layer refuses a CommitWeek under an epoch older than the
-// journal's (store.ErrFenced). The dataset is defined by the
-// coordinator's accepted commit spans; the merge week-filters every
-// generation down to its span, so nothing a zombie wrote past its lease
-// can leak into the report.
+// starts at the dead worker's last *accepted* week. The coordinator is the
+// one fence: it refuses a renew or commit under any but the live epoch.
+// Every epoch writes its own generation directory, so a zombie whose
+// lease expired keeps appending only to files nobody else will ever open.
+// The dataset is defined by the coordinator's accepted commit spans; the
+// merge seals each unsealed generation with store.Salvage and week-filters
+// every generation down to its span, so nothing a zombie wrote past its
+// lease can leak into the report.
 package distcrawl
 
 import (

@@ -182,10 +182,6 @@ func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseRespons
 			}
 		}
 		if err := sw.CommitWeek(req.Week); err != nil {
-			if errors.Is(err, store.ErrFenced) {
-				w.fenced(l.Partition, l.Epoch, req.Week, err.Error())
-				return errAssignment{err}
-			}
 			return err
 		}
 		resp, err := w.Coord.Commit(req)

@@ -261,13 +261,6 @@ var pocs = []PoC{
 	},
 }
 
-// PoCs returns the full registry in Table 2 order.
-func PoCs() []PoC {
-	out := make([]PoC, len(pocs))
-	copy(out, pocs)
-	return out
-}
-
 // PoCFor returns the PoC for an advisory ID.
 func PoCFor(id string) (PoC, error) {
 	for _, p := range pocs {

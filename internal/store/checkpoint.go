@@ -16,7 +16,6 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,8 +28,9 @@ const CheckpointName = "checkpoint.json"
 const CheckpointVersion = 1
 
 // RunID identifies the run a checkpoint belongs to. A resume refuses a
-// checkpoint whose identity differs from the resuming configuration:
-// splicing weeks of two different runs would silently corrupt the study.
+// checkpoint whose identity differs from the resuming configuration in any
+// field: splicing weeks of two different runs would silently corrupt the
+// study.
 type RunID struct {
 	Seed    int64 `json:"seed"`
 	Domains int   `json:"domains"`
@@ -43,29 +43,11 @@ type RunID struct {
 	// whole-study stores — partition 0 of a 1-partition run is the whole
 	// study, so the zero value stays backward compatible).
 	Partition int `json:"partition,omitempty"`
-	// Epoch is the fencing token of the lease this store was written
-	// under (distributed crawls; 0 otherwise). Epochs only grow: a
-	// takeover resume with a higher epoch re-stamps the checkpoint, after
-	// which CommitWeek under any older epoch fails with ErrFenced — a
-	// zombie worker whose lease expired cannot commit over its successor.
+	// Epoch is the lease epoch this store was written under (distributed
+	// crawls; 0 otherwise). Every epoch writes its own generation
+	// directory, so a resume under any other epoch is a different run.
 	Epoch int64 `json:"epoch,omitempty"`
 }
-
-// SameStudy reports whether two run identities describe the same study
-// shape — equal in everything but the lease epoch. This is the comparison
-// a distributed takeover uses: the new lease holder carries a higher
-// epoch by design, but must refuse to adopt a store of a different study.
-func (r RunID) SameStudy(o RunID) bool {
-	r.Epoch, o.Epoch = 0, 0
-	return r == o
-}
-
-// ErrFenced reports a checkpoint commit refused because a newer lease
-// epoch has taken ownership of the store: the on-disk journal carries a
-// higher RunID.Epoch than the committing writer. The writer's lease has
-// expired and its partition was reassigned — its work since the last
-// accepted commit must be discarded, never spliced into the archive.
-var ErrFenced = errors.New("store: fenced: a newer epoch owns this store's checkpoint")
 
 // Checkpoint is the on-disk journal state: everything through week
 // CommittedWeeks-1 is durably on disk at the recorded per-segment offsets.

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -120,7 +121,7 @@ func TestCheckpointCommitResumeRoundTrip(t *testing.T) {
 // TestResumeRefusesDifferentRun: a checkpoint stamped by one run must not
 // be resumable under a different configuration.
 func TestResumeRefusesDifferentRun(t *testing.T) {
-	run := RunID{Seed: 5, Domains: 8, Weeks: 3}
+	run := RunID{Seed: 5, Domains: 8, Weeks: 3, Partition: 1, Epoch: 2}
 	weeks := byWeek(genObs(8, 3), 3)
 	dir := filepath.Join(t.TempDir(), "store")
 	w, err := CreateSegmentedWith(dir, 2, SegmentedOptions{Checkpoint: true, Run: run})
@@ -143,10 +144,58 @@ func TestResumeRefusesDifferentRun(t *testing.T) {
 		!strings.Contains(err.Error(), "different run") {
 		t.Fatalf("resume with wrong RunID: %v", err)
 	}
-	// A zero RunID skips the identity check (cmd/fsck has no config).
-	w2, _, err := ResumeSegmented(dir, SegmentedOptions{})
-	if err != nil {
+	// The zero RunID is a different run too; refused, nothing is touched.
+	before := dirContents(t, dir)
+	if _, _, err := ResumeSegmented(dir, SegmentedOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "different run") {
 		t.Fatalf("resume with zero RunID: %v", err)
+	}
+	if got := dirContents(t, dir); !reflect.DeepEqual(got, before) {
+		t.Fatal("refused resume with zero RunID changed the directory")
+	}
+}
+
+// TestResumeRefusesStaleEpochAndForeignStudy: another lease epoch of the
+// same study is another run, whichever way it differs, and so is another
+// study under any epoch; each is refused with the directory untouched.
+// The same epoch is the crash-restart of the lease holder and resumes.
+func TestResumeRefusesStaleEpochAndForeignStudy(t *testing.T) {
+	run := RunID{Seed: 7, Domains: 4, Weeks: 3, Mode: 1, Partition: 2, Epoch: 5}
+	dir := filepath.Join(t.TempDir(), "store")
+	w, err := CreateSegmentedWith(dir, 2, SegmentedOptions{Checkpoint: true, Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range byWeek(genObs(4, 3), 3)[0] {
+		if err := w.Write(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.CommitWeek(0); err != nil {
+		t.Fatal(err)
+	}
+	_ = w.Abort()
+
+	before := dirContents(t, dir)
+	older, newer, foreign := run, run, run
+	older.Epoch--
+	newer.Epoch++
+	foreign.Seed++
+	for _, id := range []RunID{older, newer, foreign} {
+		if _, _, err := ResumeSegmented(dir, SegmentedOptions{Run: id}); err == nil ||
+			!strings.Contains(err.Error(), "different run") {
+			t.Fatalf("resume with RunID %+v: %v", id, err)
+		}
+		if got := dirContents(t, dir); !reflect.DeepEqual(got, before) {
+			t.Fatalf("refused resume with RunID %+v changed the directory", id)
+		}
+	}
+	w2, ck, err := ResumeSegmented(dir, SegmentedOptions{Run: run})
+	if err != nil {
+		t.Fatalf("same-epoch resume: %v", err)
+	}
+	if ck.CommittedWeeks != 1 || ck.Run != run {
+		t.Fatalf("same-epoch resume sees %+v", ck)
 	}
 	_ = w2.Abort()
 }

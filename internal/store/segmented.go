@@ -241,17 +241,6 @@ func (w *SegmentedWriter) CommitWeek(week int) error {
 	if week+1 <= w.committedWeeks {
 		return fmt.Errorf("store: %s: CommitWeek(%d) after %d weeks already committed", w.dir, week, w.committedWeeks)
 	}
-	// Fencing check: a distributed writer (Run.Epoch set) re-reads the
-	// on-disk journal before committing. A higher epoch there means a
-	// takeover resume happened underneath us — our lease expired and the
-	// partition was reassigned. Refuse before touching the segments: a
-	// zombie's late commit must never clobber its successor's journal.
-	if w.opt.Run.Epoch > 0 {
-		if ck, err := ReadCheckpoint(w.dir); err == nil && ck.Run.Epoch > w.opt.Run.Epoch {
-			return fmt.Errorf("%w (on-disk epoch %d, writer epoch %d)",
-				ErrFenced, ck.Run.Epoch, w.opt.Run.Epoch)
-		}
-	}
 	ck := Checkpoint{
 		Version:        CheckpointVersion,
 		Format:         w.opt.Format,
@@ -351,13 +340,9 @@ func writeManifest(fsys FS, dir string, man Manifest) error {
 // must be of the codec the caller writes (opt.Format; zero means
 // observations): a resume pointed at the sealed bundle instead of the
 // store beside it, or the other way round, or at a store of an earlier
-// release, leaves the directory as it found it. opt.Run, when non-zero,
-// must match the checkpoint's run identity — with one sanctioned
-// exception: a takeover resume whose RunID differs only by a *higher*
-// Epoch adopts the store, immediately re-stamping the journal with the new
-// epoch so any still-running older-epoch writer is fenced at its next
-// CommitWeek. A resume under an epoch older than the journal's is itself
-// refused as fenced: a newer lease already owns the store.
+// release, leaves the directory as it found it. So must a journal stamped
+// by any other run than opt.Run — another seed, shape, partition or lease
+// epoch alike.
 func ResumeSegmented(dir string, opt SegmentedOptions) (*SegmentedWriter, Checkpoint, error) {
 	opt.Checkpoint = true
 	if err := opt.resolveFormat(dir); err != nil {
@@ -373,30 +358,12 @@ func ResumeSegmented(dir string, opt SegmentedOptions) (*SegmentedWriter, Checkp
 			"(v3 is an observation store, v4 a web-execution bundle) — nothing was changed",
 			dir, ck.Format, opt.Format)
 	}
-	takeover := false
-	if opt.Run != (RunID{}) && ck.Run != opt.Run {
-		if !ck.Run.SameStudy(opt.Run) {
-			return nil, Checkpoint{}, fmt.Errorf("store: %s: checkpoint belongs to a different run (have %+v, want %+v)",
-				dir, ck.Run, opt.Run)
-		}
-		if opt.Run.Epoch < ck.Run.Epoch {
-			return nil, Checkpoint{}, fmt.Errorf("%w (on-disk epoch %d, resuming epoch %d)",
-				ErrFenced, ck.Run.Epoch, opt.Run.Epoch)
-		}
-		takeover = true
+	if ck.Run != opt.Run {
+		return nil, Checkpoint{}, fmt.Errorf("store: %s: checkpoint belongs to a different run (have %+v, want %+v)",
+			dir, ck.Run, opt.Run)
 	}
 	if err := fsys.Remove(filepath.Join(dir, ManifestName)); err != nil && !os.IsNotExist(err) {
 		return nil, Checkpoint{}, fmt.Errorf("store: %w", err)
-	}
-	if takeover {
-		// Plant the fence before touching any segment: once the re-stamped
-		// journal is durable, the previous epoch's writer can no longer
-		// commit (CommitWeek re-reads the journal and refuses on a higher
-		// epoch), so the committed prefix we are about to adopt is stable.
-		ck.Run = opt.Run
-		if err := writeCheckpoint(fsys, dir, ck); err != nil {
-			return nil, Checkpoint{}, err
-		}
 	}
 	w := &SegmentedWriter{dir: dir, fsys: fsys, opt: opt,
 		segs: make([]*Writer, ck.Segments), committedWeeks: ck.CommittedWeeks}

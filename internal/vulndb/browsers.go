@@ -60,10 +60,6 @@ var officialSnippetSRI = map[string]bool{
 	"bootstrap": true,
 }
 
-// OfficialSnippetHasSRI reports whether a library's official site provides
-// an integrity-bearing code snippet.
-func OfficialSnippetHasSRI(slug string) bool { return officialSnippetSRI[slug] }
-
 // LibrariesWithSRISnippet returns the top-15 libraries whose official
 // snippet includes integrity (the paper found one of fifteen).
 func LibrariesWithSRISnippet() []Library {

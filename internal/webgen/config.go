@@ -84,16 +84,6 @@ func New(cfg Config) *Ecosystem {
 	return e
 }
 
-// SiteByName returns the site for a domain name.
-func (e *Ecosystem) SiteByName(name string) (*Site, bool) {
-	for _, s := range e.Sites {
-		if s.Domain.Name == name {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
 // mix folds integers into a well-spread 64-bit seed (splitmix64 finalizer).
 func mix(vals ...int64) int64 {
 	var h uint64 = 0x9e3779b97f4a7c15

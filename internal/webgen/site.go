@@ -322,17 +322,6 @@ var calib = []libCalib{
 	},
 }
 
-// CalibratedUsage returns the target average usage fraction for a top-15
-// library slug (Table 1). Exposed for calibration tests and EXPERIMENTS.md.
-func CalibratedUsage(slug string) (float64, bool) {
-	for _, c := range calib {
-		if c.slug == slug {
-			return c.usage, true
-		}
-	}
-	return 0, false
-}
-
 // wpInitial is the WordPress core version mix at the study start.
 var wpInitial = []versionWeight{
 	{"4.9", 50}, {"4.8", 12}, {"4.7", 10}, {"4.6", 5}, {"4.5", 4},

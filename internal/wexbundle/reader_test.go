@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"clientres/internal/store"
 )
@@ -378,6 +379,20 @@ func openFDs() int {
 	return len(ents)
 }
 
+// goroutinesAfter polls runtime.NumGoroutine until it is down to want or a
+// second has passed, and returns the last count: a goroutine that has
+// already called its WaitGroup's Done is counted until it returns.
+func goroutinesAfter(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		g := runtime.NumGoroutine()
+		if g <= want || time.Now().After(deadline) {
+			return g
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestAbandonedReaderLeaksNothing: between two Advance calls a reader is
 // open files and buffers — no goroutine — and Close releases the files
 // wherever the reader stopped.
@@ -395,7 +410,7 @@ func TestAbandonedReaderLeaksNothing(t *testing.T) {
 	if err := b.Advance(1); err != nil {
 		t.Fatal(err)
 	}
-	if g := runtime.NumGoroutine(); g > goroutines {
+	if g := goroutinesAfter(goroutines); g > goroutines {
 		t.Errorf("%d goroutines between two Advance calls, %d before Open", g, goroutines)
 	}
 	if f := openFDs(); fds >= 0 && f != fds+3 {

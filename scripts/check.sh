@@ -282,6 +282,18 @@ grep -c 'lease granted' "$tmp/coord.log" | {
 }
 cmp "$tmp/dist-ref.report" "$tmp/dist.report" || {
 	echo "distributed merged report differs from the serial reference"; exit 1; }
+# Every sealed generation verifies, and the SIGKILLed victim's was sealed
+# by the merge through store.Salvage: its manifest is marked salvaged.
+salvaged=0
+for gen in "$tmp"/dist/part-*/gen-*; do
+	[ -f "$gen/manifest.json" ] || continue
+	"$tmp/fsck" -store "$gen" >/dev/null
+	if grep -q '"salvaged": true' "$gen/manifest.json"; then
+		salvaged=$((salvaged + 1))
+	fi
+done
+[ "$salvaged" -ge 1 ] || {
+	echo "no generation was sealed by the merge's salvage"; exit 1; }
 
 # Default-shape smoke: what gendata and crawl write with no store flag is
 # the format everything else here exercises — one checksummed v3 segment
