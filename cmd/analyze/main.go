@@ -1,12 +1,12 @@
 // Command analyze replays a stored observation dataset through every
 // analysis of the paper and prints the full table/figure report. The
 // input is a store directory (see cmd/gendata, cmd/crawl) or a single gzip
-// stream — one seg-NNNN.jsonl.gz of a store; when the segment count equals
-// -shards the replay decodes every segment concurrently straight into its
-// shard's collectors. A directory without a manifest — a run that was
-// killed or is still going — is refused, with the command that makes it
-// readable; so is an archive of an earlier release (format v1 or v2), with
-// the commit whose fsck converts it.
+// stream — one seg-NNNN.jsonl.gz of a store; it runs GOMAXPROCS shards, and
+// when the segment count equals that the replay decodes every segment
+// concurrently straight into its shard's collectors. A directory without a
+// manifest — a run that was killed or is still going — is refused, with the
+// command that makes it readable; so is an archive of an earlier release
+// (format v1 or v2), with the commit whose fsck converts it.
 //
 // With -batch it instead runs the offline NDJSON audit path: the same
 // record loop as the service's POST /v1/audit/batch (optionally gated by
@@ -16,11 +16,11 @@
 //
 // Usage:
 //
-//	analyze -in observations.store -weeks 201 -domains 20000 -shards 8
-//	analyze -in observations.store -shards 8 -cpuprofile analyze.pprof
+//	analyze -in observations.store -weeks 201 -domains 20000
+//	analyze -in observations.store -cpuprofile analyze.pprof
 //	analyze -in observations.store/seg-0000.jsonl.gz   # one segment file
 //	analyze -batch pages.ndjson -policy gate.yaml -now 2026-01-02T12:00:00Z
-//	analyze -bundle crawl.bundle -shards 8   # replay a recorded bundle, zero network
+//	analyze -bundle crawl.bundle   # replay a recorded bundle, zero network
 package main
 
 import (
@@ -31,6 +31,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"time"
 
 	"clientres/internal/core"
@@ -46,7 +47,6 @@ func main() {
 	in := flag.String("in", "observations.store", "input store directory, or one segment file of a store")
 	weeks := flag.Int("weeks", webgen.StudyWeeks, "snapshot weeks in the dataset")
 	domains := flag.Int("domains", 20000, "ranked population size of the dataset")
-	shards := flag.Int("shards", 1, "parallel analysis shards (results identical to -shards 1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	bundleScan := flag.Bool("bundle-scan", false, "append a bundle-detection summary: how many library detections came from content signatures vs URLs (with -bundle: fetch and scan same-site scripts during the replay)")
@@ -69,11 +69,12 @@ func main() {
 		log.Fatalf("analyze: %v", err)
 	}
 
+	shards := runtime.GOMAXPROCS(0)
 	var res *core.Results
 	if *bundle != "" {
-		res, err = runBundle(*bundle, *weeks, *domains, *seed, *shards, *bundleScan)
+		res, err = runBundle(*bundle, *weeks, *domains, *seed, shards, *bundleScan)
 	} else {
-		res, err = core.RunFromStore(*in, *weeks, *domains, *shards)
+		res, err = core.RunFromStore(*in, *weeks, *domains, shards)
 	}
 	stopCPU()
 	if err != nil {

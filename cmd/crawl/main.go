@@ -5,12 +5,13 @@
 // week-over-week identical), and stores the resulting observations in a
 // store directory: delta-encoded, checksummed segment files behind a
 // manifest that only a run that ended cleanly gets (an interrupted one
-// leaves a directory analyze refuses and `fsck -repair` salvages).
+// leaves a directory analyze refuses and `fsck -repair` salvages) for
+// cmd/analyze, which runs the analyses. It fingerprints on GOMAXPROCS shards.
 //
 // Usage:
 //
-//	crawl -domains 2000 -weeks 50 -workers 64 -shards 4 -out crawl.store
-//	crawl -shards 4 -segments 4 -out crawl.store -cpuprofile crawl.pprof
+//	crawl -domains 2000 -weeks 50 -workers 64 -out crawl.store
+//	crawl -segments 4 -out crawl.store -cpuprofile crawl.pprof
 //	crawl -politeness -chaos 0.2 -weeks 8 -out drill.store   # fault drill
 //	crawl -checkpoint -out crawl.store       # journal every completed week
 //	crawl -resume -out crawl.store           # continue a crashed run
@@ -25,6 +26,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime"
 	"time"
 
 	"clientres/internal/core"
@@ -39,7 +41,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	workers := flag.Int("workers", 64, "concurrent crawler workers")
 	fetchTimeout := flag.Duration("fetch-timeout", 0, "per-page fetch deadline covering all retries and script fetches (0 disables; an expired fetch records the usual status-0 observation)")
-	shards := flag.Int("shards", 1, "parallel fingerprint/analysis shards (results identical to -shards 1)")
 	segments := flag.Int("segments", 1, "segment files in the store directory; they write and replay in parallel (reports identical at every count)")
 	out := flag.String("out", "crawl.store", "output store directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -77,7 +78,7 @@ func main() {
 		Domains: *domains, Weeks: *weeks, Seed: *seed,
 		Bundling:   webgen.DefaultBundling(*bundleFrac),
 		BundleScan: *bundleScan,
-		Mode:       core.ModeCrawl, Workers: *workers, Shards: *shards,
+		Mode:       core.ModeCrawl, Workers: *workers, Shards: runtime.GOMAXPROCS(0),
 		FetchTimeout: *fetchTimeout,
 		StorePath:    *out, StoreSegments: *segments,
 		Resilience: crawler.Resilience{
@@ -94,12 +95,11 @@ func main() {
 		Resume:       *resume,
 		RecordBundle: *record,
 		ReplayBundle: *replay,
-		SkipPoC:      true,
 		Progress: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
-	res, err := core.Run(ctx, cfg)
+	m, err := core.WriteStore(ctx, cfg)
 	stopCPU()
 	if err != nil {
 		log.Fatalf("crawl: %v", err)
@@ -107,12 +107,10 @@ func main() {
 	if err := prof.WriteHeap(*memprofile); err != nil {
 		log.Fatalf("crawl: %v", err)
 	}
-	if m := res.Crawl; m != nil {
-		fmt.Fprintf(os.Stderr,
-			"crawl metrics: attempts=%d retries=%d successes=%d conn_failures=%d breaker_trips=%d breaker_shed=%d budget_exhausted=%d bytes=%d waited=%s fetch_p50=%s fetch_p99=%s\n",
-			m.Attempts, m.Retries, m.Successes, m.ConnFailures,
-			m.BreakerTrips, m.BreakerShed, m.BudgetExhausted, m.Bytes,
-			m.Waited.Round(time.Millisecond), m.FetchP50, m.FetchP99)
-	}
+	fmt.Fprintf(os.Stderr,
+		"crawl metrics: attempts=%d retries=%d successes=%d conn_failures=%d breaker_trips=%d breaker_shed=%d budget_exhausted=%d bytes=%d waited=%s fetch_p50=%s fetch_p99=%s\n",
+		m.Attempts, m.Retries, m.Successes, m.ConnFailures,
+		m.BreakerTrips, m.BreakerShed, m.BudgetExhausted, m.Bytes,
+		m.Waited.Round(time.Millisecond), m.FetchP50, m.FetchP99)
 	fmt.Printf("crawled %d domains x %d weeks into %s\n", *domains, *weeks, *out)
 }

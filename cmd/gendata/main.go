@@ -1,7 +1,8 @@
 // Command gendata generates a synthetic-web observation dataset — the
 // offline stand-in for the paper's four-year Alexa-1M crawl — and writes it
 // as a store directory (delta-encoded, checksummed gzip segments behind a
-// manifest) for cmd/analyze.
+// manifest) for cmd/analyze, which runs the analyses. One shard writes each
+// segment, so the store's bytes depend on the population and -segments only.
 //
 // Usage:
 //
@@ -38,14 +39,14 @@ func main() {
 	cfg := core.Config{
 		Domains: *domains, Weeks: *weeks, Seed: *seed,
 		Bundling:  webgen.DefaultBundling(*bundleFrac),
-		StorePath: *out, StoreSegments: *segments, SkipPoC: true,
+		StorePath: *out, StoreSegments: *segments, Shards: *segments,
 	}
 	if !*quiet {
 		cfg.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	if _, err := core.Run(context.Background(), cfg); err != nil {
+	if _, err := core.WriteStore(context.Background(), cfg); err != nil {
 		log.Fatalf("gendata: %v", err)
 	}
 	fmt.Printf("wrote %d domains x %d weeks to %s\n", *domains, *weeks, *out)

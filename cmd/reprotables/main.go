@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 
 	"clientres/internal/core"
 	"clientres/internal/webgen"
@@ -31,7 +32,7 @@ func main() {
 	csvDir := flag.String("csvdir", "", "also export full-resolution figure series as CSV into this directory")
 	flag.Parse()
 
-	cfg := core.Config{Domains: *domains, Weeks: *weeks, Seed: *seed, Workers: *workers}
+	cfg := core.Config{Domains: *domains, Weeks: *weeks, Seed: *seed, Workers: *workers, Shards: runtime.GOMAXPROCS(0)}
 	if *crawl {
 		cfg.Mode = core.ModeCrawl
 	}

@@ -56,9 +56,6 @@ func (r *Runner) Observe(obs store.Observation) {
 	}
 }
 
-// Collectors returns the runner's collectors.
-func (r *Runner) Collectors() []Collector { return r.collectors }
-
 // WeekDate re-exports the study calendar so downstream consumers need not
 // import webgen.
 func WeekDate(w int) time.Time { return webgen.WeekDate(w) }

@@ -86,15 +86,6 @@ func (d *Discontinued) MeanUsage(slug string) float64 {
 	return meanRatio(s, d.collected)
 }
 
-// UsageSeries returns the weekly site counts of a discontinued library.
-func (d *Discontinued) UsageSeries(slug string) []int {
-	s, ok := d.usage[slug]
-	if !ok {
-		return make([]int, d.weeks)
-	}
-	return s.Series()
-}
-
 // MigrationStats returns the jQuery-Cookie population and how many of those
 // domains migrated to JS-Cookie during the study (the paper found 39 %
 // migrated over seven years; within the four-year window the share is

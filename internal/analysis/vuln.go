@@ -327,18 +327,3 @@ func (v *VulnPrevalence) TopUndisclosedSites(n int) []UndisclosedSite {
 func (v *VulnPrevalence) MeanReadilyExploitableShare() float64 {
 	return meanRatio(v.vulnUncond, v.collected)
 }
-
-// MeanUndisclosedVulnerable quantifies the CVE-accuracy impact: the average
-// weekly count of sites vulnerable under TVV ranges beyond those counted
-// under the CVE ranges (the paper's "undisclosed in the wild" population).
-func (v *VulnPrevalence) MeanUndisclosedVulnerable() float64 {
-	tvv, cve := v.vulnTVV, v.vulnCVE
-	diff := make([]int, v.weeks)
-	for i := range diff {
-		d := tvv[i] - cve[i]
-		if d > 0 {
-			diff[i] = d
-		}
-	}
-	return meanInt(diff)
-}

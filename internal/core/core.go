@@ -207,8 +207,49 @@ func (r *Results) Merge(o *Results) {
 // Run executes the pipeline. A zero Domains or Weeks takes its default; a
 // negative one is an error.
 func Run(ctx context.Context, cfg Config) (*Results, error) {
+	cfg, err := cfg.normalized()
+	if err != nil {
+		return nil, err
+	}
+	shards := newShards(cfg.Weeks, cfg.Domains, cfg.Shards)
+	eco, crawl, err := study(ctx, cfg, shards)
+	if err != nil {
+		return nil, err
+	}
+	res := mergeShards(shards)
+	res.Eco, res.Crawl = eco, crawl
+	if !cfg.SkipPoC {
+		res.Findings, err = poclab.RunAll()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// WriteStore is Run's collection into cfg.StorePath — the same engine,
+// store bytes, checkpoints, resume and record/replay — without collectors
+// or the PoC lab; RunFromStore analyses what it writes. It returns the
+// crawler's metrics after a ModeCrawl run, nil after a direct one.
+func WriteStore(ctx context.Context, cfg Config) (*crawler.MetricsSnapshot, error) {
+	if cfg.StorePath == "" {
+		return nil, fmt.Errorf("core: WriteStore requires StorePath")
+	}
+	cfg, err := cfg.normalized()
+	if err != nil {
+		return nil, err
+	}
+	_, crawl, err := study(ctx, cfg, bareShards(cfg.Shards))
+	if err != nil {
+		return nil, err
+	}
+	return crawl, nil
+}
+
+// normalized returns cfg with its defaults taken, or why it cannot run.
+func (cfg Config) normalized() (Config, error) {
 	if cfg.Domains < 0 || cfg.Weeks < 0 {
-		return nil, fmt.Errorf("core: negative study shape: %d domains x %d weeks", cfg.Domains, cfg.Weeks)
+		return cfg, fmt.Errorf("core: negative study shape: %d domains x %d weeks", cfg.Domains, cfg.Weeks)
 	}
 	if cfg.Domains == 0 {
 		cfg.Domains = 2000
@@ -226,14 +267,21 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		cfg.Checkpoint = true
 	}
 	if cfg.Checkpoint && cfg.StorePath == "" {
-		return nil, fmt.Errorf("core: Checkpoint requires StorePath")
+		return cfg, fmt.Errorf("core: Checkpoint requires StorePath")
 	}
 	if (cfg.RecordBundle != "" || cfg.ReplayBundle != "") && cfg.Mode != ModeCrawl {
-		return nil, fmt.Errorf("core: bundle record/replay requires ModeCrawl")
+		return cfg, fmt.Errorf("core: bundle record/replay requires ModeCrawl")
 	}
 	if cfg.RecordBundle != "" && cfg.ReplayBundle != "" {
-		return nil, fmt.Errorf("core: RecordBundle and ReplayBundle are mutually exclusive")
+		return cfg, fmt.Errorf("core: RecordBundle and ReplayBundle are mutually exclusive")
 	}
+	return cfg, nil
+}
+
+// study generates a normalized configuration's population and collects it
+// into shards and, when cfg has one, its store. It returns the population
+// and, after a crawl, the crawler's metrics.
+func study(ctx context.Context, cfg Config, shards []*shard) (*webgen.Ecosystem, *crawler.MetricsSnapshot, error) {
 	eco := webgen.New(webgen.Config{Domains: cfg.Domains, Weeks: cfg.Weeks, Seed: cfg.Seed, Bundling: cfg.Bundling})
 
 	// resumed is the journal of the crashed run being resumed; its zero
@@ -249,11 +297,10 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 			writer, err = store.CreateSegmentedWith(cfg.StorePath, cfg.StoreSegments, opt)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
-	shards := newShards(cfg.Weeks, cfg.Domains, cfg.Shards)
 	var crawl *crawler.MetricsSnapshot
 	err := func() error {
 		if cfg.Resume {
@@ -271,19 +318,7 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	if writer != nil {
 		err = seal(writer, err)
 	}
-	if err != nil {
-		return nil, err
-	}
-
-	res := mergeShards(shards)
-	res.Eco, res.Crawl = eco, crawl
-	if !cfg.SkipPoC {
-		res.Findings, err = poclab.RunAll()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return eco, crawl, err
 }
 
 // runCommit is Run's week commit, nil without Checkpoint: a recording's
@@ -492,7 +527,7 @@ func CrawlPartition(ctx context.Context, cfg Config, eco *webgen.Ecosystem, part
 	ccfg := crawlerConfig(cfg)
 	ccfg.BaseURL = baseURL
 	src, cr := crawlSource(ccfg, eco, part, parts, 1, func(int) error { return nil })
-	err := collect(ctx, cfg, []*shard{{runner: analysis.NewRunner()}}, start, src, w, func(week int) error {
+	err := collect(ctx, cfg, bareShards(1), start, src, w, func(week int) error {
 		return commit(week, cr.Metrics())
 	})
 	return seal(w, err)

@@ -32,6 +32,16 @@ func newShards(weeks, domains, n int) []*shard {
 	return shards
 }
 
+// bareShards returns n shards without collectors: the write side of a
+// study (WriteStore, CrawlPartition), analysed when its store is replayed.
+func bareShards(n int) []*shard {
+	shards := make([]*shard, n)
+	for s := range shards {
+		shards[s] = &shard{runner: analysis.NewRunner()}
+	}
+	return shards
+}
+
 // mergeShards folds every shard's collectors into the first shard's
 // Results and returns it.
 func mergeShards(shards []*shard) *Results {

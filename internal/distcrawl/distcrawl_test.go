@@ -281,7 +281,6 @@ func TestCoordinatorRestartRehydrates(t *testing.T) {
 	if len(st.Spans) != 2 {
 		t.Fatalf("rehydrated %d spans, want 2: %+v", len(st.Spans), st.Spans)
 	}
-	SortSpans(st.Spans)
 	if st.Spans[0].ToWeek != 2 || st.Spans[1].ToWeek != 1 {
 		t.Errorf("rehydrated spans wrong: %+v", st.Spans)
 	}

@@ -2,7 +2,6 @@ package distcrawl
 
 import (
 	"fmt"
-	"sort"
 
 	"clientres/internal/alexa"
 	"clientres/internal/core"
@@ -65,15 +64,4 @@ func sealGeneration(dir string) error {
 		return fmt.Errorf("distcrawl: sealing %s: %w", dir, err)
 	}
 	return nil
-}
-
-// SortSpans orders spans partition-major, week-minor — the deterministic
-// order state files and tests present them in.
-func SortSpans(spans []Span) {
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Partition != spans[j].Partition {
-			return spans[i].Partition < spans[j].Partition
-		}
-		return spans[i].FromWeek < spans[j].FromWeek
-	})
 }

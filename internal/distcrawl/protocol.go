@@ -131,16 +131,6 @@ type CommitRequest struct {
 	Metrics crawler.MetricsSnapshot `json:"metrics"`
 }
 
-// weekCommit is the engine's week barrier for a worker whose commit is a
-// protocol request: req for the week, carrying the crawler's cumulative
-// metrics.
-func weekCommit(req CommitRequest, commit func(CommitRequest) error) func(int, crawler.MetricsSnapshot) error {
-	return func(week int, m crawler.MetricsSnapshot) error {
-		req.Week, req.Metrics = week, m
-		return commit(req)
-	}
-}
-
 // CommitResponse accepts or fences a week commit. An accepted commit also
 // renews the lease. Done reports the partition fully crawled: the commit
 // was of its last week.
@@ -201,13 +191,21 @@ func (c *Client) http() *http.Client {
 	return &http.Client{Timeout: 5 * time.Second}
 }
 
-// post round-trips one JSON request/response pair.
-func (c *Client) post(path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("distcrawl: %w", err)
+// call round-trips one protocol exchange: req as a JSON POST, or a GET when
+// req is nil, and a 200 reply decoded into resp. Any other status is an
+// error, whatever its body.
+func (c *Client) call(path string, req, resp any) error {
+	var r *http.Response
+	var err error
+	if req == nil {
+		r, err = c.http().Get(c.BaseURL + path)
+	} else {
+		var body []byte
+		if body, err = json.Marshal(req); err != nil {
+			return fmt.Errorf("distcrawl: %w", err)
+		}
+		r, err = c.http().Post(c.BaseURL+path, "application/json", bytes.NewReader(body))
 	}
-	r, err := c.http().Post(c.BaseURL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("distcrawl: %s: %w", path, err)
 	}
@@ -224,41 +222,34 @@ func (c *Client) post(path string, req, resp any) error {
 // Register introduces the worker and fetches the run spec.
 func (c *Client) Register(worker string) (RunSpec, error) {
 	var resp RegisterResponse
-	err := c.post(PathRegister, RegisterRequest{Worker: worker}, &resp)
+	err := c.call(PathRegister, RegisterRequest{Worker: worker}, &resp)
 	return resp.Spec, err
 }
 
 // Lease requests an assignment.
 func (c *Client) Lease(worker string) (LeaseResponse, error) {
 	var resp LeaseResponse
-	err := c.post(PathLease, LeaseRequest{Worker: worker}, &resp)
+	err := c.call(PathLease, LeaseRequest{Worker: worker}, &resp)
 	return resp, err
 }
 
 // Renew heartbeats a lease.
 func (c *Client) Renew(req RenewRequest) (RenewResponse, error) {
 	var resp RenewResponse
-	err := c.post(PathRenew, req, &resp)
+	err := c.call(PathRenew, req, &resp)
 	return resp, err
 }
 
 // Commit reports a durably committed week.
 func (c *Client) Commit(req CommitRequest) (CommitResponse, error) {
 	var resp CommitResponse
-	err := c.post(PathCommit, req, &resp)
+	err := c.call(PathCommit, req, &resp)
 	return resp, err
 }
 
 // Status fetches the coordinator's observable state.
 func (c *Client) Status() (StatusResponse, error) {
-	r, err := c.http().Get(c.BaseURL + PathStatus)
-	if err != nil {
-		return StatusResponse{}, fmt.Errorf("distcrawl: %s: %w", PathStatus, err)
-	}
-	defer r.Body.Close()
 	var resp StatusResponse
-	if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
-		return StatusResponse{}, fmt.Errorf("distcrawl: %s: %w", PathStatus, err)
-	}
-	return resp, nil
+	err := c.call(PathStatus, nil, &resp)
+	return resp, err
 }

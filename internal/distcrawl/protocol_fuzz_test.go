@@ -109,15 +109,18 @@ func TestHandlerBoundsRequestBody(t *testing.T) {
 	}
 }
 
-// FuzzClientResponses: whatever bytes a coordinator answers with, every
-// client call returns a value or a distcrawl error, never a panic.
+// FuzzClientResponses: whatever status and bytes a coordinator answers
+// with, every client call returns a value or a distcrawl error, never a
+// panic — and an error whenever the status is not 200, whatever the body.
 func FuzzClientResponses(f *testing.F) {
 	var mu sync.Mutex
+	var code int
 	var reply []byte
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		b := reply
+		c, b := code, reply
 		mu.Unlock()
+		w.WriteHeader(c)
 		_, _ = w.Write(b)
 	}))
 	f.Cleanup(srv.Close)
@@ -133,15 +136,18 @@ func FuzzClientResponses(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seed)
+		f.Add(uint16(0), seed)
+		f.Add(uint16(300), seed) // 500 with a well-formed body
 	}
-	f.Add([]byte(`{"assigned":{"x":1}}`))
-	f.Add([]byte(`{"spans":[{"metrics":{"Latency":[1,-2,3]}}]}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(uint16(0), []byte(`{"assigned":{"x":1}}`))
+	f.Add(uint16(0), []byte(`{"spans":[{"metrics":{"Latency":[1,-2,3]}}]}`))
+	f.Add(uint16(0), []byte(`null`))
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(4), []byte(`{}`)) // 204: a body is not allowed
+	f.Fuzz(func(t *testing.T, status uint16, data []byte) {
 		mu.Lock()
-		reply = data
+		// 200 through 599: a 1xx is an interim reply, not an answer.
+		code, reply = 200+int(status)%400, data
 		mu.Unlock()
 		var errs []error
 		_, err := c.Lease("w")
@@ -152,9 +158,12 @@ func FuzzClientResponses(f *testing.F) {
 		errs = append(errs, err)
 		_, err = c.Status()
 		errs = append(errs, err)
-		for _, err := range errs {
+		for i, err := range errs {
 			if err != nil && !strings.HasPrefix(err.Error(), "distcrawl: ") {
 				t.Fatalf("error without the package prefix: %v", err)
+			}
+			if err == nil && code != http.StatusOK {
+				t.Fatalf("call %d accepted an HTTP %d reply", i, code)
 			}
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"clientres/internal/core"
+	"clientres/internal/crawler"
 	"clientres/internal/store"
 	"clientres/internal/webgen"
 	"clientres/internal/webserver"
@@ -175,16 +176,16 @@ func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseRespons
 		}
 	}()
 
-	commit := func(req CommitRequest) error {
+	commit := func(week int, m crawler.MetricsSnapshot) error {
 		if w.OnWeek != nil {
-			if err := w.OnWeek(l.Partition, req.Week); err != nil {
+			if err := w.OnWeek(l.Partition, week); err != nil {
 				return errAssignment{err}
 			}
 		}
-		if err := sw.CommitWeek(req.Week); err != nil {
+		if err := sw.CommitWeek(week); err != nil {
 			return err
 		}
-		resp, err := w.Coord.Commit(req)
+		resp, err := w.Coord.Commit(CommitRequest{Worker: w.ID, Partition: l.Partition, Epoch: l.Epoch, Week: week, Metrics: m})
 		if err != nil {
 			return errAssignment{err}
 		}
@@ -192,16 +193,15 @@ func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseRespons
 			// Fenced: our store commit for this week is surplus — it lies
 			// outside the span the coordinator accepted, and the merge's
 			// week filter will never read it.
-			w.fenced(l.Partition, l.Epoch, req.Week, resp.Reason)
+			w.fenced(l.Partition, l.Epoch, week, resp.Reason)
 			return errAssignment{fmt.Errorf("distcrawl: commit fenced: %s", resp.Reason)}
 		}
-		w.logf("%s: partition %d epoch %d week %d committed", w.ID, l.Partition, l.Epoch, req.Week)
+		w.logf("%s: partition %d epoch %d week %d committed", w.ID, l.Partition, l.Epoch, week)
 		return nil
 	}
 	cfg := core.Config{Weeks: spec.Weeks, Seed: spec.Seed, BundleScan: spec.BundleScan,
 		Workers: w.CrawlWorkers, FetchTimeout: w.FetchTimeout}
-	err = core.CrawlPartition(actx, cfg, eco, l.Partition, spec.Partitions, l.StartWeek, baseURL, sw,
-		weekCommit(CommitRequest{Worker: w.ID, Partition: l.Partition, Epoch: l.Epoch}, commit))
+	err = core.CrawlPartition(actx, cfg, eco, l.Partition, spec.Partitions, l.StartWeek, baseURL, sw, commit)
 	cancel()
 	<-hbDone
 	if lost.Load() {

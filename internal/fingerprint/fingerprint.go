@@ -14,7 +14,6 @@ import (
 	"regexp"
 	"strings"
 
-	"clientres/internal/cdn"
 	"clientres/internal/htmlx"
 	"clientres/internal/semver"
 )
@@ -443,7 +442,3 @@ func splitPath(p string) []string {
 	}
 	return out
 }
-
-// HostKind re-exports the CDN classification for a hit's host, for
-// convenience in analyses.
-func (h LibraryHit) HostKind() cdn.HostKind { return cdn.Classify(h.Host) }

@@ -220,28 +220,51 @@ func Salvage(dir string) (SalvageResult, error) {
 }
 
 func salvageOn(fsys FS, dir string) (SalvageResult, error) {
-	_, err := Verify(dir)
-	if err == nil {
-		man, _ := ReadManifest(dir)
-		return SalvageResult{Segments: man.Segments, Counts: man.Counts,
-			Total: man.Total, Intact: true}, nil
+	// Only a manifest can make an archive intact. Without one, Verify would
+	// decode every segment just to fail, and the authority below decodes
+	// the committed data again.
+	if IsSegmented(dir) {
+		_, err := Verify(dir)
+		if err == nil {
+			man, _ := ReadManifest(dir)
+			return SalvageResult{Segments: man.Segments, Counts: man.Counts,
+				Total: man.Total, Intact: true}, nil
+		}
+		if errors.Is(err, errLegacy) {
+			return SalvageResult{}, err
+		}
 	}
-	if errors.Is(err, errLegacy) {
-		// A legacy journal or segment decodes to nothing here: either
-		// authority below would truncate or rewrite the archive away.
+	// A legacy journal or segment decodes to nothing here: either authority
+	// below would truncate or rewrite the archive away. A scan rewrites an
+	// observation store as v3, a bundle archive (any segment sniffing v4)
+	// in its own raw format.
+	paths, err := segmentFiles(dir)
+	if err != nil {
 		return SalvageResult{}, err
+	}
+	target := FormatDelta
+	for _, path := range paths {
+		format, err := sniffFormat(path)
+		if errors.Is(err, errLegacy) {
+			return SalvageResult{}, err
+		}
+		if format == FormatBundle {
+			target = FormatBundle
+		}
 	}
 	if HasCheckpoint(dir) {
 		ck, err := ReadCheckpoint(dir)
 		if err == nil {
 			return salvageFromCheckpoint(fsys, dir, ck)
 		}
+		if errors.Is(err, errLegacy) {
+			return SalvageResult{}, err
+		}
 		// A corrupt journal falls through to the scan: the atomic
 		// checkpoint commit makes this near-impossible, but a scan still
-		// recovers the data. (A legacy journal never gets here: Verify
-		// refused it above.)
+		// recovers the data.
 	}
-	return salvageByScan(fsys, dir)
+	return salvageByScan(fsys, dir, paths, target)
 }
 
 // salvageFromCheckpoint truncates every segment to its committed offset
@@ -301,27 +324,10 @@ func salvageFromCheckpoint(fsys FS, dir string, ck Checkpoint) (SalvageResult, e
 // never mistaken for the torn-tail decode errors salvage exists to absorb.
 var errSalvageWrite = errors.New("store: salvage rewrite failed")
 
-// salvageByScan rewrites each segment to its longest valid record prefix:
-// an observation store as v3, a bundle archive (any segment sniffing v4)
-// in its own raw format — bundle records are opaque here and must survive
-// byte-for-byte. A legacy segment is refused before any segment is
-// rewritten: its decode stops at the first byte, so the rewrite would put
-// an empty v3 segment in its place.
-func salvageByScan(fsys FS, dir string) (SalvageResult, error) {
-	paths, err := segmentFiles(dir)
-	if err != nil {
-		return SalvageResult{}, err
-	}
-	target := FormatDelta
-	for _, path := range paths {
-		format, err := sniffFormat(path)
-		if errors.Is(err, errLegacy) {
-			return SalvageResult{}, err
-		}
-		if format == FormatBundle {
-			target = FormatBundle
-		}
-	}
+// salvageByScan rewrites each segment to its longest valid record prefix
+// in target's format — bundle records are opaque here and must survive
+// byte-for-byte.
+func salvageByScan(fsys FS, dir string, paths []string, target int) (SalvageResult, error) {
 	res := SalvageResult{Segments: len(paths), Counts: make([]int, len(paths))}
 	members := make([][]Member, len(paths))
 	for i, path := range paths {

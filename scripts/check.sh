@@ -300,7 +300,7 @@ done
 # behind a manifest — and it replays identically as a store and as the bare
 # gzip stream of its segment. A crawl interrupted with Ctrl-C leaves no
 # manifest: analyze must refuse the directory, fsck -repair recovers it.
-echo "==> default-shape smoke (gendata + fsck, interrupted crawl refused, repaired)"
+echo "==> default-shape smoke (gendata + fsck, segment and shard counts, interrupted crawl refused, repaired)"
 go build -o "$tmp/gendata" ./cmd/gendata
 "$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -out "$tmp/default.store" >/dev/null
 "$tmp/fsck" -store "$tmp/default.store" | grep -q 'ok — format v3 (delta streams), 1 segments'
@@ -308,6 +308,15 @@ go build -o "$tmp/gendata" ./cmd/gendata
 "$tmp/analyze" -in "$tmp/default.store/seg-0000.jsonl.gz" -weeks 8 -domains 60 >"$tmp/default-seg.report"
 cmp "$tmp/default.report" "$tmp/default-seg.report" || {
 	echo "a one-segment store replays differently from its only segment"; exit 1; }
+# gendata writes one shard per segment and analyze runs one shard per core:
+# neither count may change the report.
+"$tmp/gendata" -domains 60 -weeks 8 -seed 7 -segments 3 -quiet -out "$tmp/default3.store" >/dev/null
+"$tmp/analyze" -in "$tmp/default3.store" -weeks 8 -domains 60 >"$tmp/default3.report"
+cmp "$tmp/default.report" "$tmp/default3.report" || {
+	echo "a three-segment store reports differently from a one-segment store"; exit 1; }
+GOMAXPROCS=1 "$tmp/analyze" -in "$tmp/default.store" -weeks 8 -domains 60 >"$tmp/default-serial.report"
+cmp "$tmp/default.report" "$tmp/default-serial.report" || {
+	echo "analyze on one shard reports differently from analyze on GOMAXPROCS shards"; exit 1; }
 
 "$tmp/crawl" -domains 80 -weeks 60 -seed 3 -workers 16 -out "$tmp/int.store" 2>"$tmp/int.log" >/dev/null &
 crawl_pid=$!
