@@ -92,8 +92,10 @@ type Config struct {
 	// opened, the crawler's transport serves only archived responses, read
 	// forward a week at a time, retries sleep no backoff, and PoliteCrawl is
 	// ignored — the bundle already holds what the resilience layer decided
-	// live. A replayed run's report is byte-identical to the live run that
-	// recorded the bundle.
+	// live. The study is the recorded one: Domains, Weeks, Seed and
+	// BundleScan left zero take the bundle's values, and one set to another
+	// value is refused. A replayed run's report is byte-identical to the
+	// live run that recorded the bundle.
 	ReplayBundle string
 	// Progress receives one line per collected week, when set.
 	Progress func(format string, args ...any)

@@ -17,6 +17,10 @@
 //	crawl -resume -out crawl.store           # continue a crashed run
 //	crawl -record crawl.bundle -out crawl.store   # archive every response
 //	crawl -replay crawl.bundle -out replay.store  # re-crawl with zero network
+//
+// A replay crawls the study its bundle recorded: -domains, -weeks, -seed and
+// -bundle-scan default to the recorded values, and one set to another value
+// is refused before the store is created.
 package main
 
 import (
@@ -58,7 +62,7 @@ func main() {
 	bundleFrac := flag.Float64("bundle-frac", 0, "fraction of eligible generated sites that ship their libraries as one bundled script (0 disables; bundles hide library URLs from the fingerprinter)")
 	bundleScan := flag.Bool("bundle-scan", false, "fetch each page's same-site scripts and scan their content for library signatures (recovers bundled libraries; plain pages detect identically either way)")
 	record := flag.String("record", "", "record every fetched response into a web-execution bundle at this directory (honors -checkpoint/-resume; reports are identical either way)")
-	replay := flag.String("replay", "", "replay the crawl from a recorded bundle directory with zero network and zero waiting (no loopback server is started, retries take no backoff sleep, -politeness is ignored)")
+	replay := flag.String("replay", "", "replay the crawl from a recorded bundle directory with zero network and zero waiting (no loopback server is started, retries take no backoff sleep, -politeness is ignored); the study is the recorded one, and -domains, -weeks, -seed or -bundle-scan set to another value is refused")
 	flag.Parse()
 	if *domains < 1 || *weeks < 1 {
 		fmt.Fprintf(os.Stderr, "crawl: -domains and -weeks must be at least 1 (got %d and %d)\n", *domains, *weeks)
@@ -99,6 +103,24 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
+	if *replay != "" {
+		// The bundle names the study; pass on only what the user set, for
+		// the replay to check against it.
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if !set["domains"] {
+			cfg.Domains = 0
+		}
+		if !set["weeks"] {
+			cfg.Weeks = 0
+		}
+		if !set["seed"] {
+			cfg.Seed = 0
+		}
+		if !set["bundle-scan"] {
+			cfg.BundleScan = false
+		}
+	}
 	m, err := core.WriteStore(ctx, cfg)
 	stopCPU()
 	if err != nil {
@@ -112,5 +134,9 @@ func main() {
 		m.Attempts, m.Retries, m.Successes, m.ConnFailures,
 		m.BreakerTrips, m.BreakerShed, m.BudgetExhausted, m.Bytes,
 		m.Waited.Round(time.Millisecond), m.FetchP50, m.FetchP99)
+	if *replay != "" {
+		fmt.Printf("replayed %s into %s\n", *replay, *out)
+		return
+	}
 	fmt.Printf("crawled %d domains x %d weeks into %s\n", *domains, *weeks, *out)
 }

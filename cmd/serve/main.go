@@ -8,12 +8,22 @@
 // GET /healthz, GET /metrics (Prometheus text format). SIGINT/SIGTERM
 // triggers a graceful shutdown that refuses new connections and drains
 // every in-flight audit.
+//
+// With -batch it instead runs the offline audit gate and starts no
+// listener: the NDJSON records of a file (- for stdin) go through the same
+// record loop as POST /v1/audit/batch, and stdout gets the bytes that
+// endpoint answers with ?policy=server under the same -policy and -now. The
+// exit code is 1 when any record errors or fails the policy, so the mode
+// slots into CI, and 2 when the gate cannot run.
+//
+//	serve -batch pages.ndjson -policy gate.yaml -now 2026-01-02T12:00:00Z
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -42,9 +52,15 @@ func main() {
 	policyFile := flag.String("policy", "", "server policy file (YAML or JSON); clients select it with \"policy\":\"server\" or ?policy=server")
 	nowFlag := flag.String("now", "", "pin the audit clock to an RFC3339 instant (deterministic verdicts; default wall clock)")
 	bundle := flag.String("bundle", "", "serve {\"url\": ...} audits from this recorded web-execution bundle instead of the live network (zero network; unrecorded URLs error)")
+	batch := flag.String("batch", "", "offline audit gate: run this NDJSON records file (- for stdin) through the batch endpoint's record loop, print its reply and exit, starting no listener")
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	// A bad -policy or -now: the gate's exit code 1 means a failing batch.
+	setupFailed := 1
+	if *batch != "" {
+		setupFailed = 2
+	}
 
 	cfg := service.Config{
 		Workers: *workers, QueueDepth: *queue, CacheEntries: *cache,
@@ -56,12 +72,12 @@ func main() {
 		src, err := os.ReadFile(*policyFile)
 		if err != nil {
 			log.Error("policy", "err", err)
-			os.Exit(1)
+			os.Exit(setupFailed)
 		}
 		pol, err := policy.Compile(src)
 		if err != nil {
 			log.Error("policy", "file", *policyFile, "err", err)
-			os.Exit(1)
+			os.Exit(setupFailed)
 		}
 		cfg.Policy = pol
 		log.Info("policy loaded", "file", *policyFile, "name", pol.Name, "rules", len(pol.Rules))
@@ -70,9 +86,16 @@ func main() {
 		t, err := time.Parse(time.RFC3339, *nowFlag)
 		if err != nil {
 			log.Error("bad -now", "err", err)
-			os.Exit(1)
+			os.Exit(setupFailed)
 		}
 		cfg.Now = func() time.Time { return t }
+	}
+	if *batch != "" {
+		now := time.Now()
+		if cfg.Now != nil {
+			now = cfg.Now()
+		}
+		os.Exit(runBatch(*batch, cfg.Policy, now, log))
 	}
 	if *fetchURLs {
 		ccfg := crawler.Config{
@@ -120,4 +143,32 @@ func main() {
 		os.Exit(1)
 	}
 	log.Info("drained and stopped")
+}
+
+// runBatch is the offline audit gate: service.RunBatch over a records file,
+// NDJSON out on stdout, a summary on stderr. It returns the exit code: 1
+// when any record errors or the worst policy verdict is "fail" — the
+// auditsite/CI contract — and 2 when the batch cannot be read or written.
+func runBatch(path string, pol *policy.Policy, now time.Time, log *slog.Logger) int {
+	var r io.Reader = os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			log.Error("batch", "err", err)
+			return 2
+		}
+		defer f.Close()
+		r = f
+	}
+	sum, err := service.RunBatch(r, os.Stdout, pol, now)
+	if err != nil {
+		log.Error("batch", "err", err)
+		return 2
+	}
+	fmt.Fprintf(os.Stderr, "batch: %d records, %d completed, %d errors, overall %q\n",
+		sum.Records, sum.Completed, sum.Errors, sum.Overall)
+	if sum.Errors > 0 || sum.Overall == "fail" {
+		return 1
+	}
+	return 0
 }

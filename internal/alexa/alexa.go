@@ -124,14 +124,6 @@ func pickGenericCountry(r *rand.Rand, total int) string {
 // Len returns the number of domains in the list.
 func (l List) Len() int { return len(l.Domains) }
 
-// TopK returns the prefix of the list with rank ≤ k.
-func (l List) TopK(k int) []Domain {
-	if k > len(l.Domains) {
-		k = len(l.Domains)
-	}
-	return l.Domains[:k]
-}
-
 // ByName returns a lookup map from domain name to its entry.
 func (l List) ByName() map[string]Domain {
 	m := make(map[string]Domain, len(l.Domains))

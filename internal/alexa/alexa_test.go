@@ -65,18 +65,6 @@ func TestTLDMixIsPlausible(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	l := Generate(100, 3)
-	top := l.TopK(10)
-	if len(top) != 10 || top[9].Rank != 10 {
-		t.Errorf("TopK(10) wrong: len %d", len(top))
-	}
-	all := l.TopK(1000)
-	if len(all) != 100 {
-		t.Errorf("TopK beyond size should clamp, got %d", len(all))
-	}
-}
-
 func TestByName(t *testing.T) {
 	l := Generate(50, 9)
 	m := l.ByName()

@@ -32,8 +32,6 @@ import (
 // entirely inside one shard. The merge_test.go property suite asserts this
 // equivalence on randomized streams for every collector.
 type Collector interface {
-	// Name identifies the collector in reports.
-	Name() string
 	// Observe folds one observation into the aggregates. Implementations
 	// must accept observations in any order.
 	Observe(obs store.Observation)

@@ -24,9 +24,6 @@ func NewCollection(weeks int) *Collection {
 	}
 }
 
-// Name implements Collector.
-func (c *Collection) Name() string { return "collection" }
-
 // Observe implements Collector.
 func (c *Collection) Observe(obs store.Observation) {
 	c.attempted.add(obs.Week, 1)

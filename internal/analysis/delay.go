@@ -43,9 +43,6 @@ func NewUpdateDelay(weeks int) *UpdateDelay {
 	return &UpdateDelay{weeks: weeks, states: map[delayKey]*delayState{}, parsed: versionTable{}}
 }
 
-// Name implements Collector.
-func (u *UpdateDelay) Name() string { return "update-delay" }
-
 // Observe implements Collector.
 func (u *UpdateDelay) Observe(obs store.Observation) {
 	if !obs.OK() {

@@ -36,9 +36,6 @@ func NewDiscontinued(weeks int) *Discontinued {
 	return d
 }
 
-// Name implements Collector.
-func (d *Discontinued) Name() string { return "discontinued" }
-
 // Observe implements Collector.
 func (d *Discontinued) Observe(obs store.Observation) {
 	if !obs.OK() {

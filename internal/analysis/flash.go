@@ -51,9 +51,6 @@ func NewFlash(weeks, totalDomains int) *Flash {
 	}
 }
 
-// Name implements Collector.
-func (f *Flash) Name() string { return "flash" }
-
 // Observe implements Collector.
 func (f *Flash) Observe(obs store.Observation) {
 	if !obs.OK() || obs.Flash == nil {

@@ -57,9 +57,6 @@ func NewLibraryStats(weeks int) *LibraryStats {
 	}
 }
 
-// Name implements Collector.
-func (l *LibraryStats) Name() string { return "libraries" }
-
 // Observe implements Collector.
 func (l *LibraryStats) Observe(obs store.Observation) {
 	if !obs.OK() {

@@ -226,7 +226,7 @@ func checkMerge[T Collector](t *testing.T, all []store.Observation, parts [][]st
 		t.Fatal("degenerate split: no non-empty shard")
 	}
 	if !reflect.DeepEqual(serial, merged) {
-		t.Errorf("%s: sharded merge diverges from serial state", serial.Name())
+		t.Errorf("%T: sharded merge diverges from serial state", serial)
 	}
 }
 

@@ -47,9 +47,6 @@ func NewRegressions(weeks int) *Regressions {
 	}
 }
 
-// Name implements Collector.
-func (r *Regressions) Name() string { return "regressions" }
-
 // Observe implements Collector.
 func (r *Regressions) Observe(obs store.Observation) {
 	if !obs.OK() {

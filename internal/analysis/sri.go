@@ -45,9 +45,6 @@ func NewSRI(weeks int) *SRI {
 	}
 }
 
-// Name implements Collector.
-func (s *SRI) Name() string { return "sri" }
-
 // Observe implements Collector.
 func (s *SRI) Observe(obs store.Observation) {
 	if !obs.OK() {

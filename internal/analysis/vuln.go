@@ -62,9 +62,6 @@ func NewVulnPrevalence(weeks int) *VulnPrevalence {
 	return v
 }
 
-// Name implements Collector.
-func (v *VulnPrevalence) Name() string { return "vuln-prevalence" }
-
 // Observe implements Collector.
 func (v *VulnPrevalence) Observe(obs store.Observation) {
 	if !obs.OK() {

@@ -34,9 +34,6 @@ func NewWordPress(weeks int) *WordPress {
 	return w
 }
 
-// Name implements Collector.
-func (w *WordPress) Name() string { return "wordpress" }
-
 // Observe implements Collector.
 func (w *WordPress) Observe(obs store.Observation) {
 	if !obs.OK() {

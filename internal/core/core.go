@@ -127,7 +127,10 @@ type Config struct {
 	// crawler's transport is the bundle, read forward one week at a time,
 	// and a fetch the bundle does not hold is an error, never a live
 	// request. It also takes nothing from the clock: retries sleep no
-	// backoff and Resilience is not mounted. A replayed run's report is
+	// backoff and Resilience is not mounted. The study is the recorded
+	// one: Domains, Weeks, Seed and BundleScan left zero take the values of
+	// the bundle's wexbundle.Meta, and one set to another value is refused
+	// before anything is generated or created. A replayed run's report is
 	// byte-identical to the live run that recorded it.
 	ReplayBundle string
 	// Progress, when set, receives one line per collected week.
@@ -247,9 +250,15 @@ func WriteStore(ctx context.Context, cfg Config) (*crawler.MetricsSnapshot, erro
 }
 
 // normalized returns cfg with its defaults taken, or why it cannot run.
+// A replay's study comes from its bundle first (see recorded).
 func (cfg Config) normalized() (Config, error) {
 	if cfg.Domains < 0 || cfg.Weeks < 0 {
 		return cfg, fmt.Errorf("core: negative study shape: %d domains x %d weeks", cfg.Domains, cfg.Weeks)
+	}
+	if cfg.ReplayBundle != "" {
+		if err := cfg.recorded(); err != nil {
+			return cfg, err
+		}
 	}
 	if cfg.Domains == 0 {
 		cfg.Domains = 2000
@@ -276,6 +285,35 @@ func (cfg Config) normalized() (Config, error) {
 		return cfg, fmt.Errorf("core: RecordBundle and ReplayBundle are mutually exclusive")
 	}
 	return cfg, nil
+}
+
+// recorded takes a replay's study — Domains, Weeks, Seed, BundleScan — from
+// the bundle.json of the run that recorded it: a zero field takes the
+// recorded value, and a set field that differs is refused, since a replay of
+// another study fetches what the archive never held.
+func (cfg *Config) recorded() error {
+	m, err := wexbundle.ReadMeta(cfg.ReplayBundle)
+	if err != nil {
+		return err
+	}
+	if m.Domains < 1 || m.Weeks < 1 {
+		return fmt.Errorf("core: replay %s: %s records no study shape", cfg.ReplayBundle, wexbundle.MetaName)
+	}
+	differs := func(what string, asked, recorded any) error {
+		return fmt.Errorf("core: replay %s: %s %v asked, the bundle recorded %v", cfg.ReplayBundle, what, asked, recorded)
+	}
+	switch {
+	case cfg.Domains != 0 && cfg.Domains != m.Domains:
+		return differs("domains", cfg.Domains, m.Domains)
+	case cfg.Weeks != 0 && cfg.Weeks != m.Weeks:
+		return differs("weeks", cfg.Weeks, m.Weeks)
+	case cfg.Seed != 0 && cfg.Seed != m.Seed:
+		return differs("seed", cfg.Seed, m.Seed)
+	case cfg.BundleScan && !m.BundleScan:
+		return differs("bundle scan", true, false)
+	}
+	cfg.Domains, cfg.Weeks, cfg.Seed, cfg.BundleScan = m.Domains, m.Weeks, m.Seed, m.BundleScan
+	return nil
 }
 
 // study generates a normalized configuration's population and collects it
@@ -595,6 +633,13 @@ func crawlSource(ccfg crawler.Config, eco *webgen.Ecosystem, part, parts, shards
 // per-domain week ordering is preserved inside each shard, so the result
 // is identical to a serial replay whatever the segment and shard counts
 // are.
+//
+// weeks and domains must be the stored study's: a record at a week past
+// weeks is refused, and so is a store whose manifest does not hold
+// weeks × domains observations (a salvaged partial store among them),
+// before anything is decoded. A single stream has no manifest; it is
+// refused when its replay ends with another count (one segment of a store
+// of several, say).
 func RunFromStore(path string, weeks, domains, shards int) (*Results, error) {
 	res, err := replayStore(path, weeks, domains, shards)
 	if err != nil {
@@ -606,22 +651,41 @@ func RunFromStore(path string, weeks, domains, shards int) (*Results, error) {
 
 // replayStore is RunFromStore without the PoC lab.
 func replayStore(path string, weeks, domains, shards int) (*Results, error) {
+	wrongStudy := func(n int) error {
+		return fmt.Errorf("core: %s holds %d observations, not the %d of a %d-domain × %d-week study",
+			path, n, weeks*domains, domains, weeks)
+	}
 	// A path without a manifest is a single stream — or not a readable
 	// store at all, which the store says when replay opens it.
-	lanes := [][]replayUnit{{wholeStream(path)}}
+	lanes := [][]replayUnit{{{path: path, to: weeks}}}
 	if store.IsSegmented(path) {
 		man, err := store.ReadManifest(path)
 		if err != nil {
 			return nil, err
 		}
+		if man.Total != weeks*domains {
+			return nil, wrongStudy(man.Total)
+		}
 		lanes = make([][]replayUnit, man.Segments)
 		for s := range lanes {
-			lanes[s] = []replayUnit{wholeStream(store.SegmentPath(path, s))}
+			lanes[s] = []replayUnit{{path: store.SegmentPath(path, s), to: weeks}}
 		}
 	}
 	sh := newShards(weeks, domains, max(shards, 1))
-	if _, err := replay(sh, lanes, nil); err != nil {
+	counts, err := replay(sh, lanes, func(_ int, obs store.Observation) error {
+		return fmt.Errorf("core: %s holds week %d, past the %d weeks of the study", path, obs.Week, weeks)
+	})
+	if err != nil {
 		return nil, err
+	}
+	// A single stream's count is known only now: one segment of a store of
+	// several is a fraction of its study.
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	if n != weeks*domains {
+		return nil, wrongStudy(n)
 	}
 	return mergeShards(sh), nil
 }

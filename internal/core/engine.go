@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"clientres/internal/analysis"
@@ -159,11 +158,6 @@ func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int,
 type replayUnit struct {
 	path     string
 	from, to int // half-open
-}
-
-// wholeStream is the unit that takes every week path holds.
-func wholeStream(path string) replayUnit {
-	return replayUnit{path: path, from: math.MinInt, to: math.MaxInt}
 }
 
 // replay decodes stored observations into the shards' collectors. Lanes

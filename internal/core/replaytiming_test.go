@@ -146,7 +146,8 @@ func TestReplayWaitsForNothing(t *testing.T) {
 // 3's, so it is the Advance to week 3 that meets it.
 func TestReplayDecodeErrorFailsTheRun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundle")
-	w, err := wexbundle.Create(dir, wexbundle.Options{Segments: 1})
+	w, err := wexbundle.Create(dir, wexbundle.Options{Segments: 1,
+		Meta: wexbundle.Meta{Domains: 10, Weeks: 4, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

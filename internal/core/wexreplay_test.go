@@ -10,6 +10,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -108,10 +111,10 @@ func TestReplayRefusesRecordingConflicts(t *testing.T) {
 	}
 }
 
-// TestReplayMissingRecordFails: replaying a bundle that does not cover the
-// requested run errors instead of fetching — the zero-network guarantee at
-// the run level. The bundle records a 4-week run; replaying 6 weeks needs
-// fetches the archive cannot serve.
+// TestReplayMissingRecordFails: a replay of a study its bundle did not
+// record would ask for fetches the archive never held. The bundle records a
+// 4-week run; a 6-week replay is refused before anything is generated or
+// created, so its store directory never appears.
 func TestReplayMissingRecordFails(t *testing.T) {
 	base := Config{Domains: 20, Weeks: 4, Seed: 3, Mode: ModeCrawl, Workers: 8, SkipPoC: true}
 	dir := filepath.Join(t.TempDir(), "bundle")
@@ -123,21 +126,78 @@ func TestReplayMissingRecordFails(t *testing.T) {
 	rep := base
 	rep.Weeks = 6
 	rep.ReplayBundle = dir
-	res, err := Run(context.Background(), rep)
+	rep.StorePath = filepath.Join(t.TempDir(), "replay.store")
+	_, err := Run(context.Background(), rep)
+	if err == nil || !strings.Contains(err.Error(), "weeks 6 asked, the bundle recorded 4") {
+		t.Fatalf("Run = %v, want the refusal naming 6 and 4 weeks", err)
+	}
+	if _, err := os.Stat(rep.StorePath); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the refused replay created its store directory (stat: %v)", err)
+	}
+}
+
+// TestReplayTakesTheRecordedStudy: a replay whose study fields are all zero
+// crawls the study its bundle recorded — domains, weeks, seed and bundle
+// scan — and renders the recorded run's report. A study field set to
+// another value, and a bundle.json a study cannot be taken from (corrupt,
+// missing, or naming no shape), are refused before the store is created.
+func TestReplayTakesTheRecordedStudy(t *testing.T) {
+	rec := Config{Domains: 30, Weeks: 3, Seed: 4, Mode: ModeCrawl, Workers: 8, SkipPoC: true,
+		Bundling:   webgen.Bundling{Fraction: 0.6, MinifyP: 0.5, BannerP: 1, SourceMapP: 0.3},
+		BundleScan: true, RecordBundle: filepath.Join(t.TempDir(), "bundle")}
+	recorded, err := Run(context.Background(), rec)
 	if err != nil {
-		t.Fatalf("replay run failed outright: %v", err)
+		t.Fatal(err)
 	}
-	// Unrecorded weeks replay as failed fetches (status 0), never as live
-	// ones: weeks 4-5 must collect zero usable pages.
-	series := res.Coll.CollectedSeries()
-	if len(series) != 6 {
-		t.Fatalf("collected series has %d weeks", len(series))
+	zero := Config{Mode: ModeCrawl, Workers: 8, SkipPoC: true, ReplayBundle: rec.RecordBundle}
+	replayed, err := Run(context.Background(), zero)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if series[4] != 0 || series[5] != 0 {
-		t.Errorf("unrecorded weeks collected %v pages — the replay fetched something", series[4:])
+	if replayed.Weeks != 3 || len(replayed.Eco.Sites) != 30 {
+		t.Errorf("replayed a %d-domain × %d-week study, recorded 30 × 3", len(replayed.Eco.Sites), replayed.Weeks)
 	}
-	if series[0] == 0 {
-		t.Error("recorded weeks collected nothing")
+	if reportOf(t, replayed) != reportOf(t, recorded) {
+		t.Error("the zero-study replay's report differs from the recorded run's")
+	}
+
+	meta := filepath.Join(rec.RecordBundle, wexbundle.MetaName)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		// meta, when set, replaces bundle.json first; "-" removes it.
+		meta, want string
+	}{
+		{name: "domains", edit: func(c *Config) { c.Domains = 31 }, want: "domains 31 asked, the bundle recorded 30"},
+		{name: "weeks", edit: func(c *Config) { c.Weeks = 201 }, want: "weeks 201 asked, the bundle recorded 3"},
+		{name: "seed", edit: func(c *Config) { c.Seed = 1 }, want: "seed 1 asked, the bundle recorded 4"},
+		{name: "bundle scan", edit: func(c *Config) { c.BundleScan = true },
+			meta: `{"version":1,"domains":30,"weeks":3,"seed":4}`, want: "bundle scan true asked, the bundle recorded false"},
+		{name: "no shape", meta: `{"version":1}`, want: "bundle.json records no study shape"},
+		{name: "corrupt", meta: `{"version":1,"domains":3`, want: "corrupt bundle.json"},
+		{name: "missing", meta: "-", want: "no such file"},
+	} {
+		switch tc.meta {
+		case "":
+		case "-":
+			err = os.Remove(meta)
+		default:
+			err = os.WriteFile(meta, []byte(tc.meta), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := zero
+		cfg.StorePath = filepath.Join(t.TempDir(), "replay.store")
+		if tc.edit != nil {
+			tc.edit(&cfg)
+		}
+		if _, err := WriteStore(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: WriteStore = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if _, err := os.Stat(cfg.StorePath); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: the refused replay created its store directory (stat: %v)", tc.name, err)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"clientres/internal/store"
 	"clientres/internal/webgen"
 )
 
@@ -106,5 +107,62 @@ func TestWriteStoreRequiresStorePath(t *testing.T) {
 	}
 	if weeks != 0 {
 		t.Errorf("the refused write collected %d weeks", weeks)
+	}
+}
+
+// TestRunFromStoreRefusesAnotherStudy: a store replayed as a study it does
+// not hold used to render a report of that study from the wrong data — a
+// 300 × 20 store asked as the default 20,000 × 201 printed a "201 weeks"
+// report with every prevalence a tenth of the truth. The manifest's total
+// and every record's week are checked against the asked shape; a single
+// segment file has no manifest, and its replayed count is checked instead.
+func TestRunFromStoreRefusesAnotherStudy(t *testing.T) {
+	cfg := Config{Domains: 300, Weeks: 20, Seed: 5, SkipPoC: true,
+		StorePath: filepath.Join(t.TempDir(), "s.store")}
+	if _, err := WriteStore(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	seg := store.SegmentPath(cfg.StorePath, 0)
+	split := cfg
+	split.StorePath, split.StoreSegments, split.Shards = filepath.Join(t.TempDir(), "split.store"), 3, 3
+	if _, err := WriteStore(context.Background(), split); err != nil {
+		t.Fatal(err)
+	}
+	part, err := store.ReadManifest(split.StorePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path           string
+		weeks, domains int
+		want           string
+	}{
+		{cfg.StorePath, 201, 20000, "holds 6000 observations, not the 4020000 of a 20000-domain × 201-week study"},
+		{cfg.StorePath, 20, 299, "holds 6000 observations, not the 5980 of a 299-domain × 20-week study"},
+		{cfg.StorePath, 10, 600, "holds week 10, past the 10 weeks of the study"},
+		{seg, 19, 20000, "holds week 19, past the 19 weeks of the study"},
+		{seg, 20, 299, "holds 6000 observations, not the 5980 of a 299-domain × 20-week study"},
+		{store.SegmentPath(split.StorePath, 1), 20, 300,
+			fmt.Sprintf("holds %d observations, not the 6000 of a 300-domain × 20-week study", part.Counts[1])},
+	} {
+		if _, err := replayStore(tc.path, tc.weeks, tc.domains, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("replay of %s as %d × %d = %v, want %q", filepath.Base(tc.path), tc.domains, tc.weeks, err, tc.want)
+		}
+	}
+
+	ref := cfg
+	ref.StorePath = ""
+	res, err := Run(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cfg.StorePath, seg} {
+		replayed, err := replayStore(path, cfg.Weeks, cfg.Domains, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reportOf(t, replayed) != reportOf(t, res) {
+			t.Errorf("%s replays to a different report than the run that wrote it", filepath.Base(path))
+		}
 	}
 }

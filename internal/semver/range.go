@@ -211,14 +211,3 @@ func parseGroup(group string) (Interval, error) {
 	}
 	return iv, nil
 }
-
-// Filter returns the versions of vs contained in the set, preserving order.
-func (rs RangeSet) Filter(vs []Version) []Version {
-	var out []Version
-	for _, v := range vs {
-		if rs.Contains(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}

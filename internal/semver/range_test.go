@@ -95,15 +95,6 @@ func TestIntervalEmpty(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	vs := []Version{MustParse("1.0"), MustParse("1.9.1"), MustParse("3.5.0"), MustParse("3.6.0")}
-	rs := MustParseRange("< 3.5.0")
-	got := rs.Filter(vs)
-	if len(got) != 2 || got[0].String() != "1.0" || got[1].String() != "1.9.1" {
-		t.Errorf("Filter = %v", got)
-	}
-}
-
 // Property: membership in an interval is consistent with the ordering of its
 // bounds — if v is in [lo, hi) then lo <= v < hi.
 func TestQuickIntervalConsistency(t *testing.T) {

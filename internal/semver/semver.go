@@ -149,12 +149,6 @@ func (v Version) Canonical() string {
 // Major returns the first numeric component (0 if absent).
 func (v Version) Major() int { return v.part(0) }
 
-// Minor returns the second numeric component (0 if absent).
-func (v Version) Minor() int { return v.part(1) }
-
-// Patch returns the third numeric component (0 if absent).
-func (v Version) Patch() int { return v.part(2) }
-
 func (v Version) part(i int) int {
 	if i < len(v.Parts) {
 		return v.Parts[i]

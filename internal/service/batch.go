@@ -25,7 +25,7 @@ package service
 // line (the stream's status code is already on the wire).
 //
 // One record loop, Server.batch, serves both doors: the endpoint, and
-// RunBatch, which runs it on a private server for cmd/analyze -batch — so
+// RunBatch, which runs it on a private server for cmd/serve -batch — so
 // the offline gate emits the online endpoint's bytes by construction.
 
 import (
@@ -198,7 +198,7 @@ func (s *Server) handleAuditBatch(w http.ResponseWriter, r *http.Request) {
 // now — no listener, no network. It answers exactly as cmd/serve -policy
 // answers POST /v1/audit/batch?policy=server: pol may be nil (audits
 // only), and a leading {"policy": …} control line overrides it, "server"
-// selecting pol itself. cmd/analyze -batch is this function behind flags.
+// selecting pol itself. cmd/serve -batch is this function behind flags.
 func RunBatch(r io.Reader, w io.Writer, pol *policy.Policy, now time.Time) (BatchSummary, error) {
 	s := New(Config{Policy: pol, Now: func() time.Time { return now }})
 	defer s.Close()

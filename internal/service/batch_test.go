@@ -442,7 +442,7 @@ func TestBatchStreamsRecordByRecord(t *testing.T) {
 
 // TestPolicyVerdictEquivalence is the acceptance bar: the same pages and
 // policy produce byte-identical verdict JSON through POST /v1/audit,
-// POST /v1/audit/batch, and the offline RunBatch used by cmd/analyze.
+// POST /v1/audit/batch, and the offline RunBatch used by cmd/serve -batch.
 func TestPolicyVerdictEquivalence(t *testing.T) {
 	pages := []struct{ html, host string }{
 		{vulnerablePage, "example.com"},

@@ -67,7 +67,10 @@ func TestCatalogsAscendingWithinMajor(t *testing.T) {
 	for slug, c := range Catalogs() {
 		byMinor := map[[2]int][]Release{}
 		for _, rel := range c.Releases {
-			k := [2]int{rel.Version.Major(), rel.Version.Minor()}
+			k := [2]int{rel.Version.Major(), 0}
+			if len(rel.Version.Parts) > 1 {
+				k[1] = rel.Version.Parts[1]
+			}
 			byMinor[k] = append(byMinor[k], rel)
 		}
 		for m, rels := range byMinor {

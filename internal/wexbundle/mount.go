@@ -210,7 +210,7 @@ func (c *cursor) close() {
 	}
 }
 
-// Meta returns the recorded run identity (zero when bundle.json is absent).
+// Meta returns the recorded run identity, read from bundle.json by Open.
 func (b *Bundle) Meta() Meta { return b.meta }
 
 // Len returns the number of distinct resident keys.

@@ -6,6 +6,8 @@ package wexbundle
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -340,9 +342,10 @@ func TestOpenDetectsBitFlipInAnySegment(t *testing.T) {
 	}
 }
 
-// TestCorruptMetaFailsTheOpen: only a missing bundle.json is tolerated
-// (older bundles); a truncated one used to be read as absent, and a replay
-// would then run under whatever study shape the flags defaulted to.
+// TestCorruptMetaFailsTheOpen: a truncated bundle.json used to be read as
+// absent, and a missing one as the zero Meta; a replay then ran under
+// whatever study shape the flags defaulted to. Create writes the file before
+// the first record, so both are damaged archives, refused by every reader.
 func TestCorruptMetaFailsTheOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundle")
 	writeTestBundle(t, dir, 2)
@@ -361,12 +364,13 @@ func TestCorruptMetaFailsTheOpen(t *testing.T) {
 	if err := os.Remove(meta); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Mount(dir)
-	if err != nil {
-		t.Fatalf("a bundle without bundle.json must still mount: %v", err)
-	}
-	if b.Meta() != (Meta{}) || b.Len() != 6 {
-		t.Errorf("meta-less mount: meta %+v, %d keys", b.Meta(), b.Len())
+	_, mountErr = Mount(dir)
+	_, statsErr = Stats(dir)
+	_, openErr = Open(dir)
+	for what, err := range map[string]error{"Mount": mountErr, "Stats": statsErr, "Open": openErr} {
+		if !errors.Is(err, fs.ErrNotExist) || !strings.HasPrefix(err.Error(), "wexbundle: ") {
+			t.Errorf("%s of a bundle without bundle.json = %v, want the wexbundle: … no such file error", what, err)
+		}
 	}
 }
 

@@ -22,9 +22,7 @@ package wexbundle
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"net/url"
 	"os"
@@ -38,9 +36,10 @@ import (
 // MetaName is the bundle metadata file inside a bundle directory.
 const MetaName = "bundle.json"
 
-// Meta is the run identity a bundle carries so replay tooling (cmd/analyze
-// -bundle) can reconstruct the recorded run's configuration without the
-// operator re-supplying it.
+// Meta is the identity of the study a bundle recorded. A replay of the
+// bundle (core.Config.ReplayBundle, cmd/crawl -replay) takes its study from
+// here: the operator supplies none of it, and a study that disagrees with
+// it is refused.
 type Meta struct {
 	Version int   `json:"version"`
 	Domains int   `json:"domains,omitempty"`
@@ -218,15 +217,12 @@ func (w *Writer) Close() error { return w.sw.Close() }
 // the last checkpoint stays authoritative for resume and salvage.
 func (w *Writer) Abort() error { return w.sw.Abort() }
 
-// ReadMeta loads a bundle's metadata file. A missing file is the zero Meta
-// — older bundles lack it and still replay — but one that is there and
-// does not parse is a damaged archive: reading it as absent would replay a
-// study of whatever shape the caller defaults to.
+// ReadMeta loads a bundle's metadata file. Create writes it before the
+// first record, so a bundle without one, or with one that does not parse,
+// is a damaged archive: reading it as the zero Meta would replay a study of
+// whatever shape the caller defaults to.
 func ReadMeta(dir string) (Meta, error) {
 	data, err := os.ReadFile(filepath.Join(dir, MetaName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return Meta{}, nil
-	}
 	if err != nil {
 		return Meta{}, fmt.Errorf("wexbundle: %s: %w", dir, err)
 	}

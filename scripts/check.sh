@@ -121,11 +121,11 @@ cmp "$tmp/ref.report" "$tmp/crash.report" || {
 # Bundle record/replay smoke: record a checkpointed crawl into a
 # web-execution bundle, SIGKILL it mid-run, fsck both wrecks, resume, and
 # prove (a) the resumed store's report equals the uninterrupted reference,
-# (b) `analyze -bundle` re-audits the resumed bundle to the byte-identical
-# report, (c) a zero-network `crawl -replay` of the bundle reproduces the
-# same report, (d) a recording taken under faults with -politeness replays
-# to the live run's report, and (e) fsck detects a flipped byte in a sealed
-# bundle segment.
+# (b) a zero-network `crawl -replay` of the bundle, given no study flags,
+# replays the recorded study to the same report, (c) a replay asked for
+# another study is refused before it creates its store, (d) a recording
+# taken under faults with -politeness replays to the live run's report, and
+# (e) fsck detects a flipped byte in a sealed bundle segment.
 echo "==> bundle smoke (record, SIGKILL, fsck, resume, replay, diff reports)"
 BUNDLE_ARGS="-domains 60 -weeks 40 -seed 11 -workers 16 -segments 2 -checkpoint"
 
@@ -178,18 +178,24 @@ fi
 cmp "$tmp/bref.report" "$tmp/bcrash.report" || {
 	echo "resumed recording's report differs from the uninterrupted reference"; exit 1; }
 
-# Replay-audit the resumed bundle (run parameters default from
-# bundle.json): byte-identical report, zero network.
-"$tmp/analyze" -bundle "$tmp/bcrash.bundle" >"$tmp/bundle.report"
-cmp "$tmp/bref.report" "$tmp/bundle.report" || {
-	echo "analyze -bundle report differs from the live run that recorded it"; exit 1; }
-
-# A zero-network crawl replayed from the bundle writes a store whose
-# report is also byte-identical.
-"$tmp/crawl" $BUNDLE_ARGS -replay "$tmp/bcrash.bundle" -out "$tmp/breplay.store" 2>/dev/null >/dev/null
+# A zero-network crawl replayed from the bundle, with no study flags, takes
+# the recorded 60 × 40 study from bundle.json and writes a store whose
+# report is byte-identical.
+"$tmp/crawl" -workers 16 -segments 2 -replay "$tmp/bcrash.bundle" -out "$tmp/breplay.store" 2>/dev/null >/dev/null
+grep -q '"total": 2400' "$tmp/breplay.store/manifest.json" || {
+	echo "the flagless replay did not write the recorded 60 × 40 study"; exit 1; }
 "$tmp/analyze" -in "$tmp/breplay.store" -weeks 40 -domains 60 >"$tmp/breplay.report"
 cmp "$tmp/bref.report" "$tmp/breplay.report" || {
 	echo "replayed crawl's report differs from the live run that recorded it"; exit 1; }
+
+# A replay asked for a study the bundle did not record is refused before
+# its store directory is created.
+if "$tmp/crawl" -weeks 201 -replay "$tmp/bcrash.bundle" -out "$tmp/bwrong.store" >/dev/null 2>"$tmp/bwrong.err"; then
+	echo "crawl -replay of a 40-week bundle as 201 weeks exited 0"; exit 1
+fi
+grep -q 'weeks 201 asked, the bundle recorded 40' "$tmp/bwrong.err" || {
+	echo "the refused replay did not name both week counts:"; cat "$tmp/bwrong.err"; exit 1; }
+[ ! -e "$tmp/bwrong.store" ] || { echo "the refused replay created its store"; exit 1; }
 
 # A recording taken with the resilience layer on, under faults: the replay
 # mounts no breaker, gate or budget (their decisions are in the archive),
@@ -317,6 +323,13 @@ cmp "$tmp/default.report" "$tmp/default3.report" || {
 GOMAXPROCS=1 "$tmp/analyze" -in "$tmp/default.store" -weeks 8 -domains 60 >"$tmp/default-serial.report"
 cmp "$tmp/default.report" "$tmp/default-serial.report" || {
 	echo "analyze on one shard reports differently from analyze on GOMAXPROCS shards"; exit 1; }
+# The store is the 60 × 8 study it holds: asked as another, analyze refuses
+# it and says what the store holds.
+if "$tmp/analyze" -in "$tmp/default.store" -weeks 201 -domains 60 >/dev/null 2>"$tmp/default-wrong.err"; then
+	echo "analyze rendered a 60 × 8 store as 201 weeks"; exit 1
+fi
+grep -q 'holds 480 observations, not the 12060 of a 60-domain × 201-week study' "$tmp/default-wrong.err" || {
+	echo "analyze refused the wrong study without naming both shapes:"; cat "$tmp/default-wrong.err"; exit 1; }
 
 "$tmp/crawl" -domains 80 -weeks 60 -seed 3 -workers 16 -out "$tmp/int.store" 2>"$tmp/int.log" >/dev/null &
 crawl_pid=$!
@@ -396,7 +409,7 @@ grep -q "drained and stopped" "$tmp/serve.log"
 # Policy + batch smoke: a serve instance preloaded with a failing policy
 # and a pinned clock. A 5-record NDJSON batch must stream one verdict line
 # per record plus an exactly-reconciling summary; the offline batch gate
-# (cmd/analyze -batch) must emit byte-identical lines and exit 1; and the
+# (cmd/serve -batch) must emit byte-identical lines and exit 1; and the
 # auditsite example gated by the same policy must exit nonzero both
 # in-process and against the server.
 echo "==> policy + batch smoke (server policy, NDJSON batch, offline equivalence, auditsite gate)"
@@ -461,12 +474,12 @@ grep -q '"index":3.*"overall":"fail"' "$tmp/batch-online.out"
 grep -q '"index":4,"error":"invalid JSON record"' "$tmp/batch-online.out"
 grep -q '"summary":{"records":5,"completed":3,"errors":2,"shed":0,"overall":"fail"}' "$tmp/batch-online.out"
 
-# Offline equivalence: the same records through cmd/analyze -batch with the
-# same policy and clock must produce byte-identical lines and exit 1.
-if go run ./cmd/analyze -batch "$tmp/batch.ndjson" -policy "$tmp/gate.yaml" \
-	-now 2026-01-02T12:00:00Z >"$tmp/batch-offline.out" 2>/dev/null; then
-	echo "analyze -batch exited 0 on a failing batch"; exit 1
-fi
+# Offline equivalence: the same records through serve -batch with the same
+# policy and clock must produce byte-identical lines and exit 1.
+status=0
+"$tmp/serve" -policy "$tmp/gate.yaml" -now 2026-01-02T12:00:00Z \
+	-batch "$tmp/batch.ndjson" >"$tmp/batch-offline.out" 2>/dev/null || status=$?
+[ "$status" -eq 1 ] || { echo "serve -batch exited $status on a failing batch, want 1"; exit 1; }
 cmp "$tmp/batch-online.out" "$tmp/batch-offline.out" || {
 	echo "offline batch output differs from the online endpoint"; exit 1; }
 
