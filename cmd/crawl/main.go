@@ -19,8 +19,9 @@
 //	crawl -replay crawl.bundle -out replay.store  # re-crawl with zero network
 //
 // A replay crawls the study its bundle recorded: -domains, -weeks, -seed and
-// -bundle-scan default to the recorded values, and one set to another value
-// is refused before the store is created.
+// -bundle-scan default to the recorded values, and one set to another value,
+// a zero value included (-seed 0, -bundle-scan=false), is refused before the
+// store is created.
 package main
 
 import (
@@ -37,6 +38,7 @@ import (
 	"clientres/internal/crawler"
 	"clientres/internal/prof"
 	"clientres/internal/webgen"
+	"clientres/internal/wexbundle"
 )
 
 func main() {
@@ -104,21 +106,10 @@ func main() {
 		},
 	}
 	if *replay != "" {
-		// The bundle names the study; pass on only what the user set, for
-		// the replay to check against it.
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["domains"] {
-			cfg.Domains = 0
-		}
-		if !set["weeks"] {
-			cfg.Weeks = 0
-		}
-		if !set["seed"] {
-			cfg.Seed = 0
-		}
-		if !set["bundle-scan"] {
-			cfg.BundleScan = false
+		if cfg, err = replayStudy(cfg, set); err != nil {
+			log.Fatalf("crawl: %v", err)
 		}
 	}
 	m, err := core.WriteStore(ctx, cfg)
@@ -139,4 +130,30 @@ func main() {
 		return
 	}
 	fmt.Printf("crawled %d domains x %d weeks into %s\n", *domains, *weeks, *out)
+}
+
+// replayStudy returns cfg with the study its replay bundle recorded. A study
+// flag in set, the flags the user gave, must name the recorded value: a flag
+// at its zero value cannot be told from an absent one once it is in cfg, so
+// the check is made here, against the flags themselves.
+func replayStudy(cfg core.Config, set map[string]bool) (core.Config, error) {
+	m, err := wexbundle.ReadMeta(cfg.ReplayBundle)
+	if err != nil {
+		return cfg, err
+	}
+	for _, f := range []struct {
+		flag            string
+		asked, recorded any
+	}{
+		{"domains", cfg.Domains, m.Domains},
+		{"weeks", cfg.Weeks, m.Weeks},
+		{"seed", cfg.Seed, m.Seed},
+		{"bundle-scan", cfg.BundleScan, m.BundleScan},
+	} {
+		if set[f.flag] && f.asked != f.recorded {
+			return cfg, fmt.Errorf("replay %s: %s %v asked, the bundle recorded %v", cfg.ReplayBundle, f.flag, f.asked, f.recorded)
+		}
+	}
+	cfg.Domains, cfg.Weeks, cfg.Seed, cfg.BundleScan = m.Domains, m.Weeks, m.Seed, m.BundleScan
+	return cfg, nil
 }

@@ -1,7 +1,8 @@
 // Command reprotables regenerates every table and figure of the paper's
 // evaluation in one run: it builds the calibrated synthetic web, collects
 // all weekly snapshots, runs every analysis and the PoC validation
-// experiment, and prints the complete report (the source of EXPERIMENTS.md).
+// experiment (the lab itself, not the committed table core.Run reads), and
+// prints the complete report (the source of EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -19,6 +20,7 @@ import (
 	"runtime"
 
 	"clientres/internal/core"
+	"clientres/internal/poclab"
 	"clientres/internal/webgen"
 )
 
@@ -32,7 +34,7 @@ func main() {
 	csvDir := flag.String("csvdir", "", "also export full-resolution figure series as CSV into this directory")
 	flag.Parse()
 
-	cfg := core.Config{Domains: *domains, Weeks: *weeks, Seed: *seed, Workers: *workers, Shards: runtime.GOMAXPROCS(0)}
+	cfg := core.Config{Domains: *domains, Weeks: *weeks, Seed: *seed, Workers: *workers, Shards: runtime.GOMAXPROCS(0), SkipPoC: true}
 	if *crawl {
 		cfg.Mode = core.ModeCrawl
 	}
@@ -46,6 +48,9 @@ func main() {
 		log.Fatalf("reprotables: %v", err)
 	}
 	fmt.Fprintln(os.Stderr)
+	if res.Findings, err = poclab.RunAll(); err != nil {
+		log.Fatalf("reprotables: %v", err)
+	}
 	if *csvDir != "" {
 		if err := res.WriteCSVDir(*csvDir); err != nil {
 			log.Fatalf("reprotables: %v", err)

@@ -71,43 +71,6 @@ func parseVersion(s string) (semver.Version, bool) {
 	return v, true
 }
 
-// parsedVersion is one version string parsed once: the Version and its
-// Canonical spelling.
-type parsedVersion struct {
-	v     semver.Version
-	canon string
-}
-
-// versionTable memoizes parseVersion for one collector: a stream repeats a
-// few hundred version strings across millions of observations. Only
-// strings that parse are kept, so the table is bounded by the distinct
-// valid versions the collector observed. Each collector owns its table
-// (no sharing, no locks) and Merge takes the union, so a merged collector
-// holds exactly the table a serial one builds.
-type versionTable map[string]parsedVersion
-
-// parse returns s parsed, from the table when s was seen before.
-func (t versionTable) parse(s string) (parsedVersion, bool) {
-	if p, ok := t[s]; ok {
-		return p, true
-	}
-	v, ok := parseVersion(s)
-	if !ok {
-		return parsedVersion{}, false
-	}
-	p := parsedVersion{v: v, canon: v.Canonical()}
-	t[s] = p
-	return p, true
-}
-
-// merge unions o into t. Equal strings parse equally, so a key present in
-// both already holds the same value.
-func (t versionTable) merge(o versionTable) {
-	for s, p := range o {
-		t[s] = p
-	}
-}
-
 // weekSeries is a dense per-week int series over weeks [0, weeks), sized
 // once by the collector's constructor. Observations outside the study's
 // weeks are dropped, so no week number read from a store ever sizes an
@@ -149,11 +112,16 @@ func mergeCounts(dst, src map[string]int) {
 	}
 }
 
-// mergeHist adds src's histogram buckets into dst.
-func mergeHist(dst, src map[int]int) {
+// mergeHist adds src's histogram buckets into dst, growing dst to src's
+// length when it is shorter, and returns it.
+func mergeHist(dst, src []int) []int {
+	for len(dst) < len(src) {
+		dst = append(dst, 0)
+	}
 	for k, n := range src {
 		dst[k] += n
 	}
+	return dst
 }
 
 // mergeSets unions src into dst.

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"time"
-
 	"clientres/internal/store"
 	"clientres/internal/vulndb"
 )
@@ -18,85 +16,120 @@ import (
 // weeks in ascending order, satisfying that.
 type UpdateDelay struct {
 	weeks int
-	// ruleset per advisory id: both rulesets tracked in parallel.
-	states map[delayKey]*delayState
-	parsed versionTable
+	// domains holds each domain's libraries with advisories, in first-seen
+	// order.
+	domains map[string][]delayLib
+	vers    advTables
 }
 
-type delayKey struct {
-	domain string
-	advID  string
-	tvv    bool
+// delayLib is one (domain, library) pair's windows.
+type delayLib struct {
+	// last is the version last seen, of the pair's library; a record of the
+	// same version resolves to it without a table lookup.
+	last *version
+	// states holds two windows per advisory of the library (its CVE-range
+	// window, then its TVV-range window); nil until one opens.
+	states []delayState
 }
 
+// delayState is one (domain, advisory, ruleset) window. Weeks are stored
+// one up, so that the zero value is a window that never opened.
 type delayState struct {
-	// affectedSince is the date the measurable window opened: the later of
-	// the patch release and the first affected observation.
-	affectedSince time.Time
-	affected      bool
-	updated       bool
-	delayDays     int
+	// from is the week of the first affected observation the patch was out
+	// for, plus one: the window opens there.
+	from int32
+	// to is the week of the first non-affected observation after that,
+	// plus one; zero while the window is open.
+	to int32
+}
+
+// step folds one observation at week w into the window.
+func (s *delayState) step(affected bool, w int) {
+	switch {
+	case affected:
+		// The first affected observation opens the window; once it has
+		// closed, a regression is not measured again.
+		if s.from == 0 {
+			s.from = int32(w) + 1
+		}
+	case s.from != 0 && s.to == 0:
+		// First non-affected observation of the same library: updated.
+		s.to = int32(w) + 1
+	}
+}
+
+// days is the closed window's length, zero while it is open.
+func (s delayState) days() int {
+	if s.to == 0 {
+		return 0
+	}
+	return 7 * int(s.to-s.from)
 }
 
 // NewUpdateDelay builds the collector.
 func NewUpdateDelay(weeks int) *UpdateDelay {
-	return &UpdateDelay{weeks: weeks, states: map[delayKey]*delayState{}, parsed: versionTable{}}
+	return &UpdateDelay{weeks: weeks, domains: map[string][]delayLib{}, vers: newAdvTables()}
 }
 
-// Observe implements Collector.
+// Observe implements Collector. An observation at a week outside the study
+// is dropped, as every week series drops it.
 func (u *UpdateDelay) Observe(obs store.Observation) {
-	if !obs.OK() {
+	w := obs.Week
+	if !obs.OK() || w < 0 || w >= u.weeks {
 		return
 	}
-	date := WeekDate(obs.Week)
-	for _, lib := range obs.Libs {
-		advisories := vulndb.AdvisoriesFor(lib.Slug)
-		if len(advisories) == 0 {
+	var libs []delayLib
+	looked := false
+	for i := range obs.Libs {
+		rec := &obs.Libs[i]
+		adv := advLibs[rec.Slug]
+		if adv == nil || rec.Version == "" {
 			continue
 		}
-		pv, ok := u.parsed.parse(lib.Version)
-		if !ok {
-			continue
+		if !looked {
+			libs, looked = u.domains[obs.Domain], true
 		}
-		ver := pv.v
-		for _, adv := range advisories {
-			if adv.Patched.IsZero() {
-				continue // no patched version: no window to measure
-			}
-			if date.Before(adv.PatchDate) {
-				// The patch is not out yet; nothing measurable.
+		j := 0
+		for j < len(libs) && libs[j].last.lib.adv != adv {
+			j++
+		}
+		if j == len(libs) || libs[j].last.raw != rec.Version {
+			ver, ok := u.vers[adv.idx].parse(rec.Version)
+			if !ok {
 				continue
 			}
-			u.step(obs.Domain, adv.ID, false, adv.CVERange.Contains(ver), adv.PatchDate, date)
-			u.step(obs.Domain, adv.ID, true, adv.EffectiveTrueRange().Contains(ver), adv.PatchDate, date)
-		}
-	}
-}
-
-func (u *UpdateDelay) step(domain, advID string, tvv, affected bool, patchDate, date time.Time) {
-	key := delayKey{domain: domain, advID: advID, tvv: tvv}
-	st := u.states[key]
-	switch {
-	case affected:
-		if st == nil {
-			since := patchDate
-			if date.After(since) {
-				// First affected observation opens the window (a site
-				// adopting a vulnerable version late is measured from
-				// then, not from the patch date).
-				since = date
+			if j == len(libs) {
+				libs = appendOne(libs, delayLib{})
+				u.domains[obs.Domain] = libs
 			}
-			u.states[key] = &delayState{affectedSince: since, affected: true}
-			return
+			libs[j].last = ver
 		}
-		if st.updated {
-			return // regression after update: window already measured
+		st := &libs[j]
+		ver := st.last
+		// The advisories whose patch is out at w: the measurable windows.
+		// An advisory without a patched version has none, and before its
+		// patch is out nothing is measurable, so a window opens at the first
+		// affected observation on or after the patch release (a site
+		// adopting a vulnerable version late is measured from then).
+		var live advMask
+		for k := range adv.advs {
+			if a := &adv.advs[k]; a.patched && w >= a.patchWeek {
+				live |= 1 << k
+			}
 		}
-		st.affected = true
-	case st != nil && st.affected && !st.updated:
-		// First non-affected observation of the same library: updated.
-		st.updated = true
-		st.delayDays = int(date.Sub(st.affectedSince).Hours() / 24)
+		if st.states == nil {
+			// Nothing opened yet: only an affected version changes that.
+			if (ver.cve|ver.tvv)&live == 0 {
+				continue
+			}
+			st.states = make([]delayState, 2*len(adv.advs))
+		}
+		for k := range adv.advs {
+			if bit := advMask(1) << k; live&bit != 0 {
+				st.states[2*k].step(ver.cve&bit != 0, w)
+				st.states[2*k+1].step(ver.tvv&bit != 0, w)
+			}
+		}
 	}
 }
 
@@ -107,22 +140,42 @@ func (u *UpdateDelay) step(domain, advID string, tvv, affected bool, patchDate, 
 // deterministic, commutative rule: a closed window wins over an open one,
 // then the earlier window start, then the shorter delay.
 func (u *UpdateDelay) Merge(o *UpdateDelay) {
-	u.parsed.merge(o.parsed)
-	for key, os := range o.states {
-		st := u.states[key]
-		if st == nil {
-			cp := *os
-			u.states[key] = &cp
-			continue
-		}
-		switch {
-		case os.updated && !st.updated:
-			*st = *os
-		case os.updated == st.updated:
-			if os.affectedSince.Before(st.affectedSince) ||
-				(os.affectedSince.Equal(st.affectedSince) && os.delayDays < st.delayDays) {
-				*st = *os
+	u.vers.merge(o.vers)
+	for name, olibs := range o.domains {
+		libs := u.domains[name]
+		for _, ol := range olibs {
+			adv := ol.last.lib.adv
+			j := 0
+			for j < len(libs) && libs[j].last.lib.adv != adv {
+				j++
 			}
+			if j == len(libs) {
+				libs = appendOne(libs, delayLib{last: u.vers[adv.idx].own(ol.last)})
+			}
+			st := &libs[j]
+			switch {
+			case ol.states == nil:
+			case st.states == nil:
+				st.states = append([]delayState(nil), ol.states...)
+			default:
+				for i, os := range ol.states {
+					mergeWindow(&st.states[i], os)
+				}
+			}
+		}
+		u.domains[name] = libs
+	}
+}
+
+// mergeWindow resolves one window present in both sides of a merge.
+func mergeWindow(st *delayState, os delayState) {
+	switch {
+	case os.from == 0:
+	case st.from == 0, os.to != 0 && st.to == 0:
+		*st = os
+	case (os.to != 0) == (st.to != 0):
+		if os.from < st.from || (os.from == st.from && os.days() < st.days()) {
+			*st = os
 		}
 	}
 }
@@ -157,27 +210,43 @@ func (u *UpdateDelay) Result(useTVV, understatedOnly bool) DelayResult {
 		include[a.ID] = true
 	}
 	res := DelayResult{PerAdvisory: map[string]float64{}}
-	sums := map[string]int{}
-	counts := map[string]int{}
+	n := len(vulndb.Advisories())
+	sums, counts := make([]int, n), make([]int, n)
 	totalSum := 0
-	for key, st := range u.states {
-		if key.tvv != useTVV || !include[key.advID] {
-			continue
+	ruleset := 0
+	if useTVV {
+		ruleset = 1
+	}
+	for _, libs := range u.domains {
+		for _, l := range libs {
+			if l.states == nil {
+				continue
+			}
+			advs := l.last.lib.adv.advs
+			for k := range advs {
+				a := &advs[k]
+				st := l.states[2*k+ruleset]
+				if st.from == 0 || !include[a.id] {
+					continue
+				}
+				if st.to == 0 {
+					res.Censored++
+					continue
+				}
+				res.Updated++
+				totalSum += st.days()
+				sums[a.pos] += st.days()
+				counts[a.pos]++
+			}
 		}
-		if !st.updated {
-			res.Censored++
-			continue
-		}
-		res.Updated++
-		totalSum += st.delayDays
-		sums[key.advID] += st.delayDays
-		counts[key.advID]++
 	}
 	if res.Updated > 0 {
 		res.MeanDays = float64(totalSum) / float64(res.Updated)
 	}
-	for id, sum := range sums {
-		res.PerAdvisory[id] = float64(sum) / float64(counts[id])
+	for pos, a := range vulndb.Advisories() {
+		if counts[pos] > 0 {
+			res.PerAdvisory[a.ID] = float64(sums[pos]) / float64(counts[pos])
+		}
 	}
 	return res
 }

@@ -12,21 +12,19 @@ type Discontinued struct {
 	collected weekSeries
 	// usage per discontinued slug per week.
 	usage map[string]weekSeries
-	// Migration tracking: domains ever seen with jquery-cookie, and of
-	// those, domains later seen with js-cookie but no jquery-cookie.
-	everJQCookie map[string]bool
-	migrated     map[string]bool
+	// Migration tracking: the domains ever seen with jquery-cookie, each
+	// true once later seen with js-cookie but no jquery-cookie.
+	jqCookie map[string]bool
 }
 
 // NewDiscontinued builds the collector. Like UpdateDelay it relies on
 // week-ascending observation order per domain for the migration direction.
 func NewDiscontinued(weeks int) *Discontinued {
 	d := &Discontinued{
-		weeks:        weeks,
-		collected:    newWeekSeries(weeks),
-		usage:        map[string]weekSeries{},
-		everJQCookie: map[string]bool{},
-		migrated:     map[string]bool{},
+		weeks:     weeks,
+		collected: newWeekSeries(weeks),
+		usage:     map[string]weekSeries{},
+		jqCookie:  map[string]bool{},
 	}
 	for _, lib := range vulndb.Libraries() {
 		if lib.Discontinued {
@@ -54,11 +52,15 @@ func (d *Discontinued) Observe(obs store.Observation) {
 			hasJSC = true
 		}
 	}
-	if hasJQC {
-		d.everJQCookie[obs.Domain] = true
-	}
-	if hasJSC && !hasJQC && d.everJQCookie[obs.Domain] {
-		d.migrated[obs.Domain] = true
+	switch {
+	case hasJQC:
+		if _, ok := d.jqCookie[obs.Domain]; !ok {
+			d.jqCookie[obs.Domain] = false
+		}
+	case hasJSC:
+		if _, ok := d.jqCookie[obs.Domain]; ok {
+			d.jqCookie[obs.Domain] = true
+		}
 	}
 }
 
@@ -69,8 +71,9 @@ func (d *Discontinued) Observe(obs store.Observation) {
 func (d *Discontinued) Merge(o *Discontinued) {
 	d.collected.merge(o.collected)
 	mergeSeriesMap(d.usage, o.usage, d.weeks)
-	mergeSets(d.everJQCookie, o.everJQCookie)
-	mergeSets(d.migrated, o.migrated)
+	for dom, migrated := range o.jqCookie {
+		d.jqCookie[dom] = d.jqCookie[dom] || migrated
+	}
 }
 
 // MeanUsage returns the average weekly usage share of a discontinued
@@ -88,5 +91,10 @@ func (d *Discontinued) MeanUsage(slug string) float64 {
 // migrated over seven years; within the four-year window the share is
 // lower).
 func (d *Discontinued) MigrationStats() (everUsed, migrated int) {
-	return len(d.everJQCookie), len(d.migrated)
+	for _, m := range d.jqCookie {
+		if m {
+			migrated++
+		}
+	}
+	return len(d.jqCookie), migrated
 }

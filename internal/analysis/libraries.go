@@ -18,9 +18,7 @@ type LibraryStats struct {
 	jsSites   weekSeries
 	libSites  weekSeries // sites using ≥1 detected library (any slug)
 
-	libs     map[string]*libStats
-	distinct map[string]bool
-	parsed   versionTable
+	libs map[string]*libStats
 }
 
 type libStats struct {
@@ -28,20 +26,87 @@ type libStats struct {
 	internal int
 	external int
 	cdnHits  int
-	hosts    map[string]int
+	hosts    map[string]*hostCount
 
-	versions map[string]int        // canonical version → total observations
-	verWeek  map[string]weekSeries // canonical version → weekly sites
-	verWP    map[string]weekSeries // same, restricted to WordPress sites
-	verRaw   map[string]string     // canonical → display string
+	// vers resolves each version string seen to the stats of its canonical
+	// version, which two spellings ("3.5", "3.5.0") share; byCanon holds
+	// those stats by canonical version.
+	vers    map[string]*verStats
+	byCanon map[string]*verStats
+
+	// counted marks the library as counted in the usage series of the
+	// observation being folded; it is false between observations.
+	counted bool
+}
+
+// hostCount is one external host's inclusion count, with its CDN
+// classification taken once.
+type hostCount struct {
+	n   int
+	cdn bool
+}
+
+// verStats is one canonical version of a library.
+type verStats struct {
+	canon string
+	// raw is the display spelling: of two spellings of one version, the
+	// lexicographically smaller, the rule Merge applies too, so a sharded
+	// run shows what a serial one does.
+	raw string
+	// n counts observations.
+	n int
+	// week counts sites per week; wp the same restricted to WordPress
+	// sites, nil until one uses the version.
+	week, wp weekSeries
 }
 
 func newLibStats(weeks int) *libStats {
 	return &libStats{
-		usage: newWeekSeries(weeks), hosts: map[string]int{},
-		versions: map[string]int{}, verWeek: map[string]weekSeries{},
-		verWP: map[string]weekSeries{}, verRaw: map[string]string{},
+		usage: newWeekSeries(weeks), hosts: map[string]*hostCount{},
+		vers: map[string]*verStats{}, byCanon: map[string]*verStats{},
 	}
+}
+
+// version returns the stats of raw's canonical version, nil when raw does
+// not parse. Only strings that parse are kept.
+func (ls *libStats) version(raw string, weeks int) *verStats {
+	if raw == "" {
+		return nil
+	}
+	if vs, ok := ls.vers[raw]; ok {
+		return vs
+	}
+	v, ok := parseVersion(raw)
+	if !ok {
+		return nil
+	}
+	vs := ls.canonical(v.Canonical(), raw, weeks)
+	ls.vers[raw] = vs
+	return vs
+}
+
+// canonical returns the stats of a canonical version, creating them, and
+// keeps raw as the display spelling when it sorts first.
+func (ls *libStats) canonical(canon, raw string, weeks int) *verStats {
+	vs := ls.byCanon[canon]
+	switch {
+	case vs == nil:
+		vs = &verStats{canon: canon, raw: raw, week: newWeekSeries(weeks)}
+		ls.byCanon[canon] = vs
+	case raw < vs.raw:
+		vs.raw = raw
+	}
+	return vs
+}
+
+// host returns an external host's count, creating it.
+func (ls *libStats) host(host string) *hostCount {
+	h := ls.hosts[host]
+	if h == nil {
+		h = &hostCount{cdn: cdn.IsCDN(host)}
+		ls.hosts[host] = h
+	}
+	return h
 }
 
 // NewLibraryStats builds the collector.
@@ -52,8 +117,6 @@ func NewLibraryStats(weeks int) *LibraryStats {
 		jsSites:   newWeekSeries(weeks),
 		libSites:  newWeekSeries(weeks),
 		libs:      map[string]*libStats{},
-		distinct:  map[string]bool{},
-		parsed:    versionTable{},
 	}
 }
 
@@ -62,59 +125,52 @@ func (l *LibraryStats) Observe(obs store.Observation) {
 	if !obs.OK() {
 		return
 	}
-	l.collected.add(obs.Week, 1)
+	w := obs.Week
+	l.collected.add(w, 1)
 	if obs.HasJS {
-		l.jsSites.add(obs.Week, 1)
+		l.jsSites.add(w, 1)
 	}
 	if len(obs.Libs) > 0 {
-		l.libSites.add(obs.Week, 1)
+		l.libSites.add(w, 1)
 	}
-	seen := map[string]bool{}
+	var buf [16]*libStats
+	counted := buf[:0]
 	isWP := obs.WordPress != ""
-	for _, lib := range obs.Libs {
-		l.distinct[lib.Slug] = true
-		ls := l.libs[lib.Slug]
+	for i := range obs.Libs {
+		rec := &obs.Libs[i]
+		ls := l.libs[rec.Slug]
 		if ls == nil {
 			ls = newLibStats(l.weeks)
-			l.libs[lib.Slug] = ls
+			l.libs[rec.Slug] = ls
 		}
-		if !seen[lib.Slug] {
-			seen[lib.Slug] = true
-			ls.usage.add(obs.Week, 1)
+		if !ls.counted {
+			ls.counted = true
+			counted = append(counted, ls)
+			ls.usage.add(w, 1)
 		}
-		if lib.External {
+		if rec.External {
 			ls.external++
-			ls.hosts[lib.Host]++
-			if cdn.IsCDN(lib.Host) {
+			h := ls.host(rec.Host)
+			h.n++
+			if h.cdn {
 				ls.cdnHits++
 			}
 		} else {
 			ls.internal++
 		}
-		if pv, ok := l.parsed.parse(lib.Version); ok {
-			key := pv.canon
-			ls.versions[key]++
-			// Two spellings of one version ("3.5", "3.5.0") display as the
-			// lexicographically smaller, the rule Merge applies, so a
-			// sharded run shows what a serial one does.
-			if cur, ok := ls.verRaw[key]; !ok || lib.Version < cur {
-				ls.verRaw[key] = lib.Version
-			}
-			ws := ls.verWeek[key]
-			if ws == nil {
-				ws = newWeekSeries(l.weeks)
-				ls.verWeek[key] = ws
-			}
-			ws.add(obs.Week, 1)
+		if vs := ls.version(rec.Version, l.weeks); vs != nil {
+			vs.n++
+			vs.week.add(w, 1)
 			if isWP {
-				wp := ls.verWP[key]
-				if wp == nil {
-					wp = newWeekSeries(l.weeks)
-					ls.verWP[key] = wp
+				if vs.wp == nil {
+					vs.wp = newWeekSeries(l.weeks)
 				}
-				wp.add(obs.Week, 1)
+				vs.wp.add(w, 1)
 			}
 		}
+	}
+	for _, ls := range counted {
+		ls.counted = false
 	}
 }
 
@@ -124,8 +180,6 @@ func (l *LibraryStats) Merge(o *LibraryStats) {
 	l.collected.merge(o.collected)
 	l.jsSites.merge(o.jsSites)
 	l.libSites.merge(o.libSites)
-	mergeSets(l.distinct, o.distinct)
-	l.parsed.merge(o.parsed)
 	for slug, os := range o.libs {
 		ls := l.libs[slug]
 		if ls == nil {
@@ -141,17 +195,25 @@ func (ls *libStats) merge(o *libStats, weeks int) {
 	ls.internal += o.internal
 	ls.external += o.external
 	ls.cdnHits += o.cdnHits
-	mergeCounts(ls.hosts, o.hosts)
-	mergeCounts(ls.versions, o.versions)
-	// Keep the lexicographically smaller spelling, as Observe does, so the
-	// merge stays order-independent.
-	for key, raw := range o.verRaw {
-		if cur, ok := ls.verRaw[key]; !ok || raw < cur {
-			ls.verRaw[key] = raw
+	for host, oh := range o.hosts {
+		ls.host(host).n += oh.n
+	}
+	for canon, ovs := range o.byCanon {
+		vs := ls.canonical(canon, ovs.raw, weeks)
+		vs.n += ovs.n
+		vs.week.merge(ovs.week)
+		if ovs.wp != nil {
+			if vs.wp == nil {
+				vs.wp = newWeekSeries(weeks)
+			}
+			vs.wp.merge(ovs.wp)
 		}
 	}
-	mergeSeriesMap(ls.verWeek, o.verWeek, weeks)
-	mergeSeriesMap(ls.verWP, o.verWP, weeks)
+	for raw, ovs := range o.vers {
+		if _, ok := ls.vers[raw]; !ok {
+			ls.vers[raw] = ls.byCanon[ovs.canon]
+		}
+	}
 }
 
 // UsageSeries returns the weekly share of collected sites using a library.
@@ -216,7 +278,7 @@ func (l *LibraryStats) Table1() []Table1Row {
 			if ls.external > 0 {
 				row.CDNPct = float64(ls.cdnHits) / float64(ls.external)
 			}
-			row.VersionsFound = len(ls.versions)
+			row.VersionsFound = len(ls.byCanon)
 			row.Dominant, row.DominantPct = dominantVersion(ls)
 			row.LatestSeen = latestVersion(ls)
 		}
@@ -226,30 +288,31 @@ func (l *LibraryStats) Table1() []Table1Row {
 }
 
 func dominantVersion(ls *libStats) (string, float64) {
-	best, bestN, total := "", 0, 0
-	for key, n := range ls.versions {
-		total += n
-		if n > bestN || (n == bestN && key < best) {
-			best, bestN = key, n
+	var best *verStats
+	total := 0
+	for _, vs := range ls.byCanon {
+		total += vs.n
+		if best == nil || vs.n > best.n || (vs.n == best.n && vs.canon < best.canon) {
+			best = vs
 		}
 	}
 	if total == 0 {
 		return "", 0
 	}
-	return ls.verRaw[best], float64(bestN) / float64(total)
+	return best.raw, float64(best.n) / float64(total)
 }
 
 func latestVersion(ls *libStats) string {
-	best := ""
-	for key := range ls.versions {
-		if best == "" || less(best, key) {
-			best = key
+	var best *verStats
+	for _, vs := range ls.byCanon {
+		if best == nil || less(best.canon, vs.canon) {
+			best = vs
 		}
 	}
-	if best == "" {
+	if best == nil {
 		return ""
 	}
-	return ls.verRaw[best]
+	return best.raw
 }
 
 func less(a, b string) bool {
@@ -268,26 +331,22 @@ func (l *LibraryStats) TopVersions(slug string, n int) []string {
 	if ls == nil {
 		return nil
 	}
-	type kv struct {
-		key string
-		n   int
-	}
-	var all []kv
-	for key, cnt := range ls.versions {
-		all = append(all, kv{key, cnt})
+	var all []*verStats
+	for _, vs := range ls.byCanon {
+		all = append(all, vs)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].n != all[j].n {
 			return all[i].n > all[j].n
 		}
-		return all[i].key < all[j].key
+		return all[i].canon < all[j].canon
 	})
 	if n > len(all) {
 		n = len(all)
 	}
 	out := make([]string, n)
 	for i := 0; i < n; i++ {
-		out[i] = ls.verRaw[all[i].key]
+		out[i] = all[i].raw
 	}
 	return out
 }
@@ -302,11 +361,11 @@ func (l *LibraryStats) VersionSeries(slug, version string) []int {
 	if !ok {
 		return make([]int, l.weeks)
 	}
-	ws := ls.verWeek[v.Canonical()]
-	if ws == nil {
+	vs := ls.byCanon[v.Canonical()]
+	if vs == nil {
 		return make([]int, l.weeks)
 	}
-	return ws.Series()
+	return vs.week.Series()
 }
 
 // VersionSeriesWordPress returns the same series restricted to WordPress
@@ -320,11 +379,11 @@ func (l *LibraryStats) VersionSeriesWordPress(slug, version string) []int {
 	if !ok {
 		return make([]int, l.weeks)
 	}
-	ws := ls.verWP[v.Canonical()]
-	if ws == nil {
+	vs := ls.byCanon[v.Canonical()]
+	if vs == nil || vs.wp == nil {
 		return make([]int, l.weeks)
 	}
-	return ws.Series()
+	return vs.wp.Series()
 }
 
 // HostCount is one Table 5 cell: an external host and its inclusion count.
@@ -341,9 +400,9 @@ func (l *LibraryStats) TopHosts(slug string, n int) []HostCount {
 		return nil
 	}
 	var all []HostCount
-	for host, cnt := range ls.hosts {
-		all = append(all, HostCount{Host: host, Count: cnt,
-			Share: float64(cnt) / float64(ls.external)})
+	for host, h := range ls.hosts {
+		all = append(all, HostCount{Host: host, Count: h.n,
+			Share: float64(h.n) / float64(ls.external)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Count != all[j].Count {
@@ -359,7 +418,7 @@ func (l *LibraryStats) TopHosts(slug string, n int) []HostCount {
 
 // DistinctLibraries returns the number of distinct library slugs observed
 // (the paper found 79).
-func (l *LibraryStats) DistinctLibraries() int { return len(l.distinct) }
+func (l *LibraryStats) DistinctLibraries() int { return len(l.libs) }
 
 // LibShareOfJSSites returns the share of JavaScript-using sites that use at
 // least one identified library (the paper's 97.04 %).

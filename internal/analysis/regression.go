@@ -16,73 +16,95 @@ import (
 // per domain.
 type Regressions struct {
 	weeks int
-	// last holds each (domain, lib)'s most recent version string.
-	last map[regKey]string
+	// domains holds each domain's libraries, in first-seen order.
+	domains map[string][]regLib
+	// regressed holds the domains with ≥1 downgrade.
+	regressed map[string]bool
 	// downgrades counts observed version downgrades per library.
 	downgrades map[string]int
-	// reopened counts downgrades that moved the site back *into* an
-	// advisory's vulnerable range it had previously left.
-	reopened map[string]int // advisory ID → count
-	// domains with ≥1 downgrade.
-	regressedDomains map[string]bool
-	// exitState tracks, per (domain, advisory), whether the site has been
-	// seen outside the vulnerable range after having been inside it.
-	exitState map[regAdvKey]bool
-	parsed    versionTable
+	// reopened counts, per advisory position in vulndb.Advisories(),
+	// downgrades that moved the site back *into* an advisory's vulnerable
+	// range it had previously left.
+	reopened []int
+	libs     libTable
 }
 
-type regKey struct{ domain, lib string }
-type regAdvKey struct{ domain, advID string }
+// regLib is one (domain, library) state.
+type regLib struct {
+	// last is the most recent version, of the pair's library; a record of
+	// the same version resolves to it without a table lookup.
+	last *version
+	// out has bit k set while the site has been seen outside advisory k's
+	// vulnerable range since it was last inside it (post-disclosure); set
+	// records which bits were ever written.
+	out, set advMask
+}
 
 // NewRegressions builds the collector.
 func NewRegressions(weeks int) *Regressions {
 	return &Regressions{
-		weeks:            weeks,
-		last:             map[regKey]string{},
-		downgrades:       map[string]int{},
-		reopened:         map[string]int{},
-		regressedDomains: map[string]bool{},
-		exitState:        map[regAdvKey]bool{},
-		parsed:           versionTable{},
+		weeks:      weeks,
+		domains:    map[string][]regLib{},
+		regressed:  map[string]bool{},
+		downgrades: map[string]int{},
+		reopened:   make([]int, len(vulndb.Advisories())),
+		libs:       libTable{},
 	}
 }
 
-// Observe implements Collector.
+// Observe implements Collector. An observation at a week outside the study
+// is dropped, as every week series drops it.
 func (r *Regressions) Observe(obs store.Observation) {
-	if !obs.OK() {
+	w := obs.Week
+	if !obs.OK() || w < 0 || w >= r.weeks {
 		return
 	}
-	date := WeekDate(obs.Week)
-	for _, lib := range obs.Libs {
-		pv, ok := r.parsed.parse(lib.Version)
-		if !ok {
+	var libs []regLib
+	looked := false
+	for i := range obs.Libs {
+		rec := &obs.Libs[i]
+		if rec.Version == "" {
 			continue
 		}
-		ver := pv.v
-		key := regKey{obs.Domain, lib.Slug}
-		if prevStr, seen := r.last[key]; seen {
-			if prev, ok := r.parsed.parse(prevStr); ok && ver.Less(prev.v) {
-				r.downgrades[lib.Slug]++
-				r.regressedDomains[obs.Domain] = true
-			}
+		if !looked {
+			libs, looked = r.domains[obs.Domain], true
 		}
-		r.last[key] = lib.Version
-
-		// Vulnerability window re-opening: entering a range after having
-		// been seen outside it (post-disclosure).
-		for _, adv := range vulndb.AdvisoriesFor(lib.Slug) {
-			if adv.Disclosed.After(date) {
+		j := 0
+		for j < len(libs) && libs[j].last.lib.slug != rec.Slug {
+			j++
+		}
+		if j == len(libs) || libs[j].last.raw != rec.Version {
+			lib := r.libs.get(rec.Slug)
+			ver, ok := lib.parse(rec.Version)
+			if !ok {
 				continue
 			}
-			akey := regAdvKey{obs.Domain, adv.ID}
-			in := adv.EffectiveTrueRange().Contains(ver)
-			wasOut := r.exitState[akey]
+			if j == len(libs) {
+				libs = appendOne(libs, regLib{last: ver})
+				r.domains[obs.Domain] = libs
+			} else if ver.v.Less(libs[j].last.v) {
+				r.downgrades[lib.slug]++
+				r.regressed[obs.Domain] = true
+			}
+			libs[j].last = ver
+		}
+		st := &libs[j]
+		// Vulnerability window re-opening: entering a range after having
+		// been seen outside it (post-disclosure).
+		advs := st.last.lib.advs()
+		for k := range advs {
+			a := &advs[k]
+			if w < a.disclosed {
+				continue
+			}
+			bit := advMask(1) << k
 			switch {
-			case !in:
-				r.exitState[akey] = true
-			case in && wasOut:
-				r.reopened[adv.ID]++
-				r.exitState[akey] = false
+			case st.last.tvv&bit == 0:
+				st.out |= bit
+				st.set |= bit
+			case st.out&bit != 0:
+				r.reopened[a.pos]++
+				st.out &^= bit
 			}
 		}
 	}
@@ -94,25 +116,36 @@ func (r *Regressions) Observe(obs store.Observation) {
 // exactly under domain-disjoint sharding (overlapping keys keep the
 // receiver's state).
 func (r *Regressions) Merge(o *Regressions) {
-	for key, v := range o.last {
-		if _, ok := r.last[key]; !ok {
-			r.last[key] = v
-		}
-	}
+	r.libs.merge(o.libs)
 	mergeCounts(r.downgrades, o.downgrades)
-	r.parsed.merge(o.parsed)
-	mergeCounts(r.reopened, o.reopened)
-	mergeSets(r.regressedDomains, o.regressedDomains)
-	for key, v := range o.exitState {
-		if _, ok := r.exitState[key]; !ok {
-			r.exitState[key] = v
+	mergeSets(r.regressed, o.regressed)
+	for pos, n := range o.reopened {
+		r.reopened[pos] += n
+	}
+	for name, olibs := range o.domains {
+		libs := r.domains[name]
+		for _, os := range olibs {
+			j := 0
+			slug := os.last.lib.slug
+			for j < len(libs) && libs[j].last.lib.slug != slug {
+				j++
+			}
+			if j == len(libs) {
+				libs = appendOne(libs, regLib{last: r.libs.get(slug).own(os.last)})
+			}
+			// Exit states the receiver never wrote come from o.
+			st := &libs[j]
+			take := os.set &^ st.set
+			st.out |= os.out & take
+			st.set |= take
 		}
+		r.domains[name] = libs
 	}
 }
 
 // RegressedDomains returns the number of domains with ≥1 observed version
 // downgrade.
-func (r *Regressions) RegressedDomains() int { return len(r.regressedDomains) }
+func (r *Regressions) RegressedDomains() int { return len(r.regressed) }
 
 // LibCount is one (library, count) aggregate.
 type LibCount struct {
@@ -139,9 +172,11 @@ func (r *Regressions) DowngradesByLibrary() []LibCount {
 // ReopenedWindows returns, per advisory, how many times a site re-entered
 // the vulnerable range after having left it.
 func (r *Regressions) ReopenedWindows() map[string]int {
-	out := make(map[string]int, len(r.reopened))
-	for id, n := range r.reopened {
-		out[id] = n
+	out := map[string]int{}
+	for pos, a := range vulndb.Advisories() {
+		if n := r.reopened[pos]; n > 0 {
+			out[a.ID] = n
+		}
 	}
 	return out
 }

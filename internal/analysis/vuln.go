@@ -26,38 +26,38 @@ type VulnPrevalence struct {
 	// (an extension beyond the paper's headline metric).
 	vulnUncond weekSeries
 
-	perAdvisoryCVE map[string]weekSeries
-	perAdvisoryTVV map[string]weekSeries
+	// perAdvisoryCVE and perAdvisoryTVV are indexed by position in
+	// vulndb.Advisories().
+	perAdvisoryCVE []weekSeries
+	perAdvisoryTVV []weekSeries
 
-	histCVE map[int]int // per-(site,week) vulnerability count histogram
-	histTVV map[int]int
+	// histCVE and histTVV are the per-(site,week) vulnerability count
+	// histograms, indexed by count.
+	histCVE []int
+	histTVV []int
 
 	// undisclosed tracks domains observed vulnerable under TVV ranges but
 	// clean under CVE ranges (domain → best rank) — the population behind
 	// the paper's microsoft.com / docusign.com examples.
 	undisclosed map[string]int
 
-	parsed versionTable
+	vers advTables
 }
 
 // NewVulnPrevalence builds the collector.
 func NewVulnPrevalence(weeks int) *VulnPrevalence {
 	v := &VulnPrevalence{
-		weeks:          weeks,
-		collected:      newWeekSeries(weeks),
-		vulnCVE:        newWeekSeries(weeks),
-		vulnTVV:        newWeekSeries(weeks),
-		vulnUncond:     newWeekSeries(weeks),
-		perAdvisoryCVE: map[string]weekSeries{},
-		perAdvisoryTVV: map[string]weekSeries{},
-		histCVE:        map[int]int{},
-		histTVV:        map[int]int{},
-		undisclosed:    map[string]int{},
-		parsed:         versionTable{},
+		weeks:       weeks,
+		collected:   newWeekSeries(weeks),
+		vulnCVE:     newWeekSeries(weeks),
+		vulnTVV:     newWeekSeries(weeks),
+		vulnUncond:  newWeekSeries(weeks),
+		undisclosed: map[string]int{},
+		vers:        newAdvTables(),
 	}
-	for _, a := range vulndb.Advisories() {
-		v.perAdvisoryCVE[a.ID] = newWeekSeries(weeks)
-		v.perAdvisoryTVV[a.ID] = newWeekSeries(weeks)
+	for range vulndb.Advisories() {
+		v.perAdvisoryCVE = append(v.perAdvisoryCVE, newWeekSeries(weeks))
+		v.perAdvisoryTVV = append(v.perAdvisoryTVV, newWeekSeries(weeks))
 	}
 	return v
 }
@@ -68,26 +68,32 @@ func (v *VulnPrevalence) Observe(obs store.Observation) {
 		return
 	}
 	v.collected.add(obs.Week, 1)
-	date := WeekDate(obs.Week)
+	w := obs.Week
 	nCVE, nTVV, nUncond := 0, 0, 0
-	for _, lib := range obs.Libs {
-		pv, ok := v.parsed.parse(lib.Version)
-		if !ok {
+	for i := range obs.Libs {
+		rec := &obs.Libs[i]
+		lib := advLibs[rec.Slug]
+		if lib == nil {
 			continue
 		}
-		ver := pv.v
-		for _, adv := range vulndb.AdvisoriesFor(lib.Slug) {
-			if adv.Disclosed.After(date) {
+		ver, ok := v.vers[lib.idx].parse(rec.Version)
+		if !ok || ver.cve|ver.tvv == 0 {
+			continue
+		}
+		for k := range lib.advs {
+			a := &lib.advs[k]
+			if w < a.disclosed {
 				continue
 			}
-			if adv.CVERange.Contains(ver) {
+			bit := advMask(1) << k
+			if ver.cve&bit != 0 {
 				nCVE++
-				v.perAdvisoryCVE[adv.ID].add(obs.Week, 1)
+				v.perAdvisoryCVE[a.pos].add(w, 1)
 			}
-			if adv.EffectiveTrueRange().Contains(ver) {
+			if ver.tvv&bit != 0 {
 				nTVV++
-				v.perAdvisoryTVV[adv.ID].add(obs.Week, 1)
-				if !adv.Conditional {
+				v.perAdvisoryTVV[a.pos].add(w, 1)
+				if !a.conditional {
 					nUncond++
 				}
 			}
@@ -107,8 +113,17 @@ func (v *VulnPrevalence) Observe(obs store.Observation) {
 			v.undisclosed[obs.Domain] = obs.Rank
 		}
 	}
-	v.histCVE[nCVE]++
-	v.histTVV[nTVV]++
+	v.histCVE = bump(v.histCVE, nCVE)
+	v.histTVV = bump(v.histTVV, nTVV)
+}
+
+// bump adds one to h[n], growing h to n+1 entries when it is shorter.
+func bump(h []int, n int) []int {
+	for len(h) <= n {
+		h = append(h, 0)
+	}
+	h[n]++
+	return h
 }
 
 // Merge folds another VulnPrevalence's aggregates into v. The two
@@ -119,12 +134,14 @@ func (v *VulnPrevalence) Merge(o *VulnPrevalence) {
 	v.vulnCVE.merge(o.vulnCVE)
 	v.vulnTVV.merge(o.vulnTVV)
 	v.vulnUncond.merge(o.vulnUncond)
-	mergeSeriesMap(v.perAdvisoryCVE, o.perAdvisoryCVE, v.weeks)
-	mergeSeriesMap(v.perAdvisoryTVV, o.perAdvisoryTVV, v.weeks)
-	mergeHist(v.histCVE, o.histCVE)
-	mergeHist(v.histTVV, o.histTVV)
+	for pos := range v.perAdvisoryCVE {
+		v.perAdvisoryCVE[pos].merge(o.perAdvisoryCVE[pos])
+		v.perAdvisoryTVV[pos].merge(o.perAdvisoryTVV[pos])
+	}
+	v.histCVE = mergeHist(v.histCVE, o.histCVE)
+	v.histTVV = mergeHist(v.histTVV, o.histTVV)
 	mergeMinRank(v.undisclosed, o.undisclosed)
-	v.parsed.merge(o.parsed)
+	v.vers.merge(o.vers)
 }
 
 // MeanVulnerableShare returns the average weekly share of collected sites
@@ -157,11 +174,12 @@ func (v *VulnPrevalence) VulnerableSeries(useTVV bool) []float64 {
 // AdvisorySeries returns the weekly count of sites affected by one advisory
 // under both rulesets (Figures 5 and 14).
 func (v *VulnPrevalence) AdvisorySeries(id string) (cve, tvv []int) {
-	c, ok := v.perAdvisoryCVE[id]
-	if !ok {
-		return make([]int, v.weeks), make([]int, v.weeks)
+	for pos, a := range vulndb.Advisories() {
+		if a.ID == id {
+			return v.perAdvisoryCVE[pos].Series(), v.perAdvisoryTVV[pos].Series()
+		}
 	}
-	return c.Series(), v.perAdvisoryTVV[id].Series()
+	return make([]int, v.weeks), make([]int, v.weeks)
 }
 
 // MeanAffected returns the average weekly number of sites affected by one
@@ -171,17 +189,17 @@ func (v *VulnPrevalence) MeanAffected(id string, useTVV bool) float64 {
 	if useTVV {
 		m = v.perAdvisoryTVV
 	}
-	s, ok := m[id]
-	if !ok {
+	var s weekSeries
+	var adv vulndb.Advisory
+	for pos, a := range vulndb.Advisories() {
+		if a.ID == id {
+			s, adv = m[pos], a
+		}
+	}
+	if s == nil {
 		return 0
 	}
 	// Average over the weeks after the advisory's disclosure.
-	var adv vulndb.Advisory
-	for _, a := range vulndb.Advisories() {
-		if a.ID == id {
-			adv = a
-		}
-	}
 	from := weekOfDate(adv.Disclosed)
 	if from < 0 {
 		from = 0
@@ -219,17 +237,17 @@ func (v *VulnPrevalence) VulnCDF(useTVV bool) []CDFPoint {
 	if useTVV {
 		hist = v.histTVV
 	}
-	var counts []int
 	total := 0
-	for c, n := range hist {
-		counts = append(counts, c)
+	for _, n := range hist {
 		total += n
 	}
-	sort.Ints(counts)
 	var out []CDFPoint
 	cum := 0
-	for _, c := range counts {
-		cum += hist[c]
+	for c, n := range hist {
+		if n == 0 {
+			continue
+		}
+		cum += n
 		out = append(out, CDFPoint{Count: c, CDF: float64(cum) / float64(total)})
 	}
 	return out

@@ -11,11 +11,12 @@ type WordPress struct {
 	weeks     int
 	collected weekSeries
 	wpSites   weekSeries
-	// affected counts sites per WP advisory per week (from disclosure on).
-	affected map[string]weekSeries
-	// versions counts WP versions for the 521-versions-found statistic.
-	versions map[string]int
-	parsed   versionTable
+	// affected counts sites per WP advisory per week (from disclosure on),
+	// indexed by position in vulndb.WordPressAdvisories().
+	affected []weekSeries
+	// versions holds every WordPress version string seen, for the
+	// 521-versions-found statistic.
+	versions *library
 }
 
 // NewWordPress builds the collector.
@@ -24,12 +25,10 @@ func NewWordPress(weeks int) *WordPress {
 		weeks:     weeks,
 		collected: newWeekSeries(weeks),
 		wpSites:   newWeekSeries(weeks),
-		affected:  map[string]weekSeries{},
-		versions:  map[string]int{},
-		parsed:    versionTable{},
+		versions:  newLibrary(wordPress.slug, wordPress),
 	}
-	for _, a := range vulndb.WordPressAdvisories() {
-		w.affected[a.ID] = newWeekSeries(weeks)
+	for range wordPress.advs {
+		w.affected = append(w.affected, newWeekSeries(weeks))
 	}
 	return w
 }
@@ -44,19 +43,13 @@ func (w *WordPress) Observe(obs store.Observation) {
 		return
 	}
 	w.wpSites.add(obs.Week, 1)
-	pv, ok := w.parsed.parse(obs.WordPress)
+	ver, ok := w.versions.parse(obs.WordPress)
 	if !ok {
 		return
 	}
-	ver := pv.v
-	w.versions[pv.canon]++
-	date := WeekDate(obs.Week)
-	for _, adv := range vulndb.WordPressAdvisories() {
-		if adv.Disclosed.After(date) {
-			continue
-		}
-		if adv.Range.Contains(ver) {
-			w.affected[adv.ID].add(obs.Week, 1)
+	for k := range wordPress.advs {
+		if a := &wordPress.advs[k]; ver.cve&(1<<k) != 0 && obs.Week >= a.disclosed {
+			w.affected[k].add(obs.Week, 1)
 		}
 	}
 }
@@ -67,9 +60,10 @@ func (w *WordPress) Observe(obs store.Observation) {
 func (w *WordPress) Merge(o *WordPress) {
 	w.collected.merge(o.collected)
 	w.wpSites.merge(o.wpSites)
-	mergeSeriesMap(w.affected, o.affected, w.weeks)
-	w.parsed.merge(o.parsed)
-	mergeCounts(w.versions, o.versions)
+	for k := range w.affected {
+		w.affected[k].merge(o.affected[k])
+	}
+	w.versions.merge(o.versions)
 }
 
 // MeanShare returns the average share of collected sites built with
@@ -94,8 +88,8 @@ type Table4Row struct {
 // Table4 computes the measured Table 4.
 func (w *WordPress) Table4() []Table4Row {
 	var rows []Table4Row
-	for _, adv := range vulndb.WordPressAdvisories() {
-		series := w.affected[adv.ID]
+	for k, adv := range vulndb.WordPressAdvisories() {
+		series := w.affected[k]
 		from := weekOfDate(adv.Disclosed)
 		if from < 0 {
 			from = 0
@@ -110,4 +104,10 @@ func (w *WordPress) Table4() []Table4Row {
 }
 
 // DistinctVersions returns the number of distinct WordPress versions seen.
-func (w *WordPress) DistinctVersions() int { return len(w.versions) }
+func (w *WordPress) DistinctVersions() int {
+	canon := map[string]bool{}
+	for _, v := range w.versions.vers {
+		canon[v.v.Canonical()] = true
+	}
+	return len(canon)
+}

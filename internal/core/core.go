@@ -135,7 +135,10 @@ type Config struct {
 	ReplayBundle string
 	// Progress, when set, receives one line per collected week.
 	Progress func(format string, args ...any)
-	// SkipPoC skips the version-validation experiment.
+	// SkipPoC leaves Results.Findings empty, so the report carries no
+	// version-validation findings. Otherwise they come from
+	// poclab.Findings, the PoC lab's committed answer: no PoC runs either
+	// way.
 	SkipPoC bool
 }
 
@@ -222,7 +225,7 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	res := mergeShards(shards)
 	res.Eco, res.Crawl = eco, crawl
 	if !cfg.SkipPoC {
-		res.Findings, err = poclab.RunAll()
+		res.Findings, err = poclab.Findings()
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +235,7 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 
 // WriteStore is Run's collection into cfg.StorePath — the same engine,
 // store bytes, checkpoints, resume and record/replay — without collectors
-// or the PoC lab; RunFromStore analyses what it writes. It returns the
+// or findings; RunFromStore analyses what it writes. It returns the
 // crawler's metrics after a ModeCrawl run, nil after a direct one.
 func WriteStore(ctx context.Context, cfg Config) (*crawler.MetricsSnapshot, error) {
 	if cfg.StorePath == "" {
@@ -623,8 +626,9 @@ func crawlSource(ccfg crawler.Config, eco *webgen.Ecosystem, part, parts, shards
 	}, cr
 }
 
-// RunFromStore replays a stored observation dataset through the analyses
-// (Findings still come from the PoC lab, which is dataset-independent).
+// RunFromStore replays a stored observation dataset through the analyses.
+// Findings come from poclab.Findings, the PoC lab's committed answer, which
+// does not depend on the dataset: no PoC runs here.
 // The path may be a store directory or a single gzip stream — one segment
 // file of a store, which replays to the same report as its store; an
 // archive of an earlier release is refused. Segments
@@ -645,11 +649,11 @@ func RunFromStore(path string, weeks, domains, shards int) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Findings, err = poclab.RunAll()
+	res.Findings, err = poclab.Findings()
 	return res, err
 }
 
-// replayStore is RunFromStore without the PoC lab.
+// replayStore is RunFromStore without the findings.
 func replayStore(path string, weeks, domains, shards int) (*Results, error) {
 	wrongStudy := func(n int) error {
 		return fmt.Errorf("core: %s holds %d observations, not the %d of a %d-domain × %d-week study",

@@ -54,8 +54,9 @@ type MergeConfig struct {
 	// cover every week once, and every crawled (domain, week) yields
 	// exactly one observation, failures included).
 	DomainsPerPartition []int
-	// SkipPoC skips the version-validation experiment (Results.Findings
-	// stays nil; reports of runs that also skipped it stay comparable).
+	// SkipPoC leaves Results.Findings nil, so the report carries no
+	// version-validation findings (reports of runs that also skipped them
+	// stay comparable); otherwise they come from poclab.Findings.
 	SkipPoC bool
 }
 
@@ -122,7 +123,7 @@ func MergeWorkerStores(spans []ReplaySpan, cfg MergeConfig) (*Results, error) {
 	}
 	res := mergeShards(shards)
 	if !cfg.SkipPoC {
-		res.Findings, err = poclab.RunAll()
+		res.Findings, err = poclab.Findings()
 		if err != nil {
 			return nil, err
 		}

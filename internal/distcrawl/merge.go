@@ -10,9 +10,9 @@ import (
 
 // MergeOptions parameterizes Merge.
 type MergeOptions struct {
-	// SkipPoC skips the version-validation experiment in the merged
-	// Results (tests; reports stay comparable to serial runs that also
-	// skipped it).
+	// SkipPoC leaves the merged Results without version-validation
+	// findings (tests; reports stay comparable to serial runs that also
+	// skipped them).
 	SkipPoC bool
 }
 

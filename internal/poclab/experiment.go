@@ -3,6 +3,7 @@ package poclab
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"clientres/internal/semver"
@@ -60,36 +61,95 @@ func (f Finding) Overstated() []semver.Version {
 // (the paper's "85 different environments" for jQuery), runs the PoC, and
 // derives the TVV set and accuracy classification.
 func Run(advisoryID string) (Finding, error) {
-	poc, err := PoCFor(advisoryID)
+	adv, poc, versions, err := experiment(advisoryID)
 	if err != nil {
 		return Finding{}, err
 	}
-	var adv vulndb.Advisory
-	found := false
-	for _, a := range vulndb.Advisories() {
-		if a.ID == advisoryID {
-			adv, found = a, true
-			break
-		}
-	}
-	if !found {
-		return Finding{}, fmt.Errorf("poclab: advisory %q not in vulndb", advisoryID)
-	}
-	cat, ok := vulndb.CatalogFor(adv.Lib)
-	if !ok {
-		return Finding{}, fmt.Errorf("poclab: no catalog for %q", adv.Lib)
-	}
-
 	// NewEnv fails only on an unknown slug: check it once, before the
 	// fan-out, so runEnvs cannot fail.
 	if _, err := NewEnv(adv.Lib, semver.Version{}); err != nil {
 		return Finding{}, err
 	}
+	return finding(adv, poc, versions, runEnvs(adv.Lib, versions, poc)), nil
+}
 
-	f := Finding{Advisory: adv, PoC: poc}
+//go:generate go run ./gentable
+
+// RunAll validates every Table 2 advisory in row order.
+func RunAll() ([]Finding, error) {
+	var out []Finding
+	for _, adv := range vulndb.Advisories() {
+		f, err := Run(adv.ID)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, f)
+	}
+	return out, nil
+}
+
+// Findings returns what RunAll returns, every Table 2 advisory in row order,
+// without running a PoC: which catalog versions each PoC triggered on is
+// read from the committed table in findings_table.go, which
+// `go generate ./internal/poclab` writes from RunAll, and the rest of each
+// Finding is derived as Run derives it. A table that misses an advisory or
+// names a version its catalog lacks is an error: regenerate it.
+func Findings() ([]Finding, error) {
+	var out []Finding
+	for _, a := range vulndb.Advisories() {
+		adv, poc, versions, err := experiment(a.ID)
+		if err != nil {
+			return nil, err
+		}
+		row, ok := labTable[a.ID]
+		if !ok {
+			return nil, fmt.Errorf("poclab: the findings table has no row for %s: run go generate ./internal/poclab", a.ID)
+		}
+		in := make(map[string]bool, len(row))
+		for _, s := range row {
+			in[s] = true
+		}
+		triggered, n := make([]bool, len(versions)), 0
+		for i, v := range versions {
+			if in[v.String()] {
+				triggered[i] = true
+				n++
+			}
+		}
+		if n != len(row) {
+			return nil, fmt.Errorf("poclab: the findings table's row for %s names versions its catalog lacks: run go generate ./internal/poclab", a.ID)
+		}
+		out = append(out, finding(adv, poc, versions, triggered))
+	}
+	return out, nil
+}
+
+// experiment returns an advisory's set-up: the advisory, its PoC and its
+// library's catalog versions, ascending.
+func experiment(advisoryID string) (vulndb.Advisory, PoC, []semver.Version, error) {
+	poc, err := PoCFor(advisoryID)
+	if err != nil {
+		return vulndb.Advisory{}, PoC{}, nil, err
+	}
+	i := slices.IndexFunc(vulndb.Advisories(), func(a vulndb.Advisory) bool { return a.ID == advisoryID })
+	if i < 0 {
+		return vulndb.Advisory{}, PoC{}, nil, fmt.Errorf("poclab: advisory %q not in vulndb", advisoryID)
+	}
+	adv := vulndb.Advisories()[i]
+	cat, ok := vulndb.CatalogFor(adv.Lib)
+	if !ok {
+		return vulndb.Advisory{}, PoC{}, nil, fmt.Errorf("poclab: no catalog for %q", adv.Lib)
+	}
 	versions := cat.Versions()
 	semver.Sort(versions)
-	triggered := runEnvs(adv.Lib, versions, poc)
+	return adv, poc, versions, nil
+}
+
+// finding derives an advisory's Finding from where its PoC triggered, one
+// flag per catalog version: the vulnerable versions, the TVV set, the
+// accuracy classification and the agreement with the paper.
+func finding(adv vulndb.Advisory, poc PoC, versions []semver.Version, triggered []bool) Finding {
+	f := Finding{Advisory: adv, PoC: poc}
 	for i, v := range versions {
 		if triggered[i] {
 			f.Vulnerable = append(f.Vulnerable, v)
@@ -128,20 +188,7 @@ func Run(advisoryID string) (Finding, error) {
 			break
 		}
 	}
-	return f, nil
-}
-
-// RunAll validates every Table 2 advisory in row order.
-func RunAll() ([]Finding, error) {
-	var out []Finding
-	for _, adv := range vulndb.Advisories() {
-		f, err := Run(adv.ID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
+	return f
 }
 
 // runEnvs runs poc in a fresh environment per version on a fixed pool of

@@ -1,6 +1,7 @@
 package poclab
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -228,6 +229,68 @@ func TestRunReproducesPaperTVVs(t *testing.T) {
 		if !f.MatchesPaper {
 			t.Errorf("%s: computed TVV %s disagrees with the paper's %s",
 				f.Advisory.ID, f.TVV, f.Advisory.EffectiveTrueRange())
+		}
+	}
+}
+
+// TestFindingsTableMatchesLab pins the committed table to the lab: every
+// Finding that Findings derives from it equals what RunAll measures, field by
+// field. A failure means findings_table.go is stale: run
+// go generate ./internal/poclab.
+func TestFindingsTableMatchesLab(t *testing.T) {
+	lab, err := RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := Findings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(table) != len(lab) {
+		t.Fatalf("Findings() = %d findings, RunAll() = %d", len(table), len(lab))
+	}
+	for i, want := range lab {
+		got := table[i]
+		id := want.Advisory.ID
+		if !reflect.DeepEqual(got.Advisory, want.Advisory) {
+			t.Errorf("%s: Advisory = %+v, the lab's %+v", id, got.Advisory, want.Advisory)
+		}
+		if got.PoC.AdvisoryID != want.PoC.AdvisoryID {
+			t.Errorf("%s: PoC = %s, the lab's %s", id, got.PoC.AdvisoryID, want.PoC.AdvisoryID)
+		}
+		if !reflect.DeepEqual(got.Vulnerable, want.Vulnerable) {
+			t.Errorf("%s: Vulnerable = %v, the lab's %v", id, got.Vulnerable, want.Vulnerable)
+		}
+		if !reflect.DeepEqual(got.TVV, want.TVV) {
+			t.Errorf("%s: TVV = %s, the lab's %s", id, got.TVV, want.TVV)
+		}
+		if got.Accuracy != want.Accuracy {
+			t.Errorf("%s: Accuracy = %s, the lab's %s", id, got.Accuracy, want.Accuracy)
+		}
+		if got.MatchesPaper != want.MatchesPaper {
+			t.Errorf("%s: MatchesPaper = %v, the lab's %v", id, got.MatchesPaper, want.MatchesPaper)
+		}
+	}
+}
+
+// TestFindingsRefusesStaleTable checks that a table missing an advisory, or
+// naming a version its catalog lacks, is an error rather than a finding.
+func TestFindingsRefusesStaleTable(t *testing.T) {
+	saved := labTable
+	defer func() { labTable = saved }()
+	id := vulndb.Advisories()[0].ID
+	for name, row := range map[string][]string{"missing row": nil, "unknown version": {"99.99.99"}} {
+		labTable = map[string][]string{}
+		for k, v := range saved {
+			labTable[k] = v
+		}
+		if row == nil {
+			delete(labTable, id)
+		} else {
+			labTable[id] = row
+		}
+		if _, err := Findings(); err == nil || !strings.Contains(err.Error(), "go generate ./internal/poclab") {
+			t.Errorf("%s: Findings() error = %v, want one naming go generate", name, err)
 		}
 	}
 }

@@ -36,6 +36,8 @@ echo "==> bench smoke (bundle record decode, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkDecodeRecord' -benchmem -benchtime 1x ./internal/wexbundle
 echo "==> bench smoke (synthetic web request mix, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkServeRequestMix' -benchmem -benchtime 1x ./internal/webserver
+echo "==> bench smoke (nine collectors over a randomized stream, 1 iteration)"
+go test -run '^$' -bench 'BenchmarkRunnerObserve' -benchmem -benchtime 1x ./internal/analysis
 
 # Chaos-crawl smoke: an end-to-end cmd/crawl run with fault injection and
 # the resilience layer on. Proves the fault drill terminates and the
@@ -196,6 +198,14 @@ fi
 grep -q 'weeks 201 asked, the bundle recorded 40' "$tmp/bwrong.err" || {
 	echo "the refused replay did not name both week counts:"; cat "$tmp/bwrong.err"; exit 1; }
 [ ! -e "$tmp/bwrong.store" ] || { echo "the refused replay created its store"; exit 1; }
+# A study flag set to its zero value asks for that value: -seed 0 against
+# the seed-11 recording is refused the same way, naming both seeds.
+if "$tmp/crawl" -seed 0 -replay "$tmp/bcrash.bundle" -out "$tmp/bseed.store" >/dev/null 2>"$tmp/bseed.err"; then
+	echo "crawl -replay of a seed-11 bundle as seed 0 exited 0"; exit 1
+fi
+grep -q 'seed 0 asked, the bundle recorded 11' "$tmp/bseed.err" || {
+	echo "the refused seed-0 replay did not name both seeds:"; cat "$tmp/bseed.err"; exit 1; }
+[ ! -e "$tmp/bseed.store" ] || { echo "the refused seed-0 replay created its store"; exit 1; }
 
 # A recording taken with the resilience layer on, under faults: the replay
 # mounts no breaker, gate or budget (their decisions are in the archive),
