@@ -1,12 +1,12 @@
 package clientres
 
-// One benchmark per table and figure of the paper's evaluation (see
-// DESIGN.md §4 for the experiment index). Each BenchmarkTableN /
-// BenchmarkFigureN regenerates that experiment: it replays the full
-// observation stream through the experiment's collector(s) and renders the
-// paper's output. Shared across benchmarks is a single materialized
-// observation dataset (one synthetic population, all 201 weeks), so
-// per-experiment costs are comparable.
+// One benchmark per table of the paper's evaluation, and per section-level
+// measurement (see DESIGN.md §4 for the experiment index; the figures'
+// benchmarks are in internal/report). Each BenchmarkTableN regenerates that
+// experiment: it replays the full observation stream through the
+// experiment's collector(s) and renders the paper's output. Shared across
+// benchmarks is a single materialized observation dataset (one synthetic
+// population, all 201 weeks), so per-experiment costs are comparable.
 //
 // Run with:  go test -bench=. -benchmem
 
@@ -119,177 +119,6 @@ func BenchmarkTable6(b *testing.B) {
 		sri := analysis.NewSRI(weeks)
 		replay(obs, sri)
 		report.Table6(io.Discard, sri)
-	}
-}
-
-// --- Figures ---
-
-// BenchmarkFigure2a regenerates the weekly collection counts.
-func BenchmarkFigure2a(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coll := analysis.NewCollection(weeks)
-		replay(obs, coll)
-		report.Figure2a(io.Discard, coll)
-	}
-}
-
-// BenchmarkFigure2b regenerates the top-8 resource-usage shares.
-func BenchmarkFigure2b(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coll := analysis.NewCollection(weeks)
-		replay(obs, coll)
-		report.Figure2b(io.Discard, coll)
-	}
-}
-
-// BenchmarkFigure3 regenerates the library usage trends.
-func BenchmarkFigure3(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		libs := analysis.NewLibraryStats(weeks)
-		replay(obs, libs)
-		report.Figure3(io.Discard, libs, weeks)
-	}
-}
-
-// BenchmarkFigure4 regenerates the jQuery CVE-vs-TVV interval comparison
-// (the PoC sweep over all 80 jQuery versions).
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		findings, err := poclab.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		report.Figure4(io.Discard, findings, "jquery", "Figure 4")
-	}
-}
-
-// BenchmarkFigure5 regenerates the affected-site series for the jQuery
-// advisories.
-func BenchmarkFigure5(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vuln := analysis.NewVulnPrevalence(weeks)
-		replay(obs, vuln)
-		report.Figure5(io.Discard, vuln, weeks,
-			[]string{"CVE-2020-7656", "CVE-2014-6071", "CVE-2020-11022"}, "Figure 5")
-	}
-}
-
-// BenchmarkFigure6 regenerates the CVE-2020-7656 version-trend series.
-func BenchmarkFigure6(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		libs := analysis.NewLibraryStats(weeks)
-		replay(obs, libs)
-		report.Figure6(io.Discard, libs, weeks)
-	}
-}
-
-// BenchmarkFigure7 regenerates the jQuery 1.12.4 vs 3.5+ series with the
-// WordPress attribution.
-func BenchmarkFigure7(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		libs := analysis.NewLibraryStats(weeks)
-		replay(obs, libs)
-		report.Figure7(io.Discard, libs, weeks)
-	}
-}
-
-// BenchmarkFigure8 regenerates the Flash decline series.
-func BenchmarkFigure8(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		flash := analysis.NewFlash(weeks, benchDomains)
-		replay(obs, flash)
-		report.Figure8(io.Discard, flash, weeks)
-	}
-}
-
-// BenchmarkFigure9 regenerates the WordPress usage series.
-func BenchmarkFigure9(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wp := analysis.NewWordPress(weeks)
-		replay(obs, wp)
-		report.Figure9(io.Discard, wp, weeks)
-	}
-}
-
-// BenchmarkFigure10 regenerates the Subresource Integrity series.
-func BenchmarkFigure10(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sri := analysis.NewSRI(weeks)
-		replay(obs, sri)
-		report.Figure10(io.Discard, sri, weeks)
-	}
-}
-
-// BenchmarkFigure11 regenerates the AllowScriptAccess series.
-func BenchmarkFigure11(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		flash := analysis.NewFlash(weeks, benchDomains)
-		replay(obs, flash)
-		report.Figure11(io.Discard, flash, weeks)
-	}
-}
-
-// BenchmarkFigure12 regenerates the vulnerability-count CDF.
-func BenchmarkFigure12(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vuln := analysis.NewVulnPrevalence(weeks)
-		replay(obs, vuln)
-		report.Figure12(io.Discard, vuln)
-	}
-}
-
-// BenchmarkFigure13 regenerates the non-jQuery CVE-vs-TVV comparisons.
-func BenchmarkFigure13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		findings, err := poclab.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		report.Figure13(io.Discard, findings)
-	}
-}
-
-// BenchmarkFigure14 regenerates the non-jQuery affected-site series.
-func BenchmarkFigure14(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vuln := analysis.NewVulnPrevalence(weeks)
-		replay(obs, vuln)
-		report.Figure14(io.Discard, vuln, weeks)
-	}
-}
-
-// BenchmarkFigure15 regenerates the top-5 affected-version trends.
-func BenchmarkFigure15(b *testing.B) {
-	obs, weeks := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		libs := analysis.NewLibraryStats(weeks)
-		replay(obs, libs)
-		report.Figure15(io.Discard, libs, weeks)
 	}
 }
 

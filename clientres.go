@@ -30,8 +30,8 @@ import (
 	"clientres/internal/distcrawl"
 	"clientres/internal/poclab"
 	"clientres/internal/policy"
+	"clientres/internal/report"
 	"clientres/internal/service"
-	"clientres/internal/vulndb"
 	"clientres/internal/webgen"
 )
 
@@ -135,64 +135,10 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 func (r *Results) WriteReport(w io.Writer) { r.inner.WriteReport(w) }
 
 // Summary carries the paper's headline findings as measured on this run.
-type Summary struct {
-	// MeanCollected is the average number of usable pages per week.
-	MeanCollected float64
-	// VulnerableShareCVE / VulnerableShareTVV are the average shares of
-	// sites carrying ≥1 known vulnerability under the CVE-disclosed and
-	// true vulnerable-version ranges (paper: 41.2 % / 43.2 %).
-	VulnerableShareCVE, VulnerableShareTVV float64
-	// MeanVulnsPerPageCVE / TVV mirror Figure 12 (paper: 0.79 / 0.97).
-	MeanVulnsPerPageCVE, MeanVulnsPerPageTVV float64
-	// UpdateDelayDays is the mean window of vulnerability under CVE ranges
-	// (paper: 531.2); UpdateDelayDaysTVV restricts to understated CVEs
-	// under TVV ranges (paper: 701.2).
-	UpdateDelayDays, UpdateDelayDaysTVV float64
-	// UpdatedSites is the number of closed update windows (paper: 25,337).
-	UpdatedSites int
-	// MissingSRIShare is the share of external-library sites with ≥1
-	// uncovered inclusion (paper: 99.7 %).
-	MissingSRIShare float64
-	// FlashPostEOL is the mean weekly count of Flash sites after Jan 2021
-	// (paper: 3,553 of 1M).
-	FlashPostEOL float64
-	// InsecureFlashShare is the AllowScriptAccess="always" share among
-	// Flash sites (paper: 24.7 %).
-	InsecureFlashShare float64
-	// WordPressShare mirrors Figure 9 (paper: 26.9 %).
-	WordPressShare float64
-	// IncorrectCVEs counts advisories whose PoC-validated range disagrees
-	// with the disclosed range (paper: 13 of 27).
-	IncorrectCVEs, TotalCVEs int
-}
+type Summary = report.Summary
 
 // Headline computes the summary.
-func (r *Results) Headline() Summary {
-	in := r.inner
-	cve := in.Delay.Result(false, false)
-	tvv := in.Delay.Result(true, true)
-	s := Summary{
-		MeanCollected:       in.Coll.MeanCollected(),
-		VulnerableShareCVE:  in.Vuln.MeanVulnerableShare(false),
-		VulnerableShareTVV:  in.Vuln.MeanVulnerableShare(true),
-		MeanVulnsPerPageCVE: in.Vuln.MeanVulnsPerSite(false),
-		MeanVulnsPerPageTVV: in.Vuln.MeanVulnsPerSite(true),
-		UpdateDelayDays:     cve.MeanDays,
-		UpdateDelayDaysTVV:  tvv.MeanDays,
-		UpdatedSites:        cve.Updated,
-		MissingSRIShare:     in.SRI.MissingSRIShare(),
-		FlashPostEOL:        in.Flash.MeanPostEOL(),
-		InsecureFlashShare:  in.Flash.MeanInsecureShare(),
-		WordPressShare:      in.WordPress.MeanShare(),
-		TotalCVEs:           len(in.Findings),
-	}
-	for _, f := range in.Findings {
-		if f.Accuracy != vulndb.Accurate {
-			s.IncorrectCVEs++
-		}
-	}
-	return s
-}
+func (r *Results) Headline() Summary { return report.Summarize(r.inner.Study()) }
 
 // Collectors exposes the underlying analysis collectors for advanced use
 // within this module.

@@ -21,6 +21,7 @@ import (
 
 	"clientres/internal/core"
 	"clientres/internal/poclab"
+	"clientres/internal/report"
 	"clientres/internal/webgen"
 )
 
@@ -47,15 +48,19 @@ func main() {
 	if err != nil {
 		log.Fatalf("reprotables: %v", err)
 	}
-	fmt.Fprintln(os.Stderr)
+	if !*quiet {
+		fmt.Fprintln(os.Stderr)
+	}
 	if res.Findings, err = poclab.RunAll(); err != nil {
 		log.Fatalf("reprotables: %v", err)
 	}
 	if *csvDir != "" {
-		if err := res.WriteCSVDir(*csvDir); err != nil {
+		if err := report.WriteCSVDir(*csvDir, res.Study()); err != nil {
 			log.Fatalf("reprotables: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "figure series exported to %s\n", *csvDir)
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "figure series exported to %s\n", *csvDir)
+		}
 	}
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()

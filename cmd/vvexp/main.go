@@ -49,7 +49,7 @@ func main() {
 // count for findings.
 func render(w io.Writer, findings []poclab.Finding) {
 	report.Table2(w, findings, nil)
-	report.Figure4(w, findings, "jquery", "Figure 4: jQuery disclosed vs true vulnerable versions")
+	report.Figure4(w, findings)
 	report.Figure13(w, findings)
 
 	incorrect := 0

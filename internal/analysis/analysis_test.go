@@ -141,8 +141,8 @@ func TestUsageTrends(t *testing.T) {
 	}
 	// The jQuery-Migrate drop window (Figure 3a).
 	mig := libs.UsageSeries("jquery-migrate")
-	before := mig[weekOfDate(time.Date(2020, 7, 6, 0, 0, 0, 0, time.UTC))]
-	during := mig[weekOfDate(time.Date(2020, 11, 2, 0, 0, 0, 0, time.UTC))]
+	before := mig[webgen.WeekOf(time.Date(2020, 7, 6, 0, 0, 0, 0, time.UTC))]
+	during := mig[webgen.WeekOf(time.Date(2020, 11, 2, 0, 0, 0, 0, time.UTC))]
 	if before-during < 0.04 {
 		t.Errorf("migrate drop %.3f -> %.3f too small", before, during)
 	}
@@ -203,7 +203,7 @@ func TestAdvisorySeries(t *testing.T) {
 	pipeline(t)
 	// CVE-2020-7656 (Figure 5a): TVV counts far exceed CVE counts.
 	cve, tvv := vuln.AdvisorySeries("CVE-2020-7656")
-	wLate := weekOfDate(time.Date(2021, 6, 7, 0, 0, 0, 0, time.UTC))
+	wLate := webgen.WeekOf(time.Date(2021, 6, 7, 0, 0, 0, 0, time.UTC))
 	if tvv[wLate] <= cve[wLate]*2 {
 		t.Errorf("7656 TVV (%d) should dwarf CVE (%d)", tvv[wLate], cve[wLate])
 	}
@@ -223,8 +223,8 @@ func TestVersionTrends(t *testing.T) {
 	// Figure 7a: 3.5.1 jumps around Dec 2020; 1.12.4 declines after.
 	s351 := libs.VersionSeries("jquery", "3.5.1")
 	s1124 := libs.VersionSeries("jquery", "1.12.4")
-	wNov := weekOfDate(time.Date(2020, 11, 2, 0, 0, 0, 0, time.UTC))
-	wMar := weekOfDate(time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC))
+	wNov := webgen.WeekOf(time.Date(2020, 11, 2, 0, 0, 0, 0, time.UTC))
+	wMar := webgen.WeekOf(time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC))
 	if s351[wMar] <= s351[wNov]*2 {
 		t.Errorf("3.5.1 jump missing: %d -> %d", s351[wNov], s351[wMar])
 	}

@@ -6,6 +6,7 @@ import (
 
 	"clientres/internal/semver"
 	"clientres/internal/vulndb"
+	"clientres/internal/webgen"
 )
 
 // The collectors' view of the advisory catalog. Every date an advisory
@@ -93,7 +94,7 @@ func indexWPAdvisories() *advLib {
 // firstWeekFrom returns the first week whose snapshot date is not before t,
 // so that w >= firstWeekFrom(t) exactly when !WeekDate(w).Before(t).
 func firstWeekFrom(t time.Time) int {
-	w := weekOfDate(t)
+	w := webgen.WeekOf(t)
 	for WeekDate(w).Before(t) {
 		w++
 	}

@@ -3,11 +3,13 @@ package analysis
 import (
 	"testing"
 	"time"
+
+	"clientres/internal/webgen"
 )
 
 // week returns the snapshot week of a calendar date.
 func week(y int, m time.Month, d int) int {
-	return weekOfDate(time.Date(y, m, d, 0, 0, 0, 0, time.UTC))
+	return webgen.WeekOf(time.Date(y, m, d, 0, 0, 0, 0, time.UTC))
 }
 
 func TestDelayBasicWindow(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"clientres/internal/store"
+	"clientres/internal/webgen"
 )
 
 // Flash measures Adobe Flash usage (Section 8): the decline across rank
@@ -36,7 +37,7 @@ type holdout struct {
 
 // FlashEOLWeek is the snapshot week containing the Flash end of life
 // (Jan 1, 2021).
-var FlashEOLWeek = weekOfDate(time.Date(2021, time.January, 1, 0, 0, 0, 0, time.UTC))
+var FlashEOLWeek = webgen.WeekOf(time.Date(2021, time.January, 1, 0, 0, 0, 0, time.UTC))
 
 // NewFlash builds the collector. totalDomains is the population size the
 // ranks were drawn from.

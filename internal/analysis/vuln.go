@@ -2,10 +2,10 @@ package analysis
 
 import (
 	"sort"
-	"time"
 
 	"clientres/internal/store"
 	"clientres/internal/vulndb"
+	"clientres/internal/webgen"
 )
 
 // VulnPrevalence measures vulnerable websites (Section 6.2) under both the
@@ -199,8 +199,9 @@ func (v *VulnPrevalence) MeanAffected(id string, useTVV bool) float64 {
 	if s == nil {
 		return 0
 	}
-	// Average over the weeks after the advisory's disclosure.
-	from := weekOfDate(adv.Disclosed)
+	// Average over the weeks after the advisory's disclosure. A date before
+	// the study, the zero time included, starts at week 0.
+	from := webgen.WeekOf(adv.Disclosed)
 	if from < 0 {
 		from = 0
 	}
@@ -216,13 +217,6 @@ func (v *VulnPrevalence) MeanAffected(id string, useTVV bool) float64 {
 		return 0
 	}
 	return float64(sum) / float64(n)
-}
-
-func weekOfDate(t time.Time) int {
-	if t.IsZero() {
-		return 0
-	}
-	return int(t.Sub(WeekDate(0)) / (7 * 24 * time.Hour))
 }
 
 // CDFPoint is one point of the Figure 12 CDF.

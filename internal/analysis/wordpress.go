@@ -3,6 +3,7 @@ package analysis
 import (
 	"clientres/internal/store"
 	"clientres/internal/vulndb"
+	"clientres/internal/webgen"
 )
 
 // WordPress measures the platform's footprint (Figure 9) and its Table 4
@@ -90,8 +91,8 @@ func (w *WordPress) Table4() []Table4Row {
 	var rows []Table4Row
 	for k, adv := range vulndb.WordPressAdvisories() {
 		series := w.affected[k]
-		from := weekOfDate(adv.Disclosed)
-		if from < 0 {
+		from := webgen.WeekOf(adv.Disclosed)
+		if from < 0 { // disclosed before the study, or a zero date
 			from = 0
 		}
 		row := Table4Row{Advisory: adv}

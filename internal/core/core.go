@@ -694,33 +694,13 @@ func replayStore(path string, weeks, domains, shards int) (*Results, error) {
 	return mergeShards(sh), nil
 }
 
+// Study is the report's view of r: its collectors and findings.
+func (r *Results) Study() report.Study {
+	return report.Study{Weeks: r.Weeks, Coll: r.Coll, Libs: r.Libs, Vuln: r.Vuln, Delay: r.Delay,
+		SRI: r.SRI, Flash: r.Flash, WordPress: r.WordPress, Disc: r.Disc, Regress: r.Regress,
+		Findings: r.Findings}
+}
+
 // WriteReport renders every table and figure of the paper plus the headline
 // comparison.
-func (r *Results) WriteReport(w io.Writer) {
-	fmt.Fprintf(w, "clientres study report — %d weeks\n", r.Weeks)
-	report.Table1(w, r.Libs.Table1())
-	report.Table2(w, r.Findings, r.Vuln)
-	report.Table3(w)
-	report.Table4(w, r.WordPress.Table4())
-	report.Table5(w, r.Libs)
-	report.Table6(w, r.SRI)
-	report.Figure2a(w, r.Coll)
-	report.Figure2b(w, r.Coll)
-	report.Figure3(w, r.Libs, r.Weeks)
-	report.Figure4(w, r.Findings, "jquery", "Figure 4: jQuery disclosed vs true vulnerable versions")
-	report.Figure5(w, r.Vuln, r.Weeks,
-		[]string{"CVE-2020-7656", "CVE-2014-6071", "CVE-2020-11022"},
-		"Figure 5: affected sites over time, jQuery advisories (CVE vs TVV)")
-	report.Figure6(w, r.Libs, r.Weeks)
-	report.Figure7(w, r.Libs, r.Weeks)
-	report.Figure8(w, r.Flash, r.Weeks)
-	report.Figure9(w, r.WordPress, r.Weeks)
-	report.Figure10(w, r.SRI, r.Weeks)
-	report.Figure11(w, r.Flash, r.Weeks)
-	report.Figure12(w, r.Vuln)
-	report.Figure13(w, r.Findings)
-	report.Figure14(w, r.Vuln, r.Weeks)
-	report.Figure15(w, r.Libs, r.Weeks)
-	report.Headlines(w, r.Vuln, r.Delay, r.SRI, r.Flash, r.Disc)
-	report.Extensions(w, r.Vuln, r.Regress)
-}
+func (r *Results) WriteReport(w io.Writer) { report.Write(w, r.Study()) }

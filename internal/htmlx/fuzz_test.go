@@ -7,8 +7,7 @@ import (
 
 // FuzzTokenize drives the tokenizer over arbitrary byte soup. The
 // invariants: Next terminates (bounded by input length), never panics, and
-// the convenience extractors built on it (Tags, Elements, Comments,
-// TextContent) survive the same input.
+// the extractors built on it (Tags, Elements) survive the same input.
 func FuzzTokenize(f *testing.F) {
 	seeds := []string{
 		"",
@@ -51,7 +50,5 @@ func FuzzTokenize(f *testing.F) {
 		}
 		Tags(src)
 		Elements(src)
-		Comments(src)
-		TextContent(src)
 	})
 }

@@ -78,12 +78,6 @@ func (t Token) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// HasAttr reports whether the named attribute is present, even if empty.
-func (t Token) HasAttr(key string) bool {
-	_, ok := t.Attr(key)
-	return ok
-}
-
 // rawTextElements hold unparsed character data until their matching end tag.
 var rawTextElements = map[string]bool{
 	"script": true, "style": true, "textarea": true, "title": true,
@@ -399,36 +393,6 @@ func ScriptSrcs(src string) []string {
 		}
 		if s, ok := tok.Attr("src"); ok && s != "" {
 			out = append(out, s)
-		}
-	}
-}
-
-// Comments returns the data of every comment in the document.
-func Comments(src string) []string {
-	var out []string
-	z := New(src)
-	for {
-		tok, ok := z.Next()
-		if !ok {
-			return out
-		}
-		if tok.Kind == CommentToken {
-			out = append(out, tok.Data)
-		}
-	}
-}
-
-// TextContent concatenates all text tokens (including raw-text bodies).
-func TextContent(src string) string {
-	b := new(strings.Builder)
-	z := New(src)
-	for {
-		tok, ok := z.Next()
-		if !ok {
-			return b.String()
-		}
-		if tok.Kind == TextToken {
-			b.WriteString(tok.Data)
 		}
 	}
 }

@@ -4,22 +4,21 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"clientres/internal/analysis"
 )
 
-// Extensions renders the measurements that go beyond the paper's published
+// extensions renders the measurements that go beyond the paper's published
 // evaluation — the items its Section 9 lists as future work: update
 // regressions (patched sites rolling back and re-opening vulnerability
 // windows) and exploitability-aware prevalence (excluding advisories that
 // require site-specific preconditions).
-func Extensions(w io.Writer, vuln *analysis.VulnPrevalence, reg *analysis.Regressions) {
+func extensions(w io.Writer, s Study, sum Summary) {
+	vuln, reg := s.Vuln, s.Regress
 	fmt.Fprintf(w, "\n== Extensions (the paper's Section 9 future work) ==\n")
 
 	fmt.Fprintf(w, "exploitability-aware prevalence: %s of sites carry a vulnerability\n",
 		pct(vuln.MeanReadilyExploitableShare()))
 	fmt.Fprintf(w, "  without Section 9 preconditions (vs %s counting every advisory)\n",
-		pct(vuln.MeanVulnerableShare(true)))
+		pct(sum.VulnerableShareTVV))
 
 	// The per-year CVE/TVV gap (the paper: 0.1 points in 2018 growing to
 	// 2.9 in 2022).
@@ -43,9 +42,6 @@ func Extensions(w io.Writer, vuln *analysis.VulnPrevalence, reg *analysis.Regres
 			[]string{"Website", "Rank"}, rows)
 	}
 
-	if reg == nil {
-		return
-	}
 	fmt.Fprintf(w, "update regressions: %d domains rolled a library update back during the study\n",
 		reg.RegressedDomains())
 	fmt.Fprintf(w, "re-opened vulnerability windows: %d (site, advisory) pairs left a\n",

@@ -1,13 +1,71 @@
-// Package report renders the study's tables and figures as aligned text
-// tables and CSV series — one renderer per table/figure of the paper, fed
-// by the analysis collectors and the poclab experiment.
+// Package report defines the study's outputs — the paper's tables, figures
+// and headline numbers — and renders them as aligned text (Write) and as CSV
+// series (WriteCSVDir). Each figure is defined once, in figures.go, and both
+// renderings read that definition.
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
+
+	"clientres/internal/analysis"
+	"clientres/internal/poclab"
 )
+
+// Study is what the report reads: one study's collectors, over Weeks weeks,
+// and the PoC lab's findings.
+type Study struct {
+	Weeks     int
+	Coll      *analysis.Collection
+	Libs      *analysis.LibraryStats
+	Vuln      *analysis.VulnPrevalence
+	Delay     *analysis.UpdateDelay
+	SRI       *analysis.SRI
+	Flash     *analysis.Flash
+	WordPress *analysis.WordPress
+	Disc      *analysis.Discontinued
+	Regress   *analysis.Regressions
+	Findings  []poclab.Finding
+}
+
+// Write renders every table and figure of the paper, the headline
+// comparison and the extensions.
+func Write(w io.Writer, s Study) {
+	sum := Summarize(s)
+	fmt.Fprintf(w, "clientres study report — %d weeks\n", s.Weeks)
+	Table1(w, s.Libs.Table1())
+	Table2(w, s.Findings, s.Vuln)
+	Table3(w)
+	Table4(w, s.WordPress.Table4())
+	Table5(w, s.Libs)
+	Table6(w, s.SRI)
+	for _, fig := range figures {
+		fig(s, sum).write(w)
+	}
+	Headlines(w, sum)
+	extensions(w, s, sum)
+}
+
+// WriteCSVDir writes every series table of the report into dir (created if
+// missing), one CSV file each, at full resolution: a weekly table has a row
+// for every week of the study.
+func WriteCSVDir(dir string, s Study) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, fig := range figures {
+		for _, t := range fig(s, Summary{}).tables {
+			if err := t.writeCSV(filepath.Join(dir, t.file+".csv")); err != nil {
+				return fmt.Errorf("report: writing %s.csv: %w", t.file, err)
+			}
+		}
+	}
+	return nil
+}
 
 // Table writes an aligned text table with a title.
 func Table(w io.Writer, title string, headers []string, rows [][]string) {
@@ -52,13 +110,13 @@ func pad(s string, n int) string {
 	return s + strings.Repeat(" ", n-len(s))
 }
 
-// CSV writes a minimal CSV (fields are known not to contain commas or
-// quotes — dates, numbers, identifiers).
-func CSV(w io.Writer, headers []string, rows [][]string) {
-	fmt.Fprintln(w, strings.Join(headers, ","))
-	for _, row := range rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
+// CSV writes headers and rows as CSV, quoting only the fields that need it.
+func CSV(w io.Writer, headers []string, rows [][]string) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(headers); err != nil {
+		return err
 	}
+	return cw.WriteAll(rows)
 }
 
 // pct renders a fraction as a percentage cell.

@@ -37,17 +37,6 @@ func Browsers() []Browser {
 	return out
 }
 
-// FlashSupportingBrowsers returns the browsers that still play Flash.
-func FlashSupportingBrowsers() []Browser {
-	var out []Browser
-	for _, b := range browsers {
-		if b.SupportsFlash {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // FlashCVECount is the number of Adobe Flash Player CVEs publicly reported
 // as of May 26, 2023 (Section 2.2).
 const FlashCVECount = 1118

@@ -96,17 +96,6 @@ func (c Catalog) Find(v semver.Version) (Release, bool) {
 	return Release{}, false
 }
 
-// ReleasedIn returns releases with dates in [from, to).
-func (c Catalog) ReleasedIn(from, to time.Time) []Release {
-	var out []Release
-	for _, rel := range c.Releases {
-		if !rel.Date.Before(from) && rel.Date.Before(to) {
-			out = append(out, rel)
-		}
-	}
-	return out
-}
-
 // AttackType categorizes an advisory per the paper's Table 2 terminology.
 type AttackType string
 
@@ -262,15 +251,6 @@ func Libraries() []Library {
 func CatalogFor(slug string) (Catalog, bool) {
 	c, ok := catalogs[slug]
 	return c, ok
-}
-
-// Catalogs returns all release catalogs keyed by slug.
-func Catalogs() map[string]Catalog {
-	out := make(map[string]Catalog, len(catalogs))
-	for k, v := range catalogs {
-		out[k] = v
-	}
-	return out
 }
 
 // Advisories returns every advisory of Table 2 in the paper's row order.

@@ -72,18 +72,6 @@ func WordPressReleases() []WPRelease {
 	return out
 }
 
-// WordPressLatestAsOf returns the newest WordPress release published on or
-// before t (zero release if none).
-func WordPressLatestAsOf(t time.Time) WPRelease {
-	var best WPRelease
-	for _, rel := range wordpressReleases {
-		if !rel.Date.After(t) && (best.Version.IsZero() || best.Version.Less(rel.Version)) {
-			best = rel
-		}
-	}
-	return best
-}
-
 // WordPressFind returns the release record for an exact version.
 func WordPressFind(v semver.Version) (WPRelease, bool) {
 	for _, rel := range wordpressReleases {

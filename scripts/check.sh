@@ -69,6 +69,28 @@ for rep in "$tmp/bundled-truth.report" "$tmp/bundled.report"; do
 		echo "$rep: no signature-recovered detections in a bundled run"; exit 1; }
 done
 
+# CSV export smoke: reprotables -csvdir writes one file per series table of
+# the report, each weekly file with every week of the study; -quiet keeps
+# stderr empty. (A Figure 15 library no site uses has no version columns,
+# so its header is `date` alone.)
+echo "==> csv export smoke (reprotables -quiet -csvdir)"
+go run ./cmd/reprotables -domains 60 -weeks 8 -quiet -csvdir "$tmp/csv" \
+	>"$tmp/reprotables.out" 2>"$tmp/reprotables.err"
+[ ! -s "$tmp/reprotables.err" ] || {
+	echo "reprotables -quiet wrote to stderr:"; cat "$tmp/reprotables.err"; exit 1; }
+n=$(ls "$tmp/csv" | wc -l)
+[ "$n" -eq 17 ] || { echo "reprotables -csvdir wrote $n files, want 17"; exit 1; }
+for f in "$tmp"/csv/*.csv; do
+	[ "$(basename "$f")" = figure12.csv ] && continue
+	lines=$(wc -l <"$f")
+	header=$(head -n 1 "$f")
+	[ "$lines" -eq 9 ] || { echo "$f: $lines lines, want 9 (header + 8 weeks)"; exit 1; }
+	case "$header" in
+	date | date,*) ;;
+	*) echo "$f: header $header does not start with date"; exit 1 ;;
+	esac
+done
+
 # Crash-recovery smoke: SIGKILL a checkpointed crawl mid-run, fsck the
 # wreckage, resume, and prove the final report is byte-identical to an
 # uninterrupted run of the same configuration. This is the end-to-end
