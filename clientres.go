@@ -6,28 +6,31 @@
 // evaluation — backed by a calibrated synthetic web ecosystem standing in
 // for the unobtainable four-year Alexa-1M crawl (see DESIGN.md).
 //
-// Three entry points cover the common uses:
+// The entry points cover the common uses:
 //
-//   - Run executes the full study (generate → collect → analyze → validate)
-//     and returns Results whose WriteReport regenerates every table and
-//     figure of the paper.
+//   - Run executes the full study (generate → collect → analyze) and
+//     returns Results whose WriteReport regenerates every table and figure
+//     of the paper.
 //   - AuditPage fingerprints a single HTML document and reports the
-//     vulnerable libraries on it (the Retire.js-style use).
+//     vulnerable libraries on it (the Retire.js-style use); EvalPolicy
+//     gates that audit with a compiled Policy.
 //   - Serve runs the same audit as a long-running HTTP API (cmd/serve's
 //     engine): cached, rate-limited, backpressured, gracefully draining.
 //   - ValidateCVEs runs the PoC version-validation experiment alone and
 //     reports which CVEs understate or overstate their affected versions.
+//
+// Writing and replaying stores, and the distributed crawl plane, are the
+// commands' jobs (cmd/gendata, cmd/crawl, cmd/analyze, cmd/coordinator,
+// cmd/worker), not the facade's.
 package clientres
 
 import (
 	"context"
 	"io"
+	"runtime"
 	"time"
 
-	"clientres/internal/analysis"
 	"clientres/internal/core"
-	"clientres/internal/crawler"
-	"clientres/internal/distcrawl"
 	"clientres/internal/poclab"
 	"clientres/internal/policy"
 	"clientres/internal/report"
@@ -51,11 +54,6 @@ type Config struct {
 	Crawl bool
 	// Workers bounds crawl concurrency.
 	Workers int
-	// PoliteCrawl enables the crawl path's per-host resilience layer —
-	// politeness limiter, circuit breaker, weekly retry budget — with
-	// default settings. Reports are byte-identical with it on or off; the
-	// layer changes how failures cost, not what gets observed.
-	PoliteCrawl bool
 	// BundleFraction is the fraction of eligible generated sites that ship
 	// their libraries as one bundled script with minified identifiers
 	// (0 disables, preserving the historical population byte-for-byte).
@@ -66,37 +64,12 @@ type Config struct {
 	// and scan their content for library signatures, recovering bundled
 	// libraries. Plain pages detect identically with it on or off.
 	BundleScan bool
-	// Shards parallelizes the analysis pipeline across domain-hash
-	// partitions (default 1 = serial). Sharded runs produce byte-identical
-	// reports to serial runs of the same configuration.
-	Shards int
-	// StorePath, when set, persists observations to a store directory at
-	// that path: delta-encoded, checksummed gzip segment files plus a
-	// manifest that only a run that ended cleanly writes — a failed or
-	// cancelled run leaves a directory readers refuse and `fsck -repair`
-	// salvages.
-	StorePath string
-	// StoreSegments is the number of segment files (0 or 1: one); their
-	// writes and replays parallelize. Every count replays to
-	// byte-identical reports; segment partition matches the Shards
-	// partition, so a replay with shards == segments decodes every segment
-	// concurrently straight into its shard's collectors.
-	StoreSegments int
 	// RecordBundle, when set (with Crawl), archives every fetched response
 	// — landing pages and same-site scripts, raw bytes plus headers,
-	// status, and timing — into a web-execution bundle at this directory.
-	// Reports are byte-identical with recording on or off.
+	// status, and timing — into a web-execution bundle at this directory,
+	// which `crawl -replay` re-runs offline. Reports are byte-identical
+	// with recording on or off.
 	RecordBundle string
-	// ReplayBundle, when set (with Crawl), re-runs the crawl from a
-	// recorded bundle with zero network and zero waiting: no listener is
-	// opened, the crawler's transport serves only archived responses, read
-	// forward a week at a time, retries sleep no backoff, and PoliteCrawl is
-	// ignored — the bundle already holds what the resilience layer decided
-	// live. The study is the recorded one: Domains, Weeks, Seed and
-	// BundleScan left zero take the bundle's values, and one set to another
-	// value is refused. A replayed run's report is byte-identical to the
-	// live run that recorded the bundle.
-	ReplayBundle string
 	// Progress receives one line per collected week, when set.
 	Progress func(format string, args ...any)
 }
@@ -108,7 +81,9 @@ type Results struct {
 	inner *core.Results
 }
 
-// Run executes the study described by cfg.
+// Run executes the study described by cfg, its analyses sharded across
+// GOMAXPROCS domain-hash partitions (every shard count reports the same
+// bytes).
 func Run(ctx context.Context, cfg Config) (*Results, error) {
 	mode := core.ModeDirect
 	if cfg.Crawl {
@@ -118,11 +93,8 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		Domains: cfg.Domains, Weeks: cfg.Weeks, Seed: cfg.Seed,
 		Bundling:   webgen.DefaultBundling(cfg.BundleFraction),
 		BundleScan: cfg.BundleScan,
-		Mode:       mode, Workers: cfg.Workers, Shards: cfg.Shards,
-		Resilience: crawler.Resilience{Enabled: cfg.PoliteCrawl},
-		StorePath:  cfg.StorePath, StoreSegments: cfg.StoreSegments,
+		Mode:       mode, Workers: cfg.Workers, Shards: runtime.GOMAXPROCS(0),
 		RecordBundle: cfg.RecordBundle,
-		ReplayBundle: cfg.ReplayBundle,
 		Progress:     cfg.Progress,
 	})
 	if err != nil {
@@ -144,55 +116,25 @@ func (r *Results) Headline() Summary { return report.Summarize(r.inner.Study()) 
 // within this module.
 func (r *Results) Collectors() *core.Results { return r.inner }
 
-// AuditFinding is one vulnerable library found on an audited page.
-type AuditFinding struct {
-	Library    string // canonical slug
-	Version    string // detected version ("" when the URL carries none)
-	Advisory   string // CVE or advisory ID
-	Attack     string
-	FixedIn    string // patched version ("" when unpatched)
-	Disclosed  string // YYYY-MM-DD
-	PerCVEOnly bool   // true when only the (possibly inaccurate) CVE range matches, not the validated TVV
-}
+// AuditReport is the result of auditing one page: the detected library
+// inclusions, the advisories matching their versions under the validated
+// (TVV) ranges plus CVE-range-only matches flagged PerCVEOnly, and the SRI
+// and Flash hygiene problems. It is the audit service's response, the
+// JSON body of POST /v1/audit.
+type AuditReport = service.AuditResponse
 
-// AuditReport is the result of auditing one page.
-type AuditReport struct {
-	// Libraries lists every detected library inclusion (slug@version).
-	Libraries []string
-	// Findings lists the matched vulnerabilities under the validated
-	// (TVV) ranges, plus CVE-range-only matches flagged PerCVEOnly.
-	Findings []AuditFinding
-	// MissingSRI counts external inclusions without an integrity
-	// attribute; UsesFlash flags Flash embeds; InsecureFlash flags
-	// AllowScriptAccess="always".
-	MissingSRI    int
-	UsesFlash     bool
-	InsecureFlash bool
-}
+// AuditLibrary is one detected library inclusion on an audited page.
+type AuditLibrary = service.AuditLibrary
+
+// AuditFinding is one vulnerable library found on an audited page.
+type AuditFinding = service.AuditFinding
 
 // AuditPage fingerprints one HTML document fetched from pageHost and
 // reports vulnerable libraries and hygiene problems — the single-page
-// scanner the paper's methodology implies. It is the service's audit
-// (service.Audit) with its fields projected onto AuditReport.
+// scanner the paper's methodology implies. It is the service's audit with
+// no clock, so no finding carries PatchAvailableDays.
 func AuditPage(html, pageHost string) AuditReport {
-	resp := service.Audit(html, pageHost, time.Time{})
-	rep := AuditReport{MissingSRI: resp.MissingSRI, UsesFlash: resp.UsesFlash, InsecureFlash: resp.InsecureFlash}
-	for _, l := range resp.Libraries {
-		label := l.Slug
-		if l.Version != "" {
-			label += "@" + l.Version
-		}
-		rep.Libraries = append(rep.Libraries, label)
-	}
-	for _, f := range resp.Findings {
-		rep.Findings = append(rep.Findings, AuditFinding{
-			Library: f.Library, Version: f.Version,
-			Advisory: f.Advisory, Attack: f.Attack,
-			FixedIn: f.FixedIn, Disclosed: f.Disclosed,
-			PerCVEOnly: f.PerCVEOnly,
-		})
-	}
-	return rep
+	return service.Audit(html, pageHost, time.Time{})
 }
 
 // Policy is a compiled audit policy: a list of declarative rules
@@ -253,40 +195,6 @@ func Serve(ctx context.Context, cfg ServeConfig) error {
 	return srv.ListenAndServe(ctx, cfg.Addr, nil)
 }
 
-// DistSpec parameterizes a distributed crawl run — the coordinator/worker
-// plane that shards the study's domains across processes by the same
-// FNV-1a hash as Shards, recovers dead workers via lease expiry and
-// reassignment, and merges the workers' generation stores into Results
-// byte-identical to a serial Run of the same configuration. See
-// internal/distcrawl and DESIGN.md §16.
-type DistSpec = distcrawl.RunSpec
-
-// DistCoordinator is the distributed plane's control point: it owns the
-// frontier, leases partitions, fences zombies by epoch, and persists
-// assignment state atomically so a restart rehydrates the run.
-type DistCoordinator = distcrawl.Coordinator
-
-// DistWorker crawls leased partitions against a coordinator, writing one
-// checkpointed generation store per lease epoch.
-type DistWorker = distcrawl.Worker
-
-// NewDistCoordinator creates (or rehydrates, when spec.Dir holds a prior
-// run's state) a distributed-crawl coordinator.
-func NewDistCoordinator(spec DistSpec) (*DistCoordinator, error) {
-	return distcrawl.NewCoordinator(spec)
-}
-
-// MergeDistRun merges a distributed run's accepted spans into Results —
-// sealing any generation its worker never closed — exactly as the
-// coordinator's own post-run merge does.
-func MergeDistRun(spec DistSpec, spans []distcrawl.Span) (*Results, error) {
-	inner, err := distcrawl.Merge(spec, spans, distcrawl.MergeOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &Results{inner: inner}, nil
-}
-
 // CVEFinding is one row of the version-validation experiment.
 type CVEFinding struct {
 	Advisory  string
@@ -321,4 +229,8 @@ func ValidateCVEs() ([]CVEFinding, error) {
 const StudyWeeks = webgen.StudyWeeks
 
 // WeekDate returns the calendar date of snapshot week w.
-var WeekDate = analysis.WeekDate
+var WeekDate = webgen.WeekDate
+
+// WeekOf returns the snapshot week containing t, the inverse of WeekDate;
+// it is negative before the study and past its last week after it.
+var WeekOf = webgen.WeekOf

@@ -1,20 +1,19 @@
 // Command analyze replays a stored observation dataset through every
 // analysis of the paper and prints the full table/figure report. The
-// input is a store directory (see cmd/gendata, cmd/crawl) or a single gzip
-// stream — one seg-NNNN.jsonl.gz of a store; it runs GOMAXPROCS shards, and
-// when the segment count equals that the replay decodes every segment
-// concurrently straight into its shard's collectors. -weeks and -domains
-// must name the stored study: a store of another shape is refused. A
-// directory without a manifest — a run that was killed or is still going —
-// is refused, with the command that makes it readable; so is an archive of
-// an earlier release (format v1 or v2), with the commit whose fsck
-// converts it.
+// input is a sealed store directory (see cmd/gendata, cmd/crawl); it runs
+// GOMAXPROCS shards, and when the segment count equals that the replay
+// decodes every segment concurrently straight into its shard's collectors.
+// -weeks and -domains must name the stored study: a store of another shape
+// is refused. A directory without a manifest — a run that was killed or is
+// still going — is refused, with the command that makes it readable; so is
+// one segment file of a store, with the directory to pass instead, and an
+// archive of an earlier release (format v1 or v2), with the commit whose
+// fsck converts it.
 //
 // Usage:
 //
 //	analyze -in observations.store -weeks 201 -domains 20000
 //	analyze -in observations.store -cpuprofile analyze.pprof
-//	analyze -in observations.store/seg-0000.jsonl.gz   # one segment file
 package main
 
 import (
@@ -32,7 +31,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "observations.store", "input store directory, or one segment file of a store")
+	in := flag.String("in", "observations.store", "input store directory")
 	weeks := flag.Int("weeks", webgen.StudyWeeks, "snapshot weeks in the dataset")
 	domains := flag.Int("domains", 20000, "ranked population size of the dataset")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")

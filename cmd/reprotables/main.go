@@ -1,8 +1,8 @@
 // Command reprotables regenerates every table and figure of the paper's
 // evaluation in one run: it builds the calibrated synthetic web, collects
-// all weekly snapshots, runs every analysis and the PoC validation
-// experiment (the lab itself, not the committed table core.Run reads), and
-// prints the complete report (the source of EXPERIMENTS.md).
+// all weekly snapshots, runs every analysis, and prints the complete
+// report (the source of EXPERIMENTS.md). The PoC validation results are the
+// lab's committed table, as in every report; cmd/vvexp runs the lab itself.
 //
 // Usage:
 //
@@ -20,7 +20,6 @@ import (
 	"runtime"
 
 	"clientres/internal/core"
-	"clientres/internal/poclab"
 	"clientres/internal/report"
 	"clientres/internal/webgen"
 )
@@ -35,7 +34,7 @@ func main() {
 	csvDir := flag.String("csvdir", "", "also export full-resolution figure series as CSV into this directory")
 	flag.Parse()
 
-	cfg := core.Config{Domains: *domains, Weeks: *weeks, Seed: *seed, Workers: *workers, Shards: runtime.GOMAXPROCS(0), SkipPoC: true}
+	cfg := core.Config{Domains: *domains, Weeks: *weeks, Seed: *seed, Workers: *workers, Shards: runtime.GOMAXPROCS(0)}
 	if *crawl {
 		cfg.Mode = core.ModeCrawl
 	}
@@ -50,9 +49,6 @@ func main() {
 	}
 	if !*quiet {
 		fmt.Fprintln(os.Stderr)
-	}
-	if res.Findings, err = poclab.RunAll(); err != nil {
-		log.Fatalf("reprotables: %v", err)
 	}
 	if *csvDir != "" {
 		if err := report.WriteCSVDir(*csvDir, res.Study()); err != nil {

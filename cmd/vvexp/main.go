@@ -52,12 +52,7 @@ func render(w io.Writer, findings []poclab.Finding) {
 	report.Figure4(w, findings)
 	report.Figure13(w, findings)
 
-	incorrect := 0
-	for _, f := range findings {
-		if f.Accuracy.String() != "accurate" && f.Accuracy.String() != "unvalidated" {
-			incorrect++
-		}
-	}
+	sum := report.Summarize(report.Study{Findings: findings})
 	fmt.Fprintf(w, "\n%d of %d advisories state incorrect versions (paper: 13 of 27)\n",
-		incorrect, len(findings))
+		sum.IncorrectCVEs, sum.TotalCVEs)
 }

@@ -83,12 +83,12 @@ func main() {
 		now = t
 	}
 
-	var rep report
+	var rep clientres.AuditReport
 	var verdict *clientres.PolicyVerdict
 	if *serve != "" {
 		rep, verdict = auditRemote(*serve, html, host, polSrc)
 	} else {
-		rep = auditLocal(html, host)
+		rep = clientres.AuditPage(html, host)
 		if pol != nil {
 			v := clientres.EvalPolicy(pol, html, host, now)
 			verdict = &v
@@ -97,7 +97,11 @@ func main() {
 
 	fmt.Printf("detected libraries (%d):\n", len(rep.Libraries))
 	for _, lib := range rep.Libraries {
-		fmt.Printf("  - %s\n", lib)
+		label := lib.Slug
+		if lib.Version != "" {
+			label += "@" + lib.Version
+		}
+		fmt.Printf("  - %s\n", label)
 	}
 	if len(rep.Findings) == 0 {
 		fmt.Println("no known vulnerabilities match the detected versions")
@@ -107,8 +111,8 @@ func main() {
 			fix := "no fixed version"
 			if f.FixedIn != "" {
 				fix = "fixed in " + f.FixedIn
-				if f.PatchDays > 0 {
-					fix += fmt.Sprintf(", patch available %d days", f.PatchDays)
+				if f.PatchAvailableDays > 0 {
+					fix += fmt.Sprintf(", patch available %d days", f.PatchAvailableDays)
 				}
 			}
 			note := ""
@@ -150,45 +154,12 @@ func main() {
 	}
 }
 
-// report is the common shape both audit paths render from. PatchDays is
-// only populated by the service, which computes days-since-patch.
-type report struct {
-	Libraries                []string
-	Findings                 []finding
-	MissingSRI               int
-	UsesFlash, InsecureFlash bool
-}
-
-type finding struct {
-	Library, Version, Advisory, Attack, Disclosed, FixedIn string
-	PatchDays                                              int
-	PerCVEOnly                                             bool
-}
-
-func auditLocal(html, host string) report {
-	rep := clientres.AuditPage(html, host)
-	out := report{
-		Libraries:     rep.Libraries,
-		MissingSRI:    rep.MissingSRI,
-		UsesFlash:     rep.UsesFlash,
-		InsecureFlash: rep.InsecureFlash,
-	}
-	for _, f := range rep.Findings {
-		out.Findings = append(out.Findings, finding{
-			Library: f.Library, Version: f.Version, Advisory: f.Advisory,
-			Attack: f.Attack, Disclosed: f.Disclosed, FixedIn: f.FixedIn,
-			PerCVEOnly: f.PerCVEOnly,
-		})
-	}
-	return out
-}
-
-// auditRemote POSTs the page to a running audit service and maps its JSON
-// response onto the same report the in-process path produces. When polSrc
+// auditRemote POSTs the page to a running audit service and decodes its
+// JSON response into the report the in-process path produces. When polSrc
 // is set, the policy source travels with the request and the service
 // answers with the {"audit":…,"policy":…} envelope; the returned verdict
 // is the server's.
-func auditRemote(base, html, host string, polSrc []byte) (report, *clientres.PolicyVerdict) {
+func auditRemote(base, html, host string, polSrc []byte) (clientres.AuditReport, *clientres.PolicyVerdict) {
 	url := strings.TrimRight(base, "/") + "/v1/audit?host=" + host
 	var resp *http.Response
 	var err error
@@ -227,46 +198,9 @@ func auditRemote(base, html, host string, polSrc []byte) (report, *clientres.Pol
 		}
 		body, verdict = env.Audit, env.Policy
 	}
-	var sr struct {
-		Libraries []struct {
-			Slug    string `json:"slug"`
-			Version string `json:"version"`
-		} `json:"libraries"`
-		Findings []struct {
-			Library            string `json:"library"`
-			Version            string `json:"version"`
-			Advisory           string `json:"advisory"`
-			Attack             string `json:"attack"`
-			Disclosed          string `json:"disclosed"`
-			FixedIn            string `json:"fixed_in"`
-			PatchAvailableDays int    `json:"patch_available_days"`
-			PerCVEOnly         bool   `json:"per_cve_only"`
-		} `json:"findings"`
-		MissingSRI    int  `json:"missing_sri"`
-		UsesFlash     bool `json:"uses_flash"`
-		InsecureFlash bool `json:"insecure_flash"`
-	}
-	if err := json.Unmarshal(body, &sr); err != nil {
+	var rep clientres.AuditReport
+	if err := json.Unmarshal(body, &rep); err != nil {
 		log.Fatalf("auditsite: decode response: %v", err)
 	}
-	out := report{
-		MissingSRI:    sr.MissingSRI,
-		UsesFlash:     sr.UsesFlash,
-		InsecureFlash: sr.InsecureFlash,
-	}
-	for _, lib := range sr.Libraries {
-		label := lib.Slug
-		if lib.Version != "" {
-			label += "@" + lib.Version
-		}
-		out.Libraries = append(out.Libraries, label)
-	}
-	for _, f := range sr.Findings {
-		out.Findings = append(out.Findings, finding{
-			Library: f.Library, Version: f.Version, Advisory: f.Advisory,
-			Attack: f.Attack, Disclosed: f.Disclosed, FixedIn: f.FixedIn,
-			PatchDays: f.PatchAvailableDays, PerCVEOnly: f.PerCVEOnly,
-		})
-	}
-	return out, verdict
+	return rep, verdict
 }

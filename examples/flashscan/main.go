@@ -31,9 +31,6 @@ func main() {
 	in := res.Collectors()
 
 	all, top10k, top1k := in.Flash.UsageSeries()
-	at := func(t time.Time) int {
-		return int(t.Sub(clientres.WeekDate(0)) / (7 * 24 * time.Hour))
-	}
 	checkpoints := []struct {
 		label string
 		t     time.Time
@@ -45,7 +42,7 @@ func main() {
 	fmt.Println("Adobe Flash usage (sites):")
 	fmt.Printf("  %-24s %8s %10s %10s\n", "", "all", "top-1%", "top-0.1%")
 	for _, cp := range checkpoints {
-		w := at(cp.t)
+		w := clientres.WeekOf(cp.t)
 		fmt.Printf("  %-24s %8d %10d %10d\n", cp.label, all[w], top10k[w], top1k[w])
 	}
 	fmt.Printf("\nmean Flash sites after end of life: %.0f (paper: 3,553 of 1M)\n", in.Flash.MeanPostEOL())

@@ -48,7 +48,12 @@ func main() {
 	for id, days := range cve.PerAdvisory {
 		rows = append(rows, row{id, days})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].days > rows[j].days })
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].days != rows[j].days {
+			return rows[i].days > rows[j].days
+		}
+		return rows[i].id < rows[j].id // advisories of one release tie
+	})
 	fmt.Println("mean update delay per advisory (CVE ranges):")
 	for _, r := range rows {
 		fmt.Printf("  %-20s %7.1f days\n", r.id, r.days)
@@ -56,8 +61,7 @@ func main() {
 
 	// The December 2020 WordPress auto-update event (Figure 7).
 	jump := func(ver string, t time.Time) int {
-		w := weekOf(t)
-		return in.Libs.VersionSeries("jquery", ver)[w]
+		return in.Libs.VersionSeries("jquery", ver)[clientres.WeekOf(t)]
 	}
 	nov := time.Date(2020, 11, 2, 0, 0, 0, 0, time.UTC)
 	mar := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -65,8 +69,4 @@ func main() {
 		jump("3.5.1", nov), jump("3.5.1", mar))
 	fmt.Printf("jQuery 1.12.4 sites: %d (Nov 2020) -> %d (Mar 2021)\n",
 		jump("1.12.4", nov), jump("1.12.4", mar))
-}
-
-func weekOf(t time.Time) int {
-	return int(t.Sub(clientres.WeekDate(0)) / (7 * 24 * time.Hour))
 }

@@ -629,21 +629,18 @@ func crawlSource(ccfg crawler.Config, eco *webgen.Ecosystem, part, parts, shards
 // RunFromStore replays a stored observation dataset through the analyses.
 // Findings come from poclab.Findings, the PoC lab's committed answer, which
 // does not depend on the dataset: no PoC runs here.
-// The path may be a store directory or a single gzip stream — one segment
-// file of a store, which replays to the same report as its store; an
-// archive of an earlier release is refused. Segments
-// decode concurrently, and with shards > 1 the observations go by domain
-// hash to per-shard collector sets, merged afterwards — the stored
-// per-domain week ordering is preserved inside each shard, so the result
-// is identical to a serial replay whatever the segment and shard counts
-// are.
+// The path must be a sealed store directory: a directory without a
+// manifest, a lone segment file and an archive of an earlier release are
+// refused before anything is decoded. Segments decode concurrently, and
+// with shards > 1 the observations go by domain hash to per-shard
+// collector sets, merged afterwards — the stored per-domain week ordering
+// is preserved inside each shard, so the result is identical to a serial
+// replay whatever the segment and shard counts are.
 //
 // weeks and domains must be the stored study's: a record at a week past
 // weeks is refused, and so is a store whose manifest does not hold
 // weeks × domains observations (a salvaged partial store among them),
-// before anything is decoded. A single stream has no manifest; it is
-// refused when its replay ends with another count (one segment of a store
-// of several, say).
+// before anything is decoded, or whose segments replay to another count.
 func RunFromStore(path string, weeks, domains, shards int) (*Results, error) {
 	res, err := replayStore(path, weeks, domains, shards)
 	if err != nil {
@@ -659,21 +656,16 @@ func replayStore(path string, weeks, domains, shards int) (*Results, error) {
 		return fmt.Errorf("core: %s holds %d observations, not the %d of a %d-domain × %d-week study",
 			path, n, weeks*domains, domains, weeks)
 	}
-	// A path without a manifest is a single stream — or not a readable
-	// store at all, which the store says when replay opens it.
-	lanes := [][]replayUnit{{{path: path, to: weeks}}}
-	if store.IsSegmented(path) {
-		man, err := store.ReadManifest(path)
-		if err != nil {
-			return nil, err
-		}
-		if man.Total != weeks*domains {
-			return nil, wrongStudy(man.Total)
-		}
-		lanes = make([][]replayUnit, man.Segments)
-		for s := range lanes {
-			lanes[s] = []replayUnit{{path: store.SegmentPath(path, s), to: weeks}}
-		}
+	man, err := store.ReadManifest(path)
+	if err != nil {
+		return nil, err
+	}
+	if man.Total != weeks*domains {
+		return nil, wrongStudy(man.Total)
+	}
+	lanes := make([][]replayUnit, man.Segments)
+	for s := range lanes {
+		lanes[s] = []replayUnit{{path: store.SegmentPath(path, s), to: weeks}}
 	}
 	sh := newShards(weeks, domains, max(shards, 1))
 	counts, err := replay(sh, lanes, func(_ int, obs store.Observation) error {
@@ -682,8 +674,7 @@ func replayStore(path string, weeks, domains, shards int) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A single stream's count is known only now: one segment of a store of
-	// several is a fraction of its study.
+	// A manifest can declare counts its segments do not hold.
 	n := 0
 	for _, c := range counts {
 		n += c

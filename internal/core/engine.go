@@ -153,8 +153,7 @@ func collect[T any](ctx context.Context, cfg Config, shards []*shard, start int,
 }
 
 // replayUnit is one gzip stream of a stored dataset — one segment of a
-// store, or a single-file archive — and the weeks of it that belong to the
-// dataset.
+// store — and the weeks of it that belong to the dataset.
 type replayUnit struct {
 	path     string
 	from, to int // half-open
@@ -164,8 +163,7 @@ type replayUnit struct {
 // decode concurrently, one goroutine each, a lane's units one after another
 // — so a lane must hold every unit that carries a given domain, in week
 // order — and every lane set is a store.ShardOf partition of the domains
-// (a store's segments, a distributed run's partitions, or the one lane of
-// a single file).
+// (a store's segments or a distributed run's partitions).
 //
 // When there are as many lanes as shards the two partitions are the same
 // one: lane l's decoder feeds shard l's collectors directly, consuming the

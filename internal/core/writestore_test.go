@@ -5,6 +5,7 @@ package core
 // analyse to Run's report.
 
 import (
+	"compress/gzip"
 	"context"
 	"fmt"
 	"os"
@@ -113,16 +114,15 @@ func TestWriteStoreRequiresStorePath(t *testing.T) {
 // TestRunFromStoreRefusesAnotherStudy: a store replayed as a study it does
 // not hold used to render a report of that study from the wrong data — a
 // 300 × 20 store asked as the default 20,000 × 201 printed a "201 weeks"
-// report with every prevalence a tenth of the truth. The manifest's total
-// and every record's week are checked against the asked shape; a single
-// segment file has no manifest, and its replayed count is checked instead.
+// report with every prevalence a tenth of the truth. The manifest's total,
+// every record's week and the replayed count are checked against the asked
+// shape.
 func TestRunFromStoreRefusesAnotherStudy(t *testing.T) {
 	cfg := Config{Domains: 300, Weeks: 20, Seed: 5, SkipPoC: true,
 		StorePath: filepath.Join(t.TempDir(), "s.store")}
 	if _, err := WriteStore(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	seg := store.SegmentPath(cfg.StorePath, 0)
 	split := cfg
 	split.StorePath, split.StoreSegments, split.Shards = filepath.Join(t.TempDir(), "split.store"), 3, 3
 	if _, err := WriteStore(context.Background(), split); err != nil {
@@ -132,6 +132,9 @@ func TestRunFromStoreRefusesAnotherStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A segment emptied behind its manifest: the total still reads right,
+	// the replayed count does not.
+	emptySegment(t, store.SegmentPath(split.StorePath, 1))
 	for _, tc := range []struct {
 		path           string
 		weeks, domains int
@@ -140,10 +143,8 @@ func TestRunFromStoreRefusesAnotherStudy(t *testing.T) {
 		{cfg.StorePath, 201, 20000, "holds 6000 observations, not the 4020000 of a 20000-domain × 201-week study"},
 		{cfg.StorePath, 20, 299, "holds 6000 observations, not the 5980 of a 299-domain × 20-week study"},
 		{cfg.StorePath, 10, 600, "holds week 10, past the 10 weeks of the study"},
-		{seg, 19, 20000, "holds week 19, past the 19 weeks of the study"},
-		{seg, 20, 299, "holds 6000 observations, not the 5980 of a 299-domain × 20-week study"},
-		{store.SegmentPath(split.StorePath, 1), 20, 300,
-			fmt.Sprintf("holds %d observations, not the 6000 of a 300-domain × 20-week study", part.Counts[1])},
+		{split.StorePath, 20, 300,
+			fmt.Sprintf("holds %d observations, not the 6000 of a 300-domain × 20-week study", 6000-part.Counts[1])},
 	} {
 		if _, err := replayStore(tc.path, tc.weeks, tc.domains, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("replay of %s as %d × %d = %v, want %q", filepath.Base(tc.path), tc.domains, tc.weeks, err, tc.want)
@@ -156,13 +157,57 @@ func TestRunFromStoreRefusesAnotherStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{cfg.StorePath, seg} {
-		replayed, err := replayStore(path, cfg.Weeks, cfg.Domains, 2)
-		if err != nil {
-			t.Fatal(err)
+	replayed, err := replayStore(cfg.StorePath, cfg.Weeks, cfg.Domains, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reportOf(t, replayed) != reportOf(t, res) {
+		t.Error("the store replays to a different report than the run that wrote it")
+	}
+}
+
+// emptySegment replaces a segment file with an empty gzip stream: a
+// segment that holds no records.
+func emptySegment(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gzip.NewWriter(f).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunFromStoreRefusesSegmentFile: a segment file is not a store. Once
+// its directory's manifest was gone — a run that never sealed, which every
+// reader refuses — the segment file alone still replayed to the full
+// report. It is refused, sealed or not, and the refusal names the store
+// directory to pass instead.
+func TestRunFromStoreRefusesSegmentFile(t *testing.T) {
+	cfg := Config{Domains: 60, Weeks: 8, Seed: 7, StoreSegments: 1, SkipPoC: true,
+		StorePath: filepath.Join(t.TempDir(), "s.store")}
+	if _, err := WriteStore(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	seg := store.SegmentPath(cfg.StorePath, 0)
+	for _, sealed := range []bool{true, false} {
+		if !sealed {
+			if err := os.Remove(filepath.Join(cfg.StorePath, store.ManifestName)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if reportOf(t, replayed) != reportOf(t, res) {
-			t.Errorf("%s replays to a different report than the run that wrote it", filepath.Base(path))
+		_, err := RunFromStore(seg, cfg.Weeks, cfg.Domains, 1)
+		if err == nil || !strings.Contains(err.Error(), "not a store directory") ||
+			!strings.Contains(err.Error(), "pass its store "+cfg.StorePath) {
+			t.Errorf("sealed=%v: replay of the segment file: %v", sealed, err)
 		}
+	}
+	if _, err := RunFromStore(cfg.StorePath, cfg.Weeks, cfg.Domains, 1); err == nil ||
+		!strings.Contains(err.Error(), "never sealed") {
+		t.Errorf("replay of the unsealed directory: %v", err)
 	}
 }

@@ -43,25 +43,30 @@ type Summary struct {
 	JQueryCookieUsers, JQueryCookieMigrated int
 }
 
-// Summarize computes the headline numbers of s, each once.
+// Summarize computes the headline numbers of s, each once. A study of
+// findings alone (no collectors, as cmd/vvexp has) summarizes only the
+// advisory counts.
 func Summarize(s Study) Summary {
-	cve, tvv := s.Delay.Result(false, false), s.Delay.Result(true, true)
-	sum := Summary{
-		MeanCollected:       s.Coll.MeanCollected(),
-		VulnerableShareCVE:  s.Vuln.MeanVulnerableShare(false),
-		VulnerableShareTVV:  s.Vuln.MeanVulnerableShare(true),
-		MeanVulnsPerPageCVE: s.Vuln.MeanVulnsPerSite(false),
-		MeanVulnsPerPageTVV: s.Vuln.MeanVulnsPerSite(true),
-		UpdateDelayDays:     cve.MeanDays,
-		UpdateDelayDaysTVV:  tvv.MeanDays,
-		UpdatedSites:        cve.Updated,
-		MissingSRIShare:     s.SRI.MissingSRIShare(),
-		FlashPostEOL:        s.Flash.MeanPostEOL(),
-		InsecureFlashShare:  s.Flash.MeanInsecureShare(),
-		WordPressShare:      s.WordPress.MeanShare(),
-		TotalCVEs:           len(s.Findings),
+	var sum Summary
+	if s.Coll != nil {
+		cve, tvv := s.Delay.Result(false, false), s.Delay.Result(true, true)
+		sum = Summary{
+			MeanCollected:       s.Coll.MeanCollected(),
+			VulnerableShareCVE:  s.Vuln.MeanVulnerableShare(false),
+			VulnerableShareTVV:  s.Vuln.MeanVulnerableShare(true),
+			MeanVulnsPerPageCVE: s.Vuln.MeanVulnsPerSite(false),
+			MeanVulnsPerPageTVV: s.Vuln.MeanVulnsPerSite(true),
+			UpdateDelayDays:     cve.MeanDays,
+			UpdateDelayDaysTVV:  tvv.MeanDays,
+			UpdatedSites:        cve.Updated,
+			MissingSRIShare:     s.SRI.MissingSRIShare(),
+			FlashPostEOL:        s.Flash.MeanPostEOL(),
+			InsecureFlashShare:  s.Flash.MeanInsecureShare(),
+			WordPressShare:      s.WordPress.MeanShare(),
+		}
+		sum.JQueryCookieUsers, sum.JQueryCookieMigrated = s.Disc.MigrationStats()
 	}
-	sum.JQueryCookieUsers, sum.JQueryCookieMigrated = s.Disc.MigrationStats()
+	sum.TotalCVEs = len(s.Findings)
 	for _, f := range s.Findings {
 		if f.Accuracy != vulndb.Accurate {
 			sum.IncorrectCVEs++

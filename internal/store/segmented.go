@@ -391,8 +391,21 @@ func IsSegmented(path string) bool {
 	return err == nil
 }
 
-// ReadManifest loads and validates a segmented store's manifest.
+// ReadManifest loads and validates a segmented store's manifest. A path
+// that is not a directory is refused whatever it holds: one segment file
+// of a store carries no proof that its run was sealed.
 func ReadManifest(dir string) (Manifest, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return Manifest{}, fmt.Errorf("store: %w", err)
+	}
+	if !fi.IsDir() {
+		if _, err := sniffFormat(dir); errors.Is(err, errLegacy) {
+			return Manifest{}, err
+		}
+		return Manifest{}, fmt.Errorf("store: %s is a file, not a store directory: a store is read whole, through its %s (for a segment file, pass its store %s)",
+			dir, ManifestName, filepath.Dir(dir))
+	}
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if os.IsNotExist(err) {
 		// A killed or still-running crawl: say how to get a readable store
