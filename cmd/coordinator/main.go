@@ -9,6 +9,10 @@
 // Assignment state persists atomically to <dir>/coordinator.json after
 // every transition; restarting the coordinator over the same directory
 // rehydrates leases and accepted spans instead of restarting the crawl.
+// A restart takes its run from coordinator.json: the run flags (-domains,
+// -weeks, -seed, -bundle-frac, -bundle-scan, -partitions, -lease-ttl)
+// default to the persisted values, and one set to another value, a zero
+// value included, is refused before anything is served.
 //
 // Usage:
 //
@@ -17,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
@@ -56,6 +62,12 @@ func main() {
 		Dir:        *dir,
 		LeaseTTL:   *leaseTTL,
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	spec, err := restartSpec(spec, set)
+	if err != nil {
+		log.Fatalf("coordinator: %v", err)
+	}
 	coord, err := distcrawl.NewCoordinator(spec)
 	if err != nil {
 		log.Fatalf("coordinator: %v", err)
@@ -63,9 +75,6 @@ func main() {
 	coord.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "coordinator: "+format+"\n", args...)
 	}
-	// The rehydrated spec is authoritative on restart (the study flags
-	// must match it; NewCoordinator already refused a mismatch).
-	spec = coord.Spec()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -107,4 +116,37 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "coordinator: merged report -> %s\n", *out)
 	}
+}
+
+// restartSpec returns the run a coordinator over spec.Dir serves: the
+// RunSpec its coordinator.json persisted when there is one, else spec. A
+// run flag in set, the flags the user gave, must name the persisted value:
+// a flag at its zero value cannot be told from an absent one once it is in
+// spec, so the check is made against the flags themselves.
+func restartSpec(spec distcrawl.RunSpec, set map[string]bool) (distcrawl.RunSpec, error) {
+	persisted, err := distcrawl.ReadSpec(spec.Dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return spec, nil
+	}
+	if err != nil {
+		return spec, err
+	}
+	for _, f := range []struct {
+		flag            string
+		asked, recorded any
+	}{
+		{"domains", spec.Domains, persisted.Domains},
+		{"weeks", spec.Weeks, persisted.Weeks},
+		{"seed", spec.Seed, persisted.Seed},
+		{"bundle-frac", spec.Bundling.Fraction, persisted.Bundling.Fraction},
+		{"bundle-scan", spec.BundleScan, persisted.BundleScan},
+		{"partitions", spec.Partitions, persisted.Partitions},
+		{"lease-ttl", spec.LeaseTTL, persisted.LeaseTTL},
+	} {
+		if set[f.flag] && f.asked != f.recorded {
+			return spec, fmt.Errorf("restart %s: %s %v asked, %s recorded %v",
+				spec.Dir, f.flag, f.asked, distcrawl.StateName, f.recorded)
+		}
+	}
+	return persisted, nil
 }

@@ -18,10 +18,12 @@
 //	crawl -record crawl.bundle -out crawl.store   # archive every response
 //	crawl -replay crawl.bundle -out replay.store  # re-crawl with zero network
 //
-// A replay crawls the study its bundle recorded: -domains, -weeks, -seed and
-// -bundle-scan default to the recorded values, and one set to another value,
-// a zero value included (-seed 0, -bundle-scan=false), is refused before the
-// store is created.
+// A run that already recorded its study takes it from there: a replay from
+// its bundle's bundle.json (-domains, -weeks, -seed, -bundle-scan), a
+// resume from the store's checkpoint journal (those and -bundle-frac). The
+// study flags default to the recorded values, and one set to another
+// value, a zero value included (-seed 0, -bundle-scan=false,
+// -bundle-frac 0), is refused before anything is written.
 package main
 
 import (
@@ -37,6 +39,7 @@ import (
 	"clientres/internal/core"
 	"clientres/internal/crawler"
 	"clientres/internal/prof"
+	"clientres/internal/store"
 	"clientres/internal/webgen"
 	"clientres/internal/wexbundle"
 )
@@ -60,7 +63,7 @@ func main() {
 	chaos := flag.Float64("chaos", 0, "fault-injection rate per (domain, week) on the loopback server: stalls, resets, truncated bodies, slow-loris (0 disables)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault schedule seed (with -chaos)")
 	checkpoint := flag.Bool("checkpoint", false, "commit a crash-safety journal after every completed week, so that a killed run can -resume (reports are identical either way)")
-	resume := flag.Bool("resume", false, "resume a crashed -checkpoint run from its journal: verify and replay the committed weeks, then continue at the first incomplete week (implies -checkpoint)")
+	resume := flag.Bool("resume", false, "resume a crashed -checkpoint run from its journal: verify and replay the committed weeks, then continue at the first incomplete week (implies -checkpoint); the study is the journaled one, and -domains, -weeks, -seed, -bundle-frac or -bundle-scan set to another value is refused")
 	bundleFrac := flag.Float64("bundle-frac", 0, "fraction of eligible generated sites that ship their libraries as one bundled script (0 disables; bundles hide library URLs from the fingerprinter)")
 	bundleScan := flag.Bool("bundle-scan", false, "fetch each page's same-site scripts and scan their content for library signatures (recovers bundled libraries; plain pages detect identically either way)")
 	record := flag.String("record", "", "record every fetched response into a web-execution bundle at this directory (honors -checkpoint/-resume; reports are identical either way)")
@@ -105,12 +108,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
-	if *replay != "" {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if cfg, err = replayStudy(cfg, set); err != nil {
-			log.Fatalf("crawl: %v", err)
-		}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if cfg, err = recordedStudy(cfg, set); err != nil {
+		log.Fatalf("crawl: %v", err)
 	}
 	m, err := core.WriteStore(ctx, cfg)
 	stopCPU()
@@ -129,31 +130,54 @@ func main() {
 		fmt.Printf("replayed %s into %s\n", *replay, *out)
 		return
 	}
-	fmt.Printf("crawled %d domains x %d weeks into %s\n", *domains, *weeks, *out)
+	fmt.Printf("crawled %d domains x %d weeks into %s\n", cfg.Domains, cfg.Weeks, *out)
 }
 
-// replayStudy returns cfg with the study its replay bundle recorded. A study
-// flag in set, the flags the user gave, must name the recorded value: a flag
-// at its zero value cannot be told from an absent one once it is in cfg, so
-// the check is made here, against the flags themselves.
-func replayStudy(cfg core.Config, set map[string]bool) (core.Config, error) {
-	m, err := wexbundle.ReadMeta(cfg.ReplayBundle)
-	if err != nil {
-		return cfg, err
+// recordedStudy returns cfg with the study its run already recorded: a
+// replay's in its bundle's bundle.json, a resume's in the store's checkpoint
+// journal; any other run is returned as it is. A study flag in set, the
+// flags the user gave, must name the recorded value: a flag at its zero
+// value cannot be told from an absent one once it is in cfg, so the check
+// is made here, against the flags themselves. bundle.json records no
+// bundler adoption, so a replay keeps -bundle-frac as given.
+func recordedStudy(cfg core.Config, set map[string]bool) (core.Config, error) {
+	var rec core.Config
+	var run, recorder string
+	switch {
+	case cfg.ReplayBundle != "":
+		m, err := wexbundle.ReadMeta(cfg.ReplayBundle)
+		if err != nil {
+			return cfg, err
+		}
+		rec = core.Config{Domains: m.Domains, Weeks: m.Weeks, Seed: m.Seed, Bundling: cfg.Bundling, BundleScan: m.BundleScan}
+		run, recorder = "replay "+cfg.ReplayBundle, "the bundle"
+	case cfg.Resume:
+		ck, err := store.ReadCheckpoint(cfg.StorePath)
+		if err != nil {
+			return cfg, err
+		}
+		r := ck.Run
+		rec = core.Config{Domains: r.Domains, Weeks: r.Weeks, Seed: r.Seed, BundleScan: r.BundleScan,
+			Bundling: webgen.Bundling{Fraction: r.BundleFraction, MinifyP: r.BundleMinifyP,
+				BannerP: r.BundleBannerP, SourceMapP: r.BundleSourceMapP}}
+		run, recorder = "resume "+cfg.StorePath, "the journal"
+	default:
+		return cfg, nil
 	}
 	for _, f := range []struct {
 		flag            string
 		asked, recorded any
 	}{
-		{"domains", cfg.Domains, m.Domains},
-		{"weeks", cfg.Weeks, m.Weeks},
-		{"seed", cfg.Seed, m.Seed},
-		{"bundle-scan", cfg.BundleScan, m.BundleScan},
+		{"domains", cfg.Domains, rec.Domains},
+		{"weeks", cfg.Weeks, rec.Weeks},
+		{"seed", cfg.Seed, rec.Seed},
+		{"bundle-frac", cfg.Bundling.Fraction, rec.Bundling.Fraction},
+		{"bundle-scan", cfg.BundleScan, rec.BundleScan},
 	} {
 		if set[f.flag] && f.asked != f.recorded {
-			return cfg, fmt.Errorf("replay %s: %s %v asked, the bundle recorded %v", cfg.ReplayBundle, f.flag, f.asked, f.recorded)
+			return cfg, fmt.Errorf("%s: %s %v asked, %s recorded %v", run, f.flag, f.asked, recorder, f.recorded)
 		}
 	}
-	cfg.Domains, cfg.Weeks, cfg.Seed, cfg.BundleScan = m.Domains, m.Weeks, m.Seed, m.BundleScan
+	cfg.Domains, cfg.Weeks, cfg.Seed, cfg.Bundling, cfg.BundleScan = rec.Domains, rec.Weeks, rec.Seed, rec.Bundling, rec.BundleScan
 	return cfg, nil
 }

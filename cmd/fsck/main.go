@@ -9,7 +9,8 @@
 //	fsck -store crawl.store           # verify: full checksum replay, counts
 //	                                  # cross-checked against the manifest;
 //	                                  # a bundle's stream order and bundle.json
-//	fsck -store crawl.store -stats    # inspect: report manifest, checkpoint,
+//	fsck -store crawl.store -stats    # inspect: report manifest and the
+//	                                  # study it records, checkpoint,
 //	                                  # per-segment state and (bundles) stream
 //	                                  # order, judge nothing
 //	fsck -store crawl.store -repair   # salvage: restore the store to its
@@ -143,6 +144,11 @@ func printInspection(in store.Inspection) {
 	case in.HasManifest:
 		fmt.Printf("  manifest: v%d, %d segments, %d records declared, salvaged=%v\n",
 			in.Manifest.Version, in.Manifest.Segments, in.Manifest.Total, in.Manifest.Salvaged)
+		if in.Manifest.Run != nil {
+			fmt.Printf("  study: %+v\n", *in.Manifest.Run)
+		} else {
+			fmt.Printf("  study: none recorded\n")
+		}
 	case in.ManifestErr != "":
 		fmt.Printf("  manifest: CORRUPT (%s)\n", in.ManifestErr)
 	default:
@@ -150,9 +156,8 @@ func printInspection(in store.Inspection) {
 	}
 	switch {
 	case in.HasCheckpoint:
-		fmt.Printf("  checkpoint: %s, %d weeks committed, %d records (run seed=%d domains=%d weeks=%d)\n",
-			formatName(in.Checkpoint.Format), in.Checkpoint.CommittedWeeks, in.Checkpoint.Total,
-			in.Checkpoint.Run.Seed, in.Checkpoint.Run.Domains, in.Checkpoint.Run.Weeks)
+		fmt.Printf("  checkpoint: %s, %d weeks committed, %d records (run %+v)\n",
+			formatName(in.Checkpoint.Format), in.Checkpoint.CommittedWeeks, in.Checkpoint.Total, in.Checkpoint.Run)
 	case in.CheckpointErr != "":
 		fmt.Printf("  checkpoint: CORRUPT (%s)\n", in.CheckpointErr)
 	default:

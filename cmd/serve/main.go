@@ -48,7 +48,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 2<<20, "maximum audit request body bytes")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	fetchURLs := flag.Bool("fetch", true, "enable {\"url\": ...} audits via the resilient crawler fetch path")
-	fetchTimeout := flag.Duration("fetch-timeout", 10*time.Second, "per-fetch timeout for url audits")
+	fetchTimeout := flag.Duration("fetch-timeout", 10*time.Second, "deadline of one url audit's whole fetch, every retry and backoff included (0 disables)")
 	policyFile := flag.String("policy", "", "server policy file (YAML or JSON); clients select it with \"policy\":\"server\" or ?policy=server")
 	nowFlag := flag.String("now", "", "pin the audit clock to an RFC3339 instant (deterministic verdicts; default wall clock)")
 	bundle := flag.String("bundle", "", "serve {\"url\": ...} audits from this recorded web-execution bundle instead of the live network (zero network; unrecorded URLs error)")
@@ -99,8 +99,8 @@ func main() {
 	}
 	if *fetchURLs {
 		ccfg := crawler.Config{
-			Timeout:   *fetchTimeout,
-			UserAgent: "clientres-audit-service/1.0",
+			FetchTimeout: *fetchTimeout,
+			UserAgent:    "clientres-audit-service/1.0",
 			Resilience: crawler.Resilience{
 				Enabled:     true,
 				RetryBudget: -1, // online fetches have no weekly budget

@@ -18,6 +18,10 @@ type LibraryStats struct {
 	jsSites   weekSeries
 	libSites  weekSeries // sites using ≥1 detected library (any slug)
 
+	// sigDetections counts the library records a content signature
+	// recovered (LibRecord.Sig), sigPages the usable pages holding one.
+	sigDetections, sigPages int
+
 	libs map[string]*libStats
 }
 
@@ -136,8 +140,13 @@ func (l *LibraryStats) Observe(obs store.Observation) {
 	var buf [16]*libStats
 	counted := buf[:0]
 	isWP := obs.WordPress != ""
+	sig := false
 	for i := range obs.Libs {
 		rec := &obs.Libs[i]
+		if rec.Sig {
+			l.sigDetections++
+			sig = true
+		}
 		ls := l.libs[rec.Slug]
 		if ls == nil {
 			ls = newLibStats(l.weeks)
@@ -172,6 +181,9 @@ func (l *LibraryStats) Observe(obs store.Observation) {
 	for _, ls := range counted {
 		ls.counted = false
 	}
+	if sig {
+		l.sigPages++
+	}
 }
 
 // Merge folds another LibraryStats' aggregates into l. The two collectors
@@ -180,6 +192,8 @@ func (l *LibraryStats) Merge(o *LibraryStats) {
 	l.collected.merge(o.collected)
 	l.jsSites.merge(o.jsSites)
 	l.libSites.merge(o.libSites)
+	l.sigDetections += o.sigDetections
+	l.sigPages += o.sigPages
 	for slug, os := range o.libs {
 		ls := l.libs[slug]
 		if ls == nil {
@@ -214,6 +228,27 @@ func (ls *libStats) merge(o *libStats, weeks int) {
 			ls.vers[raw] = ls.byCanon[ovs.canon]
 		}
 	}
+}
+
+// SignatureReach is the measured reach of bundle-aware fingerprinting:
+// usable pages and library detections, and how many of each a content
+// signature recovered rather than a <script src> URL.
+type SignatureReach struct {
+	Pages, SigPages           int
+	Detections, SigDetections int
+}
+
+// SignatureReach counts the study's usable pages and library detections
+// and the signature-recovered ones among them.
+func (l *LibraryStats) SignatureReach() SignatureReach {
+	r := SignatureReach{SigPages: l.sigPages, SigDetections: l.sigDetections}
+	for _, n := range l.collected {
+		r.Pages += n
+	}
+	for _, ls := range l.libs {
+		r.Detections += ls.internal + ls.external
+	}
+	return r
 }
 
 // UsageSeries returns the weekly share of collected sites using a library.

@@ -303,3 +303,38 @@ func TestMergeGroundTruthStream(t *testing.T) {
 	src := truthObservations(t, 160, 20, 3)
 	checkAllMerges(t, src, splitByDomain(src, 4), 20, 160)
 }
+
+// TestSignatureReach: LibraryStats counts usable pages, library detections
+// and the signature-recovered ones among them, and a sharded count merges
+// to the serial one.
+func TestSignatureReach(t *testing.T) {
+	jq := store.LibRecord{Slug: "jquery", Version: "3.5.1", Known: true}
+	sig := store.LibRecord{Slug: "moment", Version: "2.18.1", Known: true, Sig: true}
+	obs := []store.Observation{
+		{Domain: "a.example", Rank: 1, Week: 0, Status: 200, Bytes: 4096, HasJS: true, Libs: []store.LibRecord{jq, sig}},
+		{Domain: "b.example", Rank: 2, Week: 0, Status: 200, Bytes: 4096, HasJS: true, Libs: []store.LibRecord{jq}},
+		{Domain: "c.example", Rank: 3, Week: 0},
+		{Domain: "a.example", Rank: 1, Week: 1, Status: 200, Bytes: 4096, HasJS: true, Libs: []store.LibRecord{sig}},
+		{Domain: "b.example", Rank: 2, Week: 1, Status: 200, Bytes: 4096},
+		{Domain: "c.example", Rank: 3, Week: 1, Status: 200, Bytes: 4096, HasJS: true, Libs: []store.LibRecord{sig, sig}},
+	}
+	serial := NewLibraryStats(2)
+	for _, o := range obs {
+		serial.Observe(o)
+	}
+	want := SignatureReach{Pages: 5, SigPages: 3, Detections: 6, SigDetections: 4}
+	if got := serial.SignatureReach(); got != want {
+		t.Errorf("serial reach %+v, want %+v", got, want)
+	}
+	merged := NewLibraryStats(2)
+	for _, part := range splitByDomain(obs, 3) {
+		shard := NewLibraryStats(2)
+		for _, o := range part {
+			shard.Observe(o)
+		}
+		merged.Merge(shard)
+	}
+	if got := merged.SignatureReach(); got != want {
+		t.Errorf("merged reach %+v, want %+v", got, want)
+	}
+}

@@ -142,10 +142,17 @@ type Config struct {
 	SkipPoC bool
 }
 
-// runID is the identity stamped into the checkpoint journal; a resume
-// refuses a journal written under a different study configuration.
-func (cfg Config) runID() store.RunID {
-	return store.RunID{Seed: cfg.Seed, Domains: cfg.Domains, Weeks: cfg.Weeks, Mode: int(cfg.Mode)}
+// RunID is the study cfg describes, as its store journals and seals it: a
+// resume refuses a journal written under a different study, and analyze
+// reads the shape back from the manifest. A population in which no site
+// bundles is one study whatever the other bundler knobs say, so they are
+// recorded only when Bundling.Fraction is positive.
+func (cfg Config) RunID() store.RunID {
+	id := store.RunID{Seed: cfg.Seed, Domains: cfg.Domains, Weeks: cfg.Weeks, Mode: int(cfg.Mode), BundleScan: cfg.BundleScan}
+	if b := cfg.Bundling; b.Fraction > 0 {
+		id.BundleFraction, id.BundleMinifyP, id.BundleBannerP, id.BundleSourceMapP = b.Fraction, b.MinifyP, b.BannerP, b.SourceMapP
+	}
+	return id
 }
 
 // Results bundles every collector plus the PoC findings after a run.
@@ -330,7 +337,7 @@ func study(ctx context.Context, cfg Config, shards []*shard) (*webgen.Ecosystem,
 	var resumed store.Checkpoint
 	var writer sink
 	if cfg.StorePath != "" {
-		opt := store.SegmentedOptions{Checkpoint: cfg.Checkpoint, Run: cfg.runID()}
+		opt := store.SegmentedOptions{Checkpoint: cfg.Checkpoint, Run: cfg.RunID()}
 		var err error
 		if cfg.Resume {
 			writer, resumed, err = store.ResumeSegmented(cfg.StorePath, opt)
@@ -523,7 +530,7 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, shar
 		opt := wexbundle.Options{
 			Segments:   cfg.StoreSegments,
 			Checkpoint: cfg.Checkpoint,
-			Run:        cfg.runID(),
+			Run:        cfg.RunID(),
 			Meta:       wexbundle.Meta{Domains: cfg.Domains, Weeks: cfg.Weeks, Seed: cfg.Seed, BundleScan: cfg.BundleScan},
 		}
 		var err error

@@ -13,11 +13,14 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"clientres/internal/store"
+	"clientres/internal/webgen"
+	"clientres/internal/wexbundle"
 )
 
 // crashAfter returns a Progress hook that cancels the run's context as soon
@@ -187,5 +190,129 @@ func TestCheckpointedStoreReplaysIdentically(t *testing.T) {
 	}
 	if reportOf(t, got) != reportOf(t, want) {
 		t.Error("resumed store replays to a different report")
+	}
+}
+
+// dirFiles maps every file of dir to its bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// bundledCrawl is a bundled, bundle-scanning crawl: the study whose resume
+// under another bundler adoption or without the scan would splice two
+// populations into one store.
+var bundledCrawl = Config{Domains: 40, Weeks: 6, Seed: 5, Mode: ModeCrawl, Workers: 16, StoreSegments: 2,
+	Bundling: webgen.DefaultBundling(0.8), BundleScan: true, SkipPoC: true}
+
+// otherStudies are bundledCrawl's resumes as another study.
+var otherStudies = map[string]func(*Config){
+	"Bundling{}":       func(c *Config) { c.Bundling = webgen.Bundling{} },
+	"BundleScan false": func(c *Config) { c.BundleScan = false },
+}
+
+// TestResumeRefusesAnotherBundling: a bundled, bundle-scanning
+// checkpointed crawl killed at week k resumes only as itself. Resumed with
+// no bundling or without the script scan it is refused, and the store stays
+// byte-for-byte what the crash left; resumed as itself it reports as the
+// uninterrupted run.
+func TestResumeRefusesAnotherBundling(t *testing.T) {
+	ref, err := Run(context.Background(), bundledCrawl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	dir := filepath.Join(t.TempDir(), "store")
+	cfg := bundledCrawl
+	cfg.StorePath = dir
+	cfg.Checkpoint = true
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg.Progress = crashAfter(k, cancel)
+	if _, err := Run(ctx, cfg); err == nil {
+		t.Fatal("crashed run returned no error")
+	}
+	cancel()
+	crashed := dirFiles(t, dir)
+
+	for name, other := range otherStudies {
+		resumed := bundledCrawl
+		other(&resumed)
+		resumed.StorePath = dir
+		resumed.Resume = true
+		if _, err := Run(context.Background(), resumed); err == nil || !strings.Contains(err.Error(), "different run") {
+			t.Errorf("resume with %s: error %v, want a different-run refusal", name, err)
+		}
+		if !reflect.DeepEqual(dirFiles(t, dir), crashed) {
+			t.Fatalf("the refused resume with %s changed the store", name)
+		}
+	}
+
+	resumed := bundledCrawl
+	resumed.StorePath = dir
+	resumed.Resume = true
+	res, err := Run(context.Background(), resumed)
+	if err != nil {
+		t.Fatalf("resume as the journaled study: %v", err)
+	}
+	if reportOf(t, res) != reportOf(t, ref) {
+		t.Error("the resumed bundled crawl reports differently from the uninterrupted run")
+	}
+}
+
+// TestRecordResumeRefusesAnotherBundling is the same for a recording: a
+// bundled, bundle-scanning recording killed at week k is refused as
+// another study, through core and through the bundle's own journal, with
+// the store and the bundle unchanged.
+func TestRecordResumeRefusesAnotherBundling(t *testing.T) {
+	const k = 3
+	bundle := filepath.Join(t.TempDir(), "rec.bundle")
+	dir := filepath.Join(t.TempDir(), "store")
+	cfg := bundledCrawl
+	cfg.StorePath = dir
+	cfg.RecordBundle = bundle
+	cfg.Checkpoint = true
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg.Progress = crashAfter(k, cancel)
+	if _, err := Run(ctx, cfg); err == nil {
+		t.Fatal("crashed recording returned no error")
+	}
+	cancel()
+	crashedStore, crashedBundle := dirFiles(t, dir), dirFiles(t, bundle)
+
+	for name, other := range otherStudies {
+		resumed := bundledCrawl
+		other(&resumed)
+		resumed.StorePath = dir
+		resumed.RecordBundle = bundle
+		resumed.Resume = true
+		if _, err := Run(context.Background(), resumed); err == nil || !strings.Contains(err.Error(), "different run") {
+			t.Errorf("resume with %s: error %v, want a different-run refusal", name, err)
+		}
+		if _, _, err := wexbundle.Resume(bundle, wexbundle.Options{Run: resumed.RunID()}); err == nil ||
+			!strings.Contains(err.Error(), "different run") {
+			t.Errorf("bundle resume with %s: error %v, want a different-run refusal", name, err)
+		}
+		if !reflect.DeepEqual(dirFiles(t, dir), crashedStore) || !reflect.DeepEqual(dirFiles(t, bundle), crashedBundle) {
+			t.Fatalf("the refused resume with %s changed the store or the bundle", name)
+		}
+	}
+
+	resumed := cfg
+	resumed.Progress = nil
+	resumed.Resume = true
+	if _, err := Run(context.Background(), resumed); err != nil {
+		t.Fatalf("resume as the recorded study: %v", err)
 	}
 }

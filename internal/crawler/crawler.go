@@ -34,9 +34,9 @@ type Config struct {
 	// Timeout bounds one attempt — one HTTP exchange, headers and body
 	// read — with a context deadline (default 10s).
 	Timeout time.Duration
-	// FetchTimeout, when positive, bounds one whole Fetch — every attempt,
-	// backoff sleep, and same-site script fetch of one (domain, week) —
-	// with a context deadline. Unlike Timeout (one HTTP exchange) it caps
+	// FetchTimeout, when positive, bounds one whole Fetch or FetchURL —
+	// every attempt, backoff sleep, and same-site script fetch of one
+	// (domain, week) or URL — with a context deadline. Unlike Timeout (one HTTP exchange) it caps
 	// the worst case across retries, so a single hung host cannot stall a
 	// crawl slot longer than the deadline; the expired fetch surfaces as
 	// the usual Status-0 page, not a crawl failure.
@@ -263,11 +263,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Fetch retrieves one domain's landing page for a snapshot week, plus its
 // same-site scripts when Config.FetchScripts is set.
 func (c *Crawler) Fetch(ctx context.Context, week int, domain string) Page {
-	if c.cfg.FetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.FetchTimeout)
-		defer cancel()
-	}
+	ctx, cancel := c.deadline(ctx)
+	defer cancel()
 	page := c.fetch(ctx, week, domain, c.cfg.BaseURL+webserver.PageURL(week, domain))
 	if c.cfg.FetchScripts && page.Err == nil && page.Status == http.StatusOK {
 		page.Scripts = c.fetchScripts(ctx, week, domain, page.Body)
@@ -326,7 +323,8 @@ func sameSitePath(src string) bool {
 
 // FetchURL retrieves an arbitrary http(s) URL through the same resilient
 // fetch path as Fetch — retry with backoff, per-host politeness, circuit
-// breaker, retry budget — keyed by the URL's host. The online audit
+// breaker, retry budget, the FetchTimeout deadline — keyed by the URL's
+// host. The online audit
 // service uses this for {"url": ...} audits. Page.Domain is the host and
 // Page.Week is 0.
 func (c *Crawler) FetchURL(ctx context.Context, rawurl string) Page {
@@ -337,7 +335,17 @@ func (c *Crawler) FetchURL(ctx context.Context, rawurl string) Page {
 	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return Page{Domain: u.Host, Err: fmt.Errorf("crawler: unsupported url %q", rawurl)}
 	}
+	ctx, cancel := c.deadline(ctx)
+	defer cancel()
 	return c.fetch(ctx, 0, u.Host, rawurl)
+}
+
+// deadline bounds ctx by Config.FetchTimeout, when it is positive.
+func (c *Crawler) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.cfg.FetchTimeout > 0 {
+		return context.WithTimeout(ctx, c.cfg.FetchTimeout)
+	}
+	return ctx, func() {}
 }
 
 // fetch is the shared resilient fetch loop; domain keys the backoff

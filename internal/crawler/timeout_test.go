@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -142,5 +143,44 @@ func TestTimeoutBoundsWrappedTransport(t *testing.T) {
 	recs := b.Records()
 	if len(recs) != 1 || recs[0].Status != http.StatusOK || recs[0].Err == "" {
 		t.Fatalf("recording of the stalled fetch: %+v", recs)
+	}
+}
+
+// TestFetchURLHonoursFetchTimeout: FetchURL, the audit service's fetch, is
+// bounded by FetchTimeout as Fetch is. Against a listener that accepts and
+// never answers it returns at the 100ms whole-fetch deadline, not at the
+// 5s per-attempt Timeout.
+func TestFetchURLHonoursFetchTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		var held []net.Conn // open, never answered, until the listener closes
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				for _, c := range held {
+					_ = c.Close()
+				}
+				return
+			}
+			held = append(held, conn)
+		}
+	}()
+	t.Cleanup(func() { _ = ln.Close() })
+
+	c := New(Config{Timeout: 5 * time.Second, FetchTimeout: 100 * time.Millisecond, Retries: NoRetries})
+	start := time.Now()
+	page := c.FetchURL(context.Background(), "http://"+ln.Addr().String()+"/")
+	took := time.Since(start)
+	if page.Err == nil || page.Status != 0 {
+		t.Fatalf("stalled URL fetched: status %d err %v", page.Status, page.Err)
+	}
+	if !errors.Is(page.Err, context.DeadlineExceeded) {
+		t.Errorf("stalled URL failed without the deadline: %v", page.Err)
+	}
+	if took > 2*time.Second {
+		t.Errorf("FetchURL took %v against a 100ms FetchTimeout", took)
 	}
 }

@@ -135,6 +135,22 @@ func parseState(data []byte, spec RunSpec) (coordState, error) {
 	return st, nil
 }
 
+// ReadSpec returns the RunSpec a coordinator persisted under dir, the run a
+// restart over dir continues; the error wraps fs.ErrNotExist when dir holds
+// no state.
+func ReadSpec(dir string) (RunSpec, error) {
+	path := statePath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return RunSpec{}, fmt.Errorf("distcrawl: %w", err)
+	}
+	var st coordState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return RunSpec{}, fmt.Errorf("distcrawl: corrupt state: %w (%s)", err, path)
+	}
+	return st.Spec, nil
+}
+
 func statePath(dir string) string { return dir + string(os.PathSeparator) + StateName }
 
 func (c *Coordinator) now() time.Time {

@@ -131,10 +131,11 @@ func (w *Worker) Run(ctx context.Context) error {
 func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseResponse, eco *webgen.Ecosystem, baseURL string) error {
 	w.logf("%s: leased partition %d epoch %d weeks [%d,%d)", w.ID, l.Partition, l.Epoch, l.StartWeek, spec.Weeks)
 	dir := GenDir(spec.Dir, l.Partition, l.Epoch)
-	run := store.RunID{
-		Seed: spec.Seed, Domains: spec.Domains, Weeks: spec.Weeks,
-		Mode: int(core.ModeCrawl), Partition: l.Partition, Epoch: l.Epoch,
-	}
+	cfg := core.Config{Domains: spec.Domains, Weeks: spec.Weeks, Seed: spec.Seed,
+		Bundling: spec.Bundling, BundleScan: spec.BundleScan, Mode: core.ModeCrawl,
+		Workers: w.CrawlWorkers, FetchTimeout: w.FetchTimeout}
+	run := cfg.RunID()
+	run.Partition, run.Epoch = l.Partition, l.Epoch
 	sw, err := store.CreateSegmentedWith(dir, 1, store.SegmentedOptions{Checkpoint: true, Run: run})
 	if err != nil {
 		return err
@@ -199,8 +200,6 @@ func (w *Worker) runAssignment(ctx context.Context, spec RunSpec, l LeaseRespons
 		w.logf("%s: partition %d epoch %d week %d committed", w.ID, l.Partition, l.Epoch, week)
 		return nil
 	}
-	cfg := core.Config{Weeks: spec.Weeks, Seed: spec.Seed, BundleScan: spec.BundleScan,
-		Workers: w.CrawlWorkers, FetchTimeout: w.FetchTimeout}
 	err = core.CrawlPartition(actx, cfg, eco, l.Partition, spec.Partitions, l.StartWeek, baseURL, sw, commit)
 	cancel()
 	<-hbDone

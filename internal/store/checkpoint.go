@@ -27,10 +27,12 @@ const CheckpointName = "checkpoint.json"
 // CheckpointVersion is the journal format version this package writes.
 const CheckpointVersion = 1
 
-// RunID identifies the run a checkpoint belongs to. A resume refuses a
-// checkpoint whose identity differs from the resuming configuration in any
-// field: splicing weeks of two different runs would silently corrupt the
-// study.
+// RunID identifies the study a store holds: every field that shapes its
+// observations. The checkpoint journals it and a sealed manifest records
+// it. A resume refuses a checkpoint whose identity differs from the
+// resuming configuration in any field: splicing weeks of two different
+// runs would silently corrupt the study. The fields a plain run leaves
+// zero are omitted from the JSON.
 type RunID struct {
 	Seed    int64 `json:"seed"`
 	Domains int   `json:"domains"`
@@ -38,6 +40,16 @@ type RunID struct {
 	// prefix (that lives in Checkpoint.CommittedWeeks).
 	Weeks int `json:"weeks"`
 	Mode  int `json:"mode"`
+	// BundleFraction, BundleMinifyP, BundleBannerP and BundleSourceMapP
+	// are the generator's bundler adoption (webgen.Bundling); all zero
+	// when no site bundles.
+	BundleFraction   float64 `json:"bundle_frac,omitempty"`
+	BundleMinifyP    float64 `json:"bundle_minify_p,omitempty"`
+	BundleBannerP    float64 `json:"bundle_banner_p,omitempty"`
+	BundleSourceMapP float64 `json:"bundle_source_map_p,omitempty"`
+	// BundleScan records whether the crawl fetched same-site scripts and
+	// scanned them for library signatures.
+	BundleScan bool `json:"bundle_scan,omitempty"`
 	// Partition identifies which domain-hash partition of the study this
 	// store holds when the crawl is distributed across workers (0 for
 	// whole-study stores — partition 0 of a 1-partition run is the whole

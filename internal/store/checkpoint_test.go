@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -319,5 +320,83 @@ func TestResumeAfterCleanClose(t *testing.T) {
 	}
 	if _, err := Verify(dir); err != nil {
 		t.Fatalf("reclosed archive fails verify: %v", err)
+	}
+}
+
+// TestManifestRecordsTheRun: the study a store was written for survives
+// into its manifest. Close seals the writer's Run; a checkpoint salvage
+// carries the journal's; a prefix-scan salvage, with no journal to take it
+// from, records none. A plain run's RunID marshals without the bundler
+// fields, so its journal bytes are what they were before RunID had them.
+func TestManifestRecordsTheRun(t *testing.T) {
+	run := RunID{Seed: 4, Domains: 10, Weeks: 3, Mode: 1, BundleFraction: 0.8, BundleMinifyP: 0.6,
+		BundleBannerP: 0.5, BundleSourceMapP: 0.35, BundleScan: true}
+	weeks := byWeek(genObs(10, 3), 3)
+	write := func(checkpoint bool) string {
+		dir := filepath.Join(t.TempDir(), "store")
+		w, err := CreateSegmentedWith(dir, 2, SegmentedOptions{Checkpoint: checkpoint, Run: run})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for wk, obs := range weeks {
+			for _, o := range obs {
+				if err := w.Write(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if checkpoint {
+				if err := w.CommitWeek(wk); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	recorded := func(dir string) *RunID {
+		t.Helper()
+		man, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return man.Run
+	}
+	unseal := func(dir string) {
+		t.Helper()
+		if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sealed := write(true)
+	if got := recorded(sealed); got == nil || *got != run {
+		t.Errorf("sealed by Close: run %v, want %v", got, run)
+	}
+
+	unseal(sealed)
+	if res, err := Salvage(sealed); err != nil || !res.FromCheckpoint {
+		t.Fatalf("checkpoint salvage: %+v, %v", res, err)
+	}
+	if got := recorded(sealed); got == nil || *got != run {
+		t.Errorf("after a checkpoint salvage: run %v, want the journal's %v", got, run)
+	}
+
+	scanned := write(false)
+	unseal(scanned)
+	if res, err := Salvage(scanned); err != nil || res.FromCheckpoint {
+		t.Fatalf("scan salvage: %+v, %v", res, err)
+	}
+	if got := recorded(scanned); got != nil {
+		t.Errorf("after a prefix-scan salvage: run %v, want none", *got)
+	}
+
+	plain, err := json.Marshal(RunID{Seed: 1, Domains: 2, Weeks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"seed":1,"domains":2,"weeks":3,"mode":0}`; string(plain) != want {
+		t.Errorf("a plain run's RunID marshals to %s, want %s", plain, want)
 	}
 }

@@ -314,7 +314,7 @@ func salvageFromCheckpoint(fsys FS, dir string, ck Checkpoint) (SalvageResult, e
 				path, ck.Counts[i], n)
 		}
 	}
-	if err := writeSalvagedManifest(fsys, dir, ck.Segments, ck.Counts, ck.Format, ck.Members); err != nil {
+	if err := writeSalvagedManifest(fsys, dir, ck.Segments, ck.Counts, ck.Format, ck.Members, &ck.Run); err != nil {
 		return res, err
 	}
 	return res, nil
@@ -378,13 +378,15 @@ func salvageByScan(fsys FS, dir string, paths []string, target int) (SalvageResu
 		res.Counts[i] = kept
 		res.Total += kept
 	}
-	if err := writeSalvagedManifest(fsys, dir, res.Segments, res.Counts, target, members); err != nil {
+	if err := writeSalvagedManifest(fsys, dir, res.Segments, res.Counts, target, members, nil); err != nil {
 		return res, err
 	}
 	return res, nil
 }
 
-func writeSalvagedManifest(fsys FS, dir string, segments int, counts []int, version int, members [][]Member) error {
+// writeSalvagedManifest seals a salvaged store; run is the journal's study,
+// nil when a scan had no journal to take it from.
+func writeSalvagedManifest(fsys FS, dir string, segments int, counts []int, version int, members [][]Member, run *RunID) error {
 	man := Manifest{
 		Version:   version,
 		Segments:  segments,
@@ -392,6 +394,7 @@ func writeSalvagedManifest(fsys FS, dir string, segments int, counts []int, vers
 		Counts:    counts,
 		Members:   members,
 		Salvaged:  true,
+		Run:       run,
 	}
 	for _, c := range counts {
 		man.Total += c

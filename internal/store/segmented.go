@@ -47,6 +47,11 @@ type Manifest struct {
 	// Salvaged marks a manifest rebuilt by Salvage from a crashed or torn
 	// store rather than written by a clean Close.
 	Salvaged bool `json:"salvaged,omitempty"`
+	// Run is the study the store holds, the writer's SegmentedOptions.Run
+	// (a checkpoint salvage takes the journal's). It is nil when the
+	// writer had none, after a prefix-scan salvage, which has no journal
+	// to take it from, and in a manifest of an earlier release.
+	Run *RunID `json:"run,omitempty"`
 }
 
 // ShardOf assigns a domain to one of n partitions by FNV-1a hash — the
@@ -95,8 +100,9 @@ type SegmentedOptions struct {
 	// and atomically commits checkpoint.json, so a crash loses at most
 	// the week in flight (see ResumeSegmented).
 	Checkpoint bool
-	// Run is the identity stamped into the journal; ResumeSegmented
-	// refuses a checkpoint stamped by a different run.
+	// Run is the identity stamped into the journal and, by Close, into
+	// the manifest; ResumeSegmented refuses a checkpoint stamped by a
+	// different run.
 	Run RunID
 	// Format selects the codec: FormatDelta (the default when zero) for
 	// observations, FormatBundle for wexbundle's raw record lines. A resume
@@ -274,7 +280,8 @@ func (w *SegmentedWriter) CommitWeek(week int) error {
 func (w *SegmentedWriter) CommittedWeeks() int { return w.committedWeeks }
 
 // Close flushes, fsyncs, and closes every segment, then commits the
-// manifest atomically (temp file + fsync + rename). The manifest is only
+// manifest, stamped with the writer's Run, atomically (temp file + fsync +
+// rename). The manifest is only
 // written when every segment closed cleanly — a partial archive stays
 // unreadable-as-complete rather than silently short, while its fsynced
 // segments and last checkpoint remain salvageable.
@@ -286,6 +293,9 @@ func (w *SegmentedWriter) Close() error {
 		Partition: PartitionFNV1aDomain,
 		Counts:    make([]int, len(w.segs)),
 		Members:   make([][]Member, len(w.segs)),
+	}
+	if w.opt.Run != (RunID{}) {
+		man.Run = &w.opt.Run
 	}
 	for i, seg := range w.segs {
 		man.Counts[i] = seg.Count()
@@ -359,7 +369,7 @@ func ResumeSegmented(dir string, opt SegmentedOptions) (*SegmentedWriter, Checkp
 			dir, ck.Format, opt.Format)
 	}
 	if ck.Run != opt.Run {
-		return nil, Checkpoint{}, fmt.Errorf("store: %s: checkpoint belongs to a different run (have %+v, want %+v)",
+		return nil, Checkpoint{}, fmt.Errorf("store: %s: checkpoint belongs to a different run (journal %+v, asked %+v) — nothing was changed",
 			dir, ck.Run, opt.Run)
 	}
 	if err := fsys.Remove(filepath.Join(dir, ManifestName)); err != nil && !os.IsNotExist(err) {

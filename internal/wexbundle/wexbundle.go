@@ -126,8 +126,8 @@ type Options struct {
 	// Checkpoint enables the week-granular durability journal; CommitWeek
 	// requires it.
 	Checkpoint bool
-	// Run is the identity stamped into the journal; Resume refuses a
-	// checkpoint stamped by a different run.
+	// Run is the study stamped into the journal and the manifest; Resume
+	// refuses a checkpoint stamped by a different run.
 	Run store.RunID
 	// Meta is written to bundle.json at create time.
 	Meta Meta

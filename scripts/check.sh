@@ -45,6 +45,21 @@ go test -run '^$' -bench 'BenchmarkRunnerObserve' -benchmem -benchtime 1x ./inte
 echo "==> chaos crawl smoke (fault-injected end-to-end run)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# kill_when SIGNAL PID LOG PATTERN N sends SIGNAL to PID once N lines of
+# LOG match PATTERN; it fails if PID exits first or the wait times out.
+kill_when() {
+	for _ in $(seq 1 600); do
+		kill -0 "$2" 2>/dev/null || return 1 # finished before the signal could land
+		n=$(grep -c "$4" "$3" 2>/dev/null) || n=0
+		if [ "${n:-0}" -ge "$5" ]; then
+			kill "-$1" "$2"
+			return 0
+		fi
+		sleep 0.02
+	done
+	return 1
+}
 go run ./cmd/crawl -domains 40 -weeks 3 -chaos 0.3 -politeness \
 	-out "$tmp/chaos.store" >/dev/null
 
@@ -56,12 +71,10 @@ go run ./cmd/crawl -domains 40 -weeks 3 -chaos 0.3 -politeness \
 echo "==> bundled crawl smoke (gendata -> crawl -bundle-scan -> analyze)"
 go run ./cmd/gendata -domains 40 -weeks 3 -bundle-frac 0.8 -quiet \
 	-out "$tmp/bundled-truth.store" >/dev/null
-go run ./cmd/analyze -in "$tmp/bundled-truth.store" -weeks 3 -domains 40 \
-	-bundle-scan >"$tmp/bundled-truth.report"
+go run ./cmd/analyze -in "$tmp/bundled-truth.store" -bundle-scan >"$tmp/bundled-truth.report"
 go run ./cmd/crawl -domains 40 -weeks 3 -bundle-frac 0.8 -bundle-scan \
 	-out "$tmp/bundled.store" >/dev/null
-go run ./cmd/analyze -in "$tmp/bundled.store" -weeks 3 -domains 40 \
-	-bundle-scan >"$tmp/bundled.report"
+go run ./cmd/analyze -in "$tmp/bundled.store" -bundle-scan >"$tmp/bundled.report"
 for rep in "$tmp/bundled-truth.report" "$tmp/bundled.report"; do
 	grep -q 'Bundle-scan summary' "$rep"
 	sigs=$(sed -n 's/.*signature-recovered library detections: *\([0-9]*\) \/.*/\1/p' "$rep")
@@ -104,25 +117,14 @@ CRAWL_ARGS="-domains 80 -weeks 60 -seed 3 -workers 16 -segments 2 -checkpoint"
 
 # Uninterrupted reference.
 "$tmp/crawl" $CRAWL_ARGS -out "$tmp/ref.store" 2>/dev/null >/dev/null
-"$tmp/analyze" -in "$tmp/ref.store" -weeks 60 -domains 80 >"$tmp/ref.report"
+"$tmp/analyze" -in "$tmp/ref.store" >"$tmp/ref.report"
 
 # The victim: same run, killed with SIGKILL once at least two weeks have
 # committed.
 "$tmp/crawl" $CRAWL_ARGS -out "$tmp/crash.store" 2>"$tmp/crash.log" >/dev/null &
 crawl_pid=$!
 killed=""
-for _ in $(seq 1 600); do
-	if ! kill -0 "$crawl_pid" 2>/dev/null; then
-		break # finished before we could kill it
-	fi
-	n=$(grep -c 'committed' "$tmp/crash.log" 2>/dev/null) || n=0
-	if [ "${n:-0}" -ge 2 ]; then
-		kill -KILL "$crawl_pid"
-		killed=yes
-		break
-	fi
-	sleep 0.02
-done
+kill_when KILL "$crawl_pid" "$tmp/crash.log" 'committed' 2 && killed=yes
 wait "$crawl_pid" 2>/dev/null || true
 [ -n "$killed" ] || { echo "crawl finished before SIGKILL could land; smoke inconclusive"; exit 1; }
 
@@ -138,7 +140,7 @@ fi
 # Resume, then prove the recovered run equals the uninterrupted one.
 "$tmp/crawl" $CRAWL_ARGS -resume -out "$tmp/crash.store" 2>/dev/null >/dev/null
 "$tmp/fsck" -store "$tmp/crash.store"
-"$tmp/analyze" -in "$tmp/crash.store" -weeks 60 -domains 80 >"$tmp/crash.report"
+"$tmp/analyze" -in "$tmp/crash.store" >"$tmp/crash.report"
 cmp "$tmp/ref.report" "$tmp/crash.report" || {
 	echo "resumed run's report differs from the uninterrupted reference"; exit 1; }
 
@@ -156,24 +158,13 @@ BUNDLE_ARGS="-domains 60 -weeks 40 -seed 11 -workers 16 -segments 2 -checkpoint"
 # Uninterrupted reference: store and bundle recorded side by side.
 "$tmp/crawl" $BUNDLE_ARGS -record "$tmp/ref.bundle" -out "$tmp/bref.store" 2>/dev/null >/dev/null
 "$tmp/fsck" -store "$tmp/ref.bundle" | grep -q 'format v4'
-"$tmp/analyze" -in "$tmp/bref.store" -weeks 40 -domains 60 >"$tmp/bref.report"
+"$tmp/analyze" -in "$tmp/bref.store" >"$tmp/bref.report"
 
 # The victim recording, killed once at least two weeks have committed.
 "$tmp/crawl" $BUNDLE_ARGS -record "$tmp/bcrash.bundle" -out "$tmp/bcrash.store" 2>"$tmp/bcrash.log" >/dev/null &
 crawl_pid=$!
 killed=""
-for _ in $(seq 1 600); do
-	if ! kill -0 "$crawl_pid" 2>/dev/null; then
-		break # finished before we could kill it
-	fi
-	n=$(grep -c 'committed' "$tmp/bcrash.log" 2>/dev/null) || n=0
-	if [ "${n:-0}" -ge 2 ]; then
-		kill -KILL "$crawl_pid"
-		killed=yes
-		break
-	fi
-	sleep 0.02
-done
+kill_when KILL "$crawl_pid" "$tmp/bcrash.log" 'committed' 2 && killed=yes
 wait "$crawl_pid" 2>/dev/null || true
 [ -n "$killed" ] || { echo "recording finished before SIGKILL could land; smoke inconclusive"; exit 1; }
 
@@ -198,7 +189,7 @@ fi
 # The resumed bundle is the re-recorded-week case the forward reader's
 # week-order invariant has to admit: fsck reads it as in order.
 "$tmp/fsck" -store "$tmp/bcrash.bundle" -stats | grep -q 'stream order: ok (weeks 0–39)'
-"$tmp/analyze" -in "$tmp/bcrash.store" -weeks 40 -domains 60 >"$tmp/bcrash.report"
+"$tmp/analyze" -in "$tmp/bcrash.store" >"$tmp/bcrash.report"
 cmp "$tmp/bref.report" "$tmp/bcrash.report" || {
 	echo "resumed recording's report differs from the uninterrupted reference"; exit 1; }
 
@@ -208,7 +199,7 @@ cmp "$tmp/bref.report" "$tmp/bcrash.report" || {
 "$tmp/crawl" -workers 16 -segments 2 -replay "$tmp/bcrash.bundle" -out "$tmp/breplay.store" 2>/dev/null >/dev/null
 grep -q '"total": 2400' "$tmp/breplay.store/manifest.json" || {
 	echo "the flagless replay did not write the recorded 60 × 40 study"; exit 1; }
-"$tmp/analyze" -in "$tmp/breplay.store" -weeks 40 -domains 60 >"$tmp/breplay.report"
+"$tmp/analyze" -in "$tmp/breplay.store" >"$tmp/breplay.report"
 cmp "$tmp/bref.report" "$tmp/breplay.report" || {
 	echo "replayed crawl's report differs from the live run that recorded it"; exit 1; }
 
@@ -236,8 +227,8 @@ grep -q 'seed 0 asked, the bundle recorded 11' "$tmp/bseed.err" || {
 RESIL_ARGS="-domains 60 -weeks 4 -seed 3 -workers 16 -chaos 0.3 -politeness -breaker-threshold 1 -breaker-cooldown 1s"
 "$tmp/crawl" $RESIL_ARGS -record "$tmp/resil.bundle" -out "$tmp/resil-live.store" 2>/dev/null >/dev/null
 "$tmp/crawl" $RESIL_ARGS -replay "$tmp/resil.bundle" -out "$tmp/resil-replay.store" 2>/dev/null >/dev/null
-"$tmp/analyze" -in "$tmp/resil-live.store" -weeks 4 -domains 60 >"$tmp/resil-live.report"
-"$tmp/analyze" -in "$tmp/resil-replay.store" -weeks 4 -domains 60 >"$tmp/resil-replay.report"
+"$tmp/analyze" -in "$tmp/resil-live.store" >"$tmp/resil-live.report"
+"$tmp/analyze" -in "$tmp/resil-replay.store" >"$tmp/resil-replay.report"
 cmp "$tmp/resil-live.report" "$tmp/resil-replay.report" || {
 	echo "replay of a -politeness recording differs from the live run"; exit 1; }
 
@@ -267,7 +258,7 @@ DIST_ARGS="-domains 100 -weeks 8 -seed 5"
 
 # Serial reference through the ordinary pipeline.
 "$tmp/crawl" $DIST_ARGS -workers 16 -out "$tmp/dist-ref.store" 2>/dev/null >/dev/null
-"$tmp/analyze" -in "$tmp/dist-ref.store" -weeks 8 -domains 100 >"$tmp/dist-ref.report"
+"$tmp/analyze" -in "$tmp/dist-ref.store" >"$tmp/dist-ref.report"
 
 "$tmp/coordinator" -addr 127.0.0.1:0 $DIST_ARGS -partitions 3 -lease-ttl 2s \
 	-dir "$tmp/dist" -out "$tmp/dist.report" 2>"$tmp/coord.log" &
@@ -290,18 +281,7 @@ w2_pid=$!
 victim_pid=$!
 
 killed=""
-for _ in $(seq 1 600); do
-	if ! kill -0 "$victim_pid" 2>/dev/null; then
-		break # finished before we could kill it
-	fi
-	n=$(grep -c 'committed' "$tmp/victim.log" 2>/dev/null) || n=0
-	if [ "${n:-0}" -ge 1 ]; then
-		kill -KILL "$victim_pid"
-		killed=yes
-		break
-	fi
-	sleep 0.02
-done
+kill_when KILL "$victim_pid" "$tmp/victim.log" 'committed' 1 && killed=yes
 wait "$victim_pid" 2>/dev/null || true
 [ -n "$killed" ] || { echo "victim finished before SIGKILL could land; smoke inconclusive"; exit 1; }
 
@@ -343,8 +323,8 @@ echo "==> default-shape smoke (gendata + fsck, segment and shard counts, interru
 go build -o "$tmp/gendata" ./cmd/gendata
 "$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -out "$tmp/default.store" >/dev/null
 "$tmp/fsck" -store "$tmp/default.store" | grep -q 'ok — format v3 (delta streams), 1 segments'
-"$tmp/analyze" -in "$tmp/default.store" -weeks 8 -domains 60 >"$tmp/default.report"
-if "$tmp/analyze" -in "$tmp/default.store/seg-0000.jsonl.gz" -weeks 8 -domains 60 >/dev/null 2>"$tmp/default-seg.err"; then
+"$tmp/analyze" -in "$tmp/default.store" >"$tmp/default.report"
+if "$tmp/analyze" -in "$tmp/default.store/seg-0000.jsonl.gz" >/dev/null 2>"$tmp/default-seg.err"; then
 	echo "analyze replayed a segment file as a store"; exit 1
 fi
 grep -q "not a store directory.*pass its store $tmp/default.store" "$tmp/default-seg.err" || {
@@ -352,40 +332,47 @@ grep -q "not a store directory.*pass its store $tmp/default.store" "$tmp/default
 # gendata writes one shard per segment and analyze runs one shard per core:
 # neither count may change the report.
 "$tmp/gendata" -domains 60 -weeks 8 -seed 7 -segments 3 -quiet -out "$tmp/default3.store" >/dev/null
-"$tmp/analyze" -in "$tmp/default3.store" -weeks 8 -domains 60 >"$tmp/default3.report"
+"$tmp/analyze" -in "$tmp/default3.store" >"$tmp/default3.report"
 cmp "$tmp/default.report" "$tmp/default3.report" || {
 	echo "a three-segment store reports differently from a one-segment store"; exit 1; }
-GOMAXPROCS=1 "$tmp/analyze" -in "$tmp/default.store" -weeks 8 -domains 60 >"$tmp/default-serial.report"
+GOMAXPROCS=1 "$tmp/analyze" -in "$tmp/default.store" >"$tmp/default-serial.report"
 cmp "$tmp/default.report" "$tmp/default-serial.report" || {
 	echo "analyze on one shard reports differently from analyze on GOMAXPROCS shards"; exit 1; }
-# The store is the 60 × 8 study it holds: asked as another, analyze refuses
-# it and says what the store holds.
-if "$tmp/analyze" -in "$tmp/default.store" -weeks 201 -domains 60 >/dev/null 2>"$tmp/default-wrong.err"; then
-	echo "analyze rendered a 60 × 8 store as 201 weeks"; exit 1
+# A resume is the study its journal recorded. A bundled, bundle-scanning
+# checkpointed crawl is SIGKILLed; resumed as another bundling it is
+# refused, naming both values, with the store untouched; resumed with no
+# study flags it reports as the uninterrupted run.
+SPLICE_ARGS="-domains 60 -weeks 40 -seed 7 -workers 16 -bundle-frac 0.8 -bundle-scan -checkpoint"
+"$tmp/crawl" $SPLICE_ARGS -out "$tmp/splice-ref.store" 2>/dev/null >/dev/null
+"$tmp/analyze" -in "$tmp/splice-ref.store" >"$tmp/splice-ref.report"
+"$tmp/crawl" $SPLICE_ARGS -out "$tmp/splice.store" 2>"$tmp/splice.log" >/dev/null &
+crawl_pid=$!
+killed=""
+kill_when KILL "$crawl_pid" "$tmp/splice.log" 'committed' 2 && killed=yes
+wait "$crawl_pid" 2>/dev/null || true
+[ -n "$killed" ] || { echo "bundled crawl finished before SIGKILL could land; smoke inconclusive"; exit 1; }
+before=$(cd "$tmp/splice.store" && sha256sum -- *)
+if "$tmp/crawl" -resume -bundle-frac 0 -out "$tmp/splice.store" >/dev/null 2>"$tmp/splice-wrong.err"; then
+	echo "crawl -resume of a bundled journal as -bundle-frac 0 exited 0"; exit 1
 fi
-grep -q 'holds 480 observations, not the 12060 of a 60-domain × 201-week study' "$tmp/default-wrong.err" || {
-	echo "analyze refused the wrong study without naming both shapes:"; cat "$tmp/default-wrong.err"; exit 1; }
+grep -q 'bundle-frac 0 asked, the journal recorded 0.8' "$tmp/splice-wrong.err" || {
+	echo "the refused resume did not name both bundle fractions:"; cat "$tmp/splice-wrong.err"; exit 1; }
+[ "$(cd "$tmp/splice.store" && sha256sum -- *)" = "$before" ] || {
+	echo "the refused resume changed the store"; exit 1; }
+"$tmp/crawl" -workers 16 -resume -out "$tmp/splice.store" 2>/dev/null >/dev/null
+"$tmp/analyze" -in "$tmp/splice.store" >"$tmp/splice.report"
+cmp "$tmp/splice-ref.report" "$tmp/splice.report" || {
+	echo "the flagless resume of a bundled crawl differs from the uninterrupted run"; exit 1; }
 
 "$tmp/crawl" -domains 80 -weeks 60 -seed 3 -workers 16 -out "$tmp/int.store" 2>"$tmp/int.log" >/dev/null &
 crawl_pid=$!
 killed=""
-for _ in $(seq 1 600); do
-	if ! kill -0 "$crawl_pid" 2>/dev/null; then
-		break # finished before we could interrupt it
-	fi
-	n=$(grep -c 'crawled' "$tmp/int.log" 2>/dev/null) || n=0
-	if [ "${n:-0}" -ge 2 ]; then
-		kill -INT "$crawl_pid"
-		killed=yes
-		break
-	fi
-	sleep 0.02
-done
+kill_when INT "$crawl_pid" "$tmp/int.log" 'crawled' 2 && killed=yes
 if wait "$crawl_pid"; then
 	echo "interrupted crawl exited 0"; exit 1
 fi
 [ -n "$killed" ] || { echo "crawl finished before SIGINT could land; smoke inconclusive"; exit 1; }
-if "$tmp/analyze" -in "$tmp/int.store" -weeks 60 -domains 80 >/dev/null 2>"$tmp/int.err"; then
+if "$tmp/analyze" -in "$tmp/int.store" >/dev/null 2>"$tmp/int.err"; then
 	echo "analyze accepted an interrupted crawl's store"; exit 1
 fi
 grep -q 'never sealed' "$tmp/int.err" || {
@@ -404,7 +391,7 @@ cp "$tmp/legacy.jsonl.gz" "$tmp/legacy.store/seg-0000.jsonl.gz"
 printf '{"version": 1, "segments": 1, "partition": "fnv1a-domain", "counts": [1], "total": 1}\n' \
 	>"$tmp/legacy.store/manifest.json"
 status=0
-"$tmp/analyze" -in "$tmp/legacy.jsonl.gz" -weeks 1 -domains 1 >/dev/null 2>"$tmp/legacy.err" || status=$?
+"$tmp/analyze" -in "$tmp/legacy.jsonl.gz" >/dev/null 2>"$tmp/legacy.err" || status=$?
 [ "$status" -eq 1 ] || { echo "analyze of a v1 stream exited $status, want 1"; exit 1; }
 grep -q 'format v1 .*commit 9af76ff' "$tmp/legacy.err" || {
 	echo "analyze refused a v1 stream without naming the converting commit:"; cat "$tmp/legacy.err"; exit 1; }

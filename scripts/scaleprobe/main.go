@@ -2,9 +2,10 @@
 
 // Command scaleprobe measures how the two store-shaped sides of the study
 // scale with the population: for each size it runs cmd/gendata over size ×
-// 201 weeks, then cmd/analyze over the store gendata wrote, and prints each
-// side's wall time, observations per second and peak RSS. Peak RSS is the
-// child's rusage Maxrss, so no external timing tool is needed. The analyze
+// 201 weeks, then cmd/analyze over the store gendata wrote (analyze reads
+// the shape from the store's manifest), and prints each side's wall time,
+// observations per second and peak RSS. Peak RSS is the child's rusage
+// Maxrss, so no external timing tool is needed. The analyze
 // line also prints the SHA-256 of the report, so two builds can be checked
 // for byte-identical output at the same sizes.
 //
@@ -71,16 +72,15 @@ func run(sizes []int) error {
 	fmt.Printf("%-8s %-8s %10s %12s %10s  %s\n", "domains", "side", "wall_s", "obs_per_s", "rss_mb", "report_sha256")
 	for _, n := range sizes {
 		storePath := filepath.Join(dir, fmt.Sprintf("d%d.store", n))
-		shape := []string{"-domains", strconv.Itoa(n), "-weeks", strconv.Itoa(weeks)}
 		obs := n * weeks
-		gen, err := measure(io.Discard, obs, filepath.Join(dir, "gendata"),
-			append(shape, "-seed", "1", "-bundle-frac", "0.3", "-quiet", "-out", storePath)...)
+		gen, err := measure(io.Discard, obs, filepath.Join(dir, "gendata"), "-domains", strconv.Itoa(n),
+			"-weeks", strconv.Itoa(weeks), "-seed", "1", "-bundle-frac", "0.3", "-quiet", "-out", storePath)
 		if err != nil {
 			return fmt.Errorf("gendata %d: %w", n, err)
 		}
 		gen.print(n, "gendata", "")
 		report := sha256.New()
-		an, err := measure(report, obs, filepath.Join(dir, "analyze"), append(shape, "-in", storePath)...)
+		an, err := measure(report, obs, filepath.Join(dir, "analyze"), "-in", storePath)
 		if err != nil {
 			return fmt.Errorf("analyze %d: %w", n, err)
 		}
