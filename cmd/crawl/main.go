@@ -19,8 +19,8 @@
 //	crawl -replay crawl.bundle -out replay.store  # re-crawl with zero network
 //
 // A run that already recorded its study takes it from there: a replay from
-// its bundle's bundle.json (-domains, -weeks, -seed, -bundle-scan), a
-// resume from the store's checkpoint journal (those and -bundle-frac). The
+// its bundle's sealed manifest, a resume from the store's checkpoint
+// journal (-domains, -weeks, -seed, -bundle-frac, -bundle-scan). The
 // study flags default to the recorded values, and one set to another
 // value, a zero value included (-seed 0, -bundle-scan=false,
 // -bundle-frac 0), is refused before anything is written.
@@ -41,7 +41,6 @@ import (
 	"clientres/internal/prof"
 	"clientres/internal/store"
 	"clientres/internal/webgen"
-	"clientres/internal/wexbundle"
 )
 
 func main() {
@@ -67,7 +66,7 @@ func main() {
 	bundleFrac := flag.Float64("bundle-frac", 0, "fraction of eligible generated sites that ship their libraries as one bundled script (0 disables; bundles hide library URLs from the fingerprinter)")
 	bundleScan := flag.Bool("bundle-scan", false, "fetch each page's same-site scripts and scan their content for library signatures (recovers bundled libraries; plain pages detect identically either way)")
 	record := flag.String("record", "", "record every fetched response into a web-execution bundle at this directory (honors -checkpoint/-resume; reports are identical either way)")
-	replay := flag.String("replay", "", "replay the crawl from a recorded bundle directory with zero network and zero waiting (no loopback server is started, retries take no backoff sleep, -politeness is ignored); the study is the recorded one, and -domains, -weeks, -seed or -bundle-scan set to another value is refused")
+	replay := flag.String("replay", "", "replay the crawl from a recorded bundle directory with zero network and zero waiting (no loopback server is started, retries take no backoff sleep, -politeness is ignored); the study is the recorded one, and -domains, -weeks, -seed, -bundle-frac or -bundle-scan set to another value is refused")
 	flag.Parse()
 	if *domains < 1 || *weeks < 1 {
 		fmt.Fprintf(os.Stderr, "crawl: -domains and -weeks must be at least 1 (got %d and %d)\n", *domains, *weeks)
@@ -134,36 +133,38 @@ func main() {
 }
 
 // recordedStudy returns cfg with the study its run already recorded: a
-// replay's in its bundle's bundle.json, a resume's in the store's checkpoint
-// journal; any other run is returned as it is. A study flag in set, the
-// flags the user gave, must name the recorded value: a flag at its zero
-// value cannot be told from an absent one once it is in cfg, so the check
-// is made here, against the flags themselves. bundle.json records no
-// bundler adoption, so a replay keeps -bundle-frac as given.
+// replay's in its bundle's sealed manifest, a resume's in the store's
+// checkpoint journal; any other run is returned as it is. A study flag in
+// set, the flags the user gave, must name the recorded value: a flag at
+// its zero value cannot be told from an absent one once it is in cfg, so
+// the check is made here, against the flags themselves.
 func recordedStudy(cfg core.Config, set map[string]bool) (core.Config, error) {
-	var rec core.Config
+	var r store.RunID
 	var run, recorder string
 	switch {
 	case cfg.ReplayBundle != "":
-		m, err := wexbundle.ReadMeta(cfg.ReplayBundle)
+		man, err := store.ReadManifest(cfg.ReplayBundle)
 		if err != nil {
 			return cfg, err
 		}
-		rec = core.Config{Domains: m.Domains, Weeks: m.Weeks, Seed: m.Seed, Bundling: cfg.Bundling, BundleScan: m.BundleScan}
+		if man.Run == nil {
+			return cfg, fmt.Errorf("replay %s: the bundle's manifest records no study (sealed by an earlier release, or salvaged by a prefix scan)", cfg.ReplayBundle)
+		}
+		r = *man.Run
 		run, recorder = "replay "+cfg.ReplayBundle, "the bundle"
 	case cfg.Resume:
 		ck, err := store.ReadCheckpoint(cfg.StorePath)
 		if err != nil {
 			return cfg, err
 		}
-		r := ck.Run
-		rec = core.Config{Domains: r.Domains, Weeks: r.Weeks, Seed: r.Seed, BundleScan: r.BundleScan,
-			Bundling: webgen.Bundling{Fraction: r.BundleFraction, MinifyP: r.BundleMinifyP,
-				BannerP: r.BundleBannerP, SourceMapP: r.BundleSourceMapP}}
+		r = ck.Run
 		run, recorder = "resume "+cfg.StorePath, "the journal"
 	default:
 		return cfg, nil
 	}
+	rec := core.Config{Domains: r.Domains, Weeks: r.Weeks, Seed: r.Seed, BundleScan: r.BundleScan,
+		Bundling: webgen.Bundling{Fraction: r.BundleFraction, MinifyP: r.BundleMinifyP,
+			BannerP: r.BundleBannerP, SourceMapP: r.BundleSourceMapP}}
 	for _, f := range []struct {
 		flag            string
 		asked, recorded any

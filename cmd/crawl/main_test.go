@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,19 +14,28 @@ import (
 	"clientres/internal/wexbundle"
 )
 
+// sealedBundle seals an empty recording of the study rec in a new bundle
+// directory: its bundle.json and its manifest, stamped with the study.
+func sealedBundle(t *testing.T, rec core.Config) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "r.bundle")
+	w, err := wexbundle.Create(dir, wexbundle.Options{Segments: 1, Run: rec.RunID(),
+		Meta: wexbundle.Meta{Domains: rec.Domains, Weeks: rec.Weeks, Seed: rec.Seed, BundleScan: rec.BundleScan}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // TestReplayStudyRefusesExplicitZeroFlags pins the replay's study check to
 // the flags the user gave: a flag set to its zero value is a request like any
 // other, refused with both values named when the recording differs, while an
 // unset flag takes the recorded value.
 func TestReplayStudyRefusesExplicitZeroFlags(t *testing.T) {
-	dir := t.TempDir()
-	meta, err := json.Marshal(wexbundle.Meta{Version: wexbundle.MetaVersion, Domains: 60, Weeks: 40, Seed: 11, BundleScan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, wexbundle.MetaName), meta, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := sealedBundle(t, core.Config{Domains: 60, Weeks: 40, Seed: 11, BundleScan: true, Mode: core.ModeCrawl})
 	// cfg holds the flag defaults, as main builds it.
 	cfg := core.Config{Domains: 2000, Weeks: 201, Seed: 1, ReplayBundle: dir}
 
@@ -60,6 +70,54 @@ func TestReplayStudyRefusesExplicitZeroFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error = %v, want one containing %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestReplayStudyTakesTheRecordedBundling: a bundle.json records no
+// bundler adoption, so a replay takes it from the bundle's sealed manifest:
+// an unset -bundle-frac becomes the recorded one, an explicit one that
+// differs is refused, and a manifest that records no study is refused.
+func TestReplayStudyTakesTheRecordedBundling(t *testing.T) {
+	cfg := core.Config{Domains: 2000, Weeks: 201, Seed: 1, Bundling: webgen.DefaultBundling(0), Mode: core.ModeCrawl}
+	for name, recorded := range map[string]webgen.Bundling{
+		"plain":   {},
+		"bundled": webgen.DefaultBundling(0.8),
+	} {
+		rec := core.Config{Domains: 60, Weeks: 40, Seed: 11, Bundling: recorded, Mode: core.ModeCrawl}
+		c := cfg
+		c.ReplayBundle = sealedBundle(t, rec)
+		got, err := recordedStudy(c, map[string]bool{"replay": true})
+		if err != nil {
+			t.Fatalf("%s: no study flags: %v", name, err)
+		}
+		if got.RunID() != rec.RunID() {
+			t.Errorf("%s: no study flags: study %v, want the recorded %v", name, got.RunID(), rec.RunID())
+		}
+		c.Bundling = recorded
+		if _, err := recordedStudy(c, map[string]bool{"bundle-frac": true}); err != nil {
+			t.Errorf("%s: -bundle-frac naming the recorded adoption: %v", name, err)
+		}
+		c.Bundling = webgen.DefaultBundling(0.5)
+		want := fmt.Sprintf("replay %s: bundle-frac 0.5 asked, the bundle recorded %v", c.ReplayBundle, recorded.Fraction)
+		if _, err := recordedStudy(c, map[string]bool{"bundle-frac": true}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: -bundle-frac 0.5: error = %v, want one containing %q", name, err, want)
+		}
+	}
+
+	// A manifest without a study — sealed by a writer that had none — is
+	// refused, naming the bundle.
+	dir := filepath.Join(t.TempDir(), "old.bundle")
+	w, err := wexbundle.Create(dir, wexbundle.Options{Segments: 1, Meta: wexbundle.Meta{Domains: 60, Weeks: 40, Seed: 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := cfg
+	c.ReplayBundle = dir
+	if _, err := recordedStudy(c, map[string]bool{}); err == nil || !strings.Contains(err.Error(), "records no study") {
+		t.Errorf("manifest without a study: error = %v", err)
 	}
 }
 

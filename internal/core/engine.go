@@ -166,13 +166,13 @@ type replayUnit struct {
 // (a store's segments or a distributed run's partitions).
 //
 // When there are as many lanes as shards the two partitions are the same
-// one: lane l's decoder feeds shard l's collectors directly, consuming the
-// decoder's reused buffers before the callback returns, and an observation
-// that hashes elsewhere is an error — the store is not the partition it
-// claims. Otherwise each observation crosses to its shard's collector
-// goroutine over a channel, which retains it past the callback, so it is
-// cloned. (A per-shard lock in place of both was measured 23–37 % slower
-// on misaligned stores; DESIGN.md §17.)
+// one: lane l's decoder feeds shard l's collectors directly, and an
+// observation that hashes elsewhere is an error — the store is not the
+// partition it claims. Otherwise each observation crosses to its shard's
+// collector goroutine over a channel, which retains it past the callback:
+// the decoder's observations are immutable, so it crosses as it is. (A
+// per-shard lock in place of both was measured 23–37 % slower on
+// misaligned stores; DESIGN.md §17.)
 //
 // An observation whose week falls outside its unit's range is skipped, or,
 // when surplus is set, refused with surplus's error. replay returns the
@@ -217,7 +217,7 @@ func replay(shards []*shard, lanes [][]replayUnit, surplus func(lane int, obs st
 					s := store.ShardOf(obs.Domain, len(shards))
 					switch {
 					case !aligned:
-						chans[s] <- obs.Clone()
+						chans[s] <- obs
 					case s != l:
 						return fmt.Errorf("core: %s: domain %q belongs to partition %d of %d, not %d",
 							u.path, obs.Domain, s, len(shards), l)

@@ -16,19 +16,20 @@
 //	'^' <json delta> '\n'         field-level delta against the previous
 //	                              observation (only changed fields present)
 //
-// The '~' fast path is the common case and round-trips without invoking
-// encoding/json at all on either side. Unlike v2 there are no per-record
-// checksum frames — integrity moves to whole-compressed-member FNV-1a
-// checksums (see members.go) — so deflate's match window sees pure,
+// The '~' fast path is the common case and round-trips without any JSON on
+// either side; '=' and '^' bodies are written by encoding/json and read by
+// the reflection-free obsDecoder (obsdecode.go). Unlike v2 there are no
+// per-record checksum frames — integrity moves to whole-compressed-member
+// FNV-1a checksums (see members.go) — so deflate's match window sees pure,
 // highly repetitive text and v3 archives come in smaller than v1.
 package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // v3 record marks. None is v4's '!' or the '{' and '#' that began v1 and
@@ -61,9 +62,9 @@ type obsDelta struct {
 }
 
 // Clone returns a deep copy of o: the Libs backing array and the Flash
-// record are duplicated, so retaining the clone is safe even when o came
-// from a reusing decoder (ForEach hands out observations whose Libs
-// backing is recycled between calls).
+// record are duplicated, so the copy may be mutated without touching o —
+// the writer's dictionary keeps one, since a caller may reuse what it
+// wrote.
 func (o Observation) Clone() Observation {
 	if o.Libs != nil {
 		o.Libs = append([]LibRecord(nil), o.Libs...)
@@ -123,14 +124,17 @@ func sameExceptWeek(a, b *Observation) bool {
 
 // domainInline reports whether a domain can be embedded raw in a '~'
 // record, whose line format is delimited by '\n'. Domains carrying a
-// newline (hostile input, not DNS) fall back to JSON-escaped records.
+// newline (hostile input, not DNS) fall back to JSON-escaped records. So
+// do domains that are not valid UTF-8: the JSON of their '=' record turned
+// each invalid byte into U+FFFD, so the reader's dictionary knows them by
+// that name, and raw bytes would name a domain it never saw.
 func domainInline(domain string) bool {
 	for i := 0; i < len(domain); i++ {
 		if domain[i] == '\n' || domain[i] == '\r' {
 			return false
 		}
 	}
-	return true
+	return utf8.ValidString(domain)
 }
 
 // diffObs builds the delta record turning prev into obs. Domain and Week
@@ -170,47 +174,6 @@ func diffObs(prev, obs *Observation) obsDelta {
 	return d
 }
 
-// applyDelta reconstructs the observation a delta record encodes, starting
-// from the domain's previous observation. The returned observation owns
-// its Libs/Flash when the delta replaced them (json.Unmarshal allocated
-// them fresh) and shares them with prev otherwise.
-func applyDelta(prev Observation, d *obsDelta) Observation {
-	o := prev
-	o.Week = d.Week
-	if d.Rank != nil {
-		o.Rank = *d.Rank
-	}
-	if d.Status != nil {
-		o.Status = *d.Status
-	}
-	if d.Bytes != nil {
-		o.Bytes = *d.Bytes
-	}
-	if d.Country != nil {
-		o.Country = *d.Country
-	}
-	if d.HasJS != nil {
-		o.HasJS = *d.HasJS
-	}
-	if d.WordPress != nil {
-		o.WordPress = *d.WordPress
-	}
-	if d.LibsSet {
-		if len(d.Libs) == 0 {
-			o.Libs = nil
-		} else {
-			o.Libs = d.Libs
-		}
-	}
-	if d.FlashSet {
-		o.Flash = d.Flash
-	}
-	if d.Resources != nil {
-		o.Resources = *d.Resources
-	}
-	return o
-}
-
 // parseSameRecord parses the body of a '~' record (mark and trailing '\n'
 // already stripped): "<week> <domain>".
 func parseSameRecord(body []byte) (week int, domain []byte, ok bool) {
@@ -229,16 +192,17 @@ func parseSameRecord(body []byte) (week int, domain []byte, ok bool) {
 
 // decodeDelta decodes a v3 delta stream. It materializes the previous
 // observation per domain stream and applies '~'/'^' records against it;
-// the '~' fast path never touches encoding/json, which is what makes v3
-// replay cost drop with segment count instead of being JSON-bound. The
-// observations handed to fn share their Libs/Flash backing with the
-// decoder's domain dictionary — fn must not retain or mutate them (the
-// same no-retain contract every ForEach path now has; Clone to keep one).
+// '=' and '^' bodies go through obsDecoder, and the '~' fast path reads no
+// JSON at all. The observations handed to fn share their Libs/Flash with
+// the decoder's domain dictionary, which never writes them after handing
+// them out: fn may retain them and must not mutate them (ForEach's
+// contract).
 func decodeDelta(br *bufio.Reader, path string, fn func(Observation) error) error {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("store: %s: corrupt stream: "+format, append([]any{path}, args...)...)
 	}
 	prev := make(map[string]Observation)
+	var dec obsDecoder
 	var long []byte // spill for records longer than the bufio buffer
 	for {
 		line, err := br.ReadSlice('\n')
@@ -265,11 +229,10 @@ func decodeDelta(br *bufio.Reader, path string, fn func(Observation) error) erro
 		body := line[1 : len(line)-1]
 		switch line[0] {
 		case fullMark:
-			var obs Observation
-			if err := json.Unmarshal(body, &obs); err != nil {
+			obs, err := dec.full(body)
+			if err != nil {
 				return corrupt("bad record: %w", err)
 			}
-			obs = canonObs(obs)
 			prev[obs.Domain] = obs
 			if err := fn(obs); err != nil {
 				return err
@@ -288,16 +251,16 @@ func decodeDelta(br *bufio.Reader, path string, fn func(Observation) error) erro
 				return err
 			}
 		case deltaMark:
-			var d obsDelta
-			if err := json.Unmarshal(body, &d); err != nil {
+			domain, d, err := dec.delta(body)
+			if err != nil {
 				return corrupt("bad delta record: %w", err)
 			}
-			p, seen := prev[d.Domain]
+			p, seen := prev[string(domain)]
 			if !seen {
-				return corrupt("delta record for unseen domain %q", d.Domain)
+				return corrupt("delta record for unseen domain %q", domain)
 			}
-			obs := applyDelta(p, &d)
-			prev[d.Domain] = obs
+			obs := d.apply(p)
+			prev[p.Domain] = obs
 			if err := fn(obs); err != nil {
 				return err
 			}

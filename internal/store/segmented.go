@@ -455,9 +455,9 @@ func ReadManifest(dir string) (Manifest, error) {
 	return man, nil
 }
 
-// ForEachSegment streams one segment of a segmented store, in file order.
-// The same no-retain contract as ForEach applies: Clone observations the
-// callback keeps.
+// ForEachSegment streams one segment of a segmented store, in file order,
+// under ForEach's contract: the callback may retain the observations and
+// must not mutate them.
 func ForEachSegment(dir string, seg int, fn func(Observation) error) error {
 	return forEachFile(SegmentPath(dir, seg), fn)
 }

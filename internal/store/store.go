@@ -448,10 +448,10 @@ func (w *Writer) abort() error {
 // records, an archive of an earlier release) come back wrapped with a
 // "store:" prefix naming the file; fn's own errors pass through unwrapped.
 //
-// Every ForEach path shares one pooled decoder: the Observation handed to
-// fn reuses its Libs/Flash backing between calls, so fn must consume it
-// before returning — a callback that retains an observation must keep
-// obs.Clone(), not obs.
+// The Observation handed to fn is immutable and may be retained: the
+// decoder never writes a Libs slice or a Flash record after handing it
+// out, though later observations of the same domain may share them, so fn
+// must not mutate them either (Clone gives a copy of its own).
 func ForEach(path string, fn func(Observation) error) error {
 	// Any directory is read as a segmented store, so that one without a
 	// manifest fails in ReadManifest, which says why and what to do.
@@ -461,9 +461,8 @@ func ForEach(path string, fn func(Observation) error) error {
 	return forEachFile(path, fn)
 }
 
-// forEachFile scans one gzip JSONL file with the pooled decoder. The
-// Observation handed to fn shares its Libs backing array with the
-// previous call — fn must not retain it without Clone.
+// forEachFile scans one gzip stream, one segment file, under ForEach's
+// contract: fn may retain the observations and must not mutate them.
 func forEachFile(path string, fn func(Observation) error) error {
 	gz, release, err := openGzip(path)
 	if err != nil {
@@ -503,12 +502,11 @@ func decodeStream(r io.Reader, path string, fn func(Observation) error) error {
 }
 
 // ReadAll loads a whole observation file into memory. Intended for tests
-// and small datasets; large runs should use ForEach. Each observation is
-// cloned out of the streaming decoder's reused buffers.
+// and small datasets; large runs should use ForEach.
 func ReadAll(path string) ([]Observation, error) {
 	var out []Observation
 	err := ForEach(path, func(o Observation) error {
-		out = append(out, o.Clone())
+		out = append(out, o)
 		return nil
 	})
 	return out, err

@@ -216,7 +216,7 @@ func TestDecodedRecordOwnsItsBytes(t *testing.T) {
 		if within(s, l1) || within(s, l2) {
 			t.Errorf("first record's %s points into the reader's line buffer", what)
 		}
-		if within(s, d.buf) {
+		if within(s, d.Scratch()) {
 			t.Errorf("first record's %s points into the decoder's scratch", what)
 		}
 	}

@@ -34,6 +34,8 @@ go test -run '^$' -bench 'BenchmarkStoreDecodeSegment|BenchmarkFingerprintMemo|B
 	-benchmem -benchtime 1x .
 echo "==> bench smoke (bundle record decode, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkDecodeRecord' -benchmem -benchtime 1x ./internal/wexbundle
+echo "==> bench smoke (store record decode, 1 iteration)"
+go test -run '^$' -bench 'BenchmarkDecodeObservation' -benchmem -benchtime 1x ./internal/store
 echo "==> bench smoke (synthetic web request mix, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkServeRequestMix' -benchmem -benchtime 1x ./internal/webserver
 echo "==> bench smoke (nine collectors over a randomized stream, 1 iteration)"
@@ -194,8 +196,8 @@ cmp "$tmp/bref.report" "$tmp/bcrash.report" || {
 	echo "resumed recording's report differs from the uninterrupted reference"; exit 1; }
 
 # A zero-network crawl replayed from the bundle, with no study flags, takes
-# the recorded 60 × 40 study from bundle.json and writes a store whose
-# report is byte-identical.
+# the recorded 60 × 40 study from the bundle's manifest and writes a store
+# whose report is byte-identical.
 "$tmp/crawl" -workers 16 -segments 2 -replay "$tmp/bcrash.bundle" -out "$tmp/breplay.store" 2>/dev/null >/dev/null
 grep -q '"total": 2400' "$tmp/breplay.store/manifest.json" || {
 	echo "the flagless replay did not write the recorded 60 × 40 study"; exit 1; }
@@ -219,6 +221,14 @@ fi
 grep -q 'seed 0 asked, the bundle recorded 11' "$tmp/bseed.err" || {
 	echo "the refused seed-0 replay did not name both seeds:"; cat "$tmp/bseed.err"; exit 1; }
 [ ! -e "$tmp/bseed.store" ] || { echo "the refused seed-0 replay created its store"; exit 1; }
+# The bundler adoption is part of the study the bundle's manifest records:
+# -bundle-frac 0.5 against the plain recording is refused, naming both.
+if "$tmp/crawl" -bundle-frac 0.5 -replay "$tmp/bcrash.bundle" -out "$tmp/bfrac.store" >/dev/null 2>"$tmp/bfrac.err"; then
+	echo "crawl -replay of a plain bundle with -bundle-frac 0.5 exited 0"; exit 1
+fi
+grep -q 'bundle-frac 0.5 asked, the bundle recorded 0' "$tmp/bfrac.err" || {
+	echo "the refused -bundle-frac replay did not name both fractions:"; cat "$tmp/bfrac.err"; exit 1; }
+[ ! -e "$tmp/bfrac.store" ] || { echo "the refused -bundle-frac replay created its store"; exit 1; }
 
 # A recording taken with the resilience layer on, under faults: the replay
 # mounts no breaker, gate or budget (their decisions are in the archive),
