@@ -76,6 +76,9 @@ func ObservationFromTruth(dom alexa.Domain, t webgen.PageTruth) store.Observatio
 	if !t.WordPress.IsZero() {
 		obs.WordPress = t.WordPress.String()
 	}
+	if n := len(t.Libs) + len(t.Tail); n > 0 {
+		obs.Libs = make([]store.LibRecord, 0, n)
+	}
 	for _, lib := range t.Libs {
 		rec := store.LibRecord{
 			Slug: lib.Slug, Known: true,

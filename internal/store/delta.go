@@ -137,6 +137,28 @@ func domainInline(domain string) bool {
 	return utf8.ValidString(domain)
 }
 
+// readerName returns the name a reader's dictionary knows a domain by: the
+// string its JSON decodes to. encoding/json writes each byte that is not
+// valid UTF-8 as U+FFFD, so "a\xff.com", "a\xfe.com" and "a\uFFFD.com" are
+// one domain to a reader, and the writer must diff each against that one
+// entry. Valid domains are their own name.
+func readerName(domain string) string {
+	if utf8.ValidString(domain) {
+		return domain
+	}
+	name := make([]byte, 0, len(domain)+8)
+	for i := 0; i < len(domain); {
+		r, size := utf8.DecodeRuneInString(domain[i:])
+		if r == utf8.RuneError && size == 1 {
+			name = utf8.AppendRune(name, r)
+		} else {
+			name = append(name, domain[i:i+size]...)
+		}
+		i += size
+	}
+	return string(name)
+}
+
 // diffObs builds the delta record turning prev into obs. Domain and Week
 // are unconditional; everything else is included only when changed.
 func diffObs(prev, obs *Observation) obsDelta {

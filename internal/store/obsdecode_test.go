@@ -267,6 +267,50 @@ func TestInvalidUTF8DomainRoundTrips(t *testing.T) {
 	}
 }
 
+// TestDomainsOneReaderNameApart: "a\xff.com", "a\xfe.com" and "a\uFFFD.com"
+// are three domains to a writer and one name to its reader, since JSON
+// writes each invalid byte as U+FFFD. Interleaved over two weeks, each
+// with its own rank and size, every record must read back as its own
+// observation JSON round-tripped — none decoded against another's state.
+func TestDomainsOneReaderNameApart(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	w, err := CreateSegmented(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written []Observation
+	for wk := 0; wk < 2; wk++ {
+		for i, domain := range []string{"a\xff.com", "a\xfe.com", "a\uFFFD.com"} {
+			// Each domain keeps its rank and size; only the first one's
+			// status moves, so a record diffed against another domain's
+			// state carries too little to come out right.
+			o := Observation{Domain: domain, Week: wk, Rank: 1 + i, Status: 200, Bytes: 1000 * (i + 1)}
+			if wk == 1 && i == 0 {
+				o.Status = 404
+			}
+			if err := w.Write(o); err != nil {
+				t.Fatal(err)
+			}
+			written = append(written, o)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(written) {
+		t.Fatalf("read back %d records, wrote %d", len(got), len(written))
+	}
+	for i, o := range written {
+		if want := jsonRoundTrip(t, o); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("record %d (%q week %d): read back %+v, want %+v", i, o.Domain, o.Week, got[i], want)
+		}
+	}
+}
+
 // jsonRoundTrip is what the reader must make of an observation the
 // writer was given: what encoding/json makes of it.
 func jsonRoundTrip(t *testing.T, o Observation) Observation {

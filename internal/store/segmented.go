@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // ManifestName is the file that marks a directory as a segmented store.
@@ -233,9 +234,36 @@ func (w *SegmentedWriter) Count() int {
 	return total
 }
 
+// eachSegment runs op on every segment concurrently, segment 0 on the
+// calling goroutine and each other on its own, and returns once all have
+// finished. The error is the lowest-numbered segment's, as a loop over the
+// segments that stopped at the first failure would return — but every
+// segment's op has run.
+func (w *SegmentedWriter) eachSegment(op func(i int, seg *Writer) error) error {
+	errs := make([]error, len(w.segs))
+	var wg sync.WaitGroup
+	for i := 1; i < len(w.segs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = op(i, w.segs[i])
+		}()
+	}
+	errs[0] = op(0, w.segs[0])
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CommitWeek makes everything collected through week (0-based) durable:
 // each segment's buffered data is flushed, its open gzip member finished,
-// and the file fsynced; then checkpoint.json is committed atomically. A
+// and the file fsynced — the segments concurrently, so their deflate runs
+// on every core — and only once all of them are, checkpoint.json is
+// committed atomically. A
 // crash at any point afterwards loses at most the week in flight —
 // ResumeSegmented restores the store to exactly this commit. The caller
 // must quiesce concurrent Writes for the duration (collection loops have a
@@ -257,15 +285,20 @@ func (w *SegmentedWriter) CommitWeek(week int) error {
 		Members:        make([][]Member, len(w.segs)),
 		Run:            w.opt.Run,
 	}
-	for i, seg := range w.segs {
+	err := w.eachSegment(func(i int, seg *Writer) error {
 		off, err := seg.commit()
 		if err != nil {
 			return fmt.Errorf("store: %s: %w", SegmentPath(w.dir, i), err)
 		}
-		count := seg.Count()
 		ck.Members[i] = append([]Member(nil), seg.members...)
 		ck.Offsets[i] = off
-		ck.Counts[i] = count
+		ck.Counts[i] = seg.Count()
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, count := range ck.Counts {
 		ck.Total += count
 	}
 	if err := writeCheckpoint(w.fsys, w.dir, ck); err != nil {
@@ -279,14 +312,13 @@ func (w *SegmentedWriter) CommitWeek(week int) error {
 // writer without checkpointing or before its first CommitWeek).
 func (w *SegmentedWriter) CommittedWeeks() int { return w.committedWeeks }
 
-// Close flushes, fsyncs, and closes every segment, then commits the
-// manifest, stamped with the writer's Run, atomically (temp file + fsync +
-// rename). The manifest is only
-// written when every segment closed cleanly — a partial archive stays
+// Close flushes, fsyncs, and closes every segment, concurrently as
+// CommitWeek commits them, then commits the manifest, stamped with the
+// writer's Run, atomically (temp file + fsync + rename). The manifest is
+// only written when every segment closed cleanly — a partial archive stays
 // unreadable-as-complete rather than silently short, while its fsynced
 // segments and last checkpoint remain salvageable.
 func (w *SegmentedWriter) Close() error {
-	var first error
 	man := Manifest{
 		Version:   w.opt.Format,
 		Segments:  len(w.segs),
@@ -297,16 +329,17 @@ func (w *SegmentedWriter) Close() error {
 	if w.opt.Run != (RunID{}) {
 		man.Run = &w.opt.Run
 	}
-	for i, seg := range w.segs {
+	err := w.eachSegment(func(i int, seg *Writer) error {
 		man.Counts[i] = seg.Count()
-		man.Total += seg.Count()
-		if err := seg.Close(); err != nil && first == nil {
-			first = err
-		}
+		err := seg.Close()
 		man.Members[i] = seg.members
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	if first != nil {
-		return first
+	for _, count := range man.Counts {
+		man.Total += count
 	}
 	return writeManifest(w.fsys, w.dir, man)
 }

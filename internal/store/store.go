@@ -332,9 +332,12 @@ func (w *Writer) WriteRaw(line []byte) error {
 // a changed page emits only its changed fields; a first sighting (or the
 // first record after a resume reset the dictionary) emits a full record.
 // The dictionary entry is only updated when the observation changed, so
-// the fast path stays allocation-free.
+// the fast path stays allocation-free. It is keyed and named as the
+// reader's (readerName), so the writer diffs against the state the reader
+// will hold.
 func (w *Writer) writeDelta(obs Observation) error {
-	prev, seen := w.prev[obs.Domain]
+	name := readerName(obs.Domain)
+	prev, seen := w.prev[name]
 	switch {
 	case seen && obs.Week >= 0 && obs.Week <= 1<<30 &&
 		sameExceptWeek(&prev, &obs) && domainInline(obs.Domain):
@@ -361,7 +364,7 @@ func (w *Writer) writeDelta(obs Observation) error {
 		if err := w.enc.Encode(&d); err != nil {
 			return err
 		}
-		w.prev[obs.Domain] = canonObs(obs).Clone()
+		w.remember(name, obs)
 	default:
 		if err := w.buf.WriteByte(fullMark); err != nil {
 			return err
@@ -369,10 +372,18 @@ func (w *Writer) writeDelta(obs Observation) error {
 		if err := w.enc.Encode(obs); err != nil {
 			return err
 		}
-		w.prev[obs.Domain] = canonObs(obs).Clone()
+		w.remember(name, obs)
 	}
 	w.n++
 	return nil
+}
+
+// remember makes obs, under the reader's name for its domain, the state
+// the domain's next record is diffed against.
+func (w *Writer) remember(name string, obs Observation) {
+	obs = canonObs(obs).Clone()
+	obs.Domain = name
+	w.prev[name] = obs
 }
 
 // Count returns the number of observations written so far.

@@ -253,6 +253,17 @@ func CatalogFor(slug string) (Catalog, bool) {
 	return c, ok
 }
 
+// CatalogSlugs returns the slug of every release catalog CatalogFor knows,
+// sorted.
+func CatalogSlugs() []string {
+	out := make([]string, 0, len(catalogs))
+	for slug := range catalogs {
+		out = append(out, slug)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Advisories returns every advisory of Table 2 in the paper's row order.
 func Advisories() []Advisory {
 	out := make([]Advisory, len(advisories))

@@ -7,7 +7,6 @@ import (
 	"clientres/internal/alexa"
 	"clientres/internal/cdn"
 	"clientres/internal/semver"
-	"clientres/internal/vulndb"
 )
 
 // UpdatePolicy describes how a site (or one of its libraries) reacts to new
@@ -581,61 +580,40 @@ func (s *Site) buildLibUse(cfg Config, rng *rand.Rand, c libCalib, managedByWP b
 // mid-study start near the then-latest release; sites present from the
 // start draw from the calibrated popularity table.
 func (s *Site) pickInitialVersion(rng *rand.Rand, c libCalib, adoptWeek int) semver.Version {
-	cat, ok := vulndb.CatalogFor(c.slug)
-	if !ok || len(cat.Releases) == 0 {
+	x := catalogIndexes[c.slug]
+	if x == nil || len(x.versions) == 0 {
 		return semver.Version{}
 	}
-	adoptDate := WeekDate(adoptWeek)
 	if adoptWeek > 0 {
 		// Late adopter: latest or one of the few preceding releases.
-		rels := cat.Releases
-		var avail []vulndb.Release
-		for _, rel := range rels {
-			if !rel.Date.After(adoptDate) {
-				avail = append(avail, rel)
-			}
+		out := x.all.count(WeekDate(adoptWeek).Unix())
+		if out == 0 {
+			return x.versions[0]
 		}
-		if len(avail) == 0 {
-			return rels[0].Version
+		if rng.Intn(3) == 0 {
+			// The newest release out by the adoption date.
+			return x.versions[x.all.best[out-1]]
 		}
-		back := rng.Intn(3)
-		// avail is ordered by version within lines; take from the top by
-		// version.
-		best := avail[0]
-		for _, rel := range avail {
-			if best.Version.Less(rel.Version) {
-				best = rel
-			}
-		}
-		if back == 0 {
-			return best.Version
-		}
-		// Pick a random recent-ish available release instead.
-		return avail[len(avail)-1-rng.Intn(minInt(len(avail), 4))].Version
+		// Pick one of the last releases out, in catalog order, instead.
+		return x.versions[x.latest[out-1][rng.Intn(minInt(out, lateChoices))]]
 	}
 	// From-start site: weighted table plus uniform spread.
 	total := c.spreadWeight
 	for _, vw := range c.initial {
 		total += vw.w
 	}
-	x := rng.Intn(total)
+	r := rng.Intn(total)
 	for _, vw := range c.initial {
-		if x < vw.w {
+		if r < vw.w {
 			return semver.MustParse(vw.v)
 		}
-		x -= vw.w
+		r -= vw.w
 	}
 	// Spread: uniform over pre-study releases.
-	var avail []vulndb.Release
-	for _, rel := range cat.Releases {
-		if rel.Date.Before(studyStart) {
-			avail = append(avail, rel)
-		}
+	if len(x.preStudy) == 0 {
+		return x.versions[0]
 	}
-	if len(avail) == 0 {
-		return cat.Releases[0].Version
-	}
-	return avail[rng.Intn(len(avail))].Version
+	return x.versions[x.preStudy[rng.Intn(len(x.preStudy))]]
 }
 
 func pickHost(rng *rand.Rand, c libCalib) string {

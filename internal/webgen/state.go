@@ -107,16 +107,20 @@ func (s *Site) truth(week int) PageTruth {
 		return t
 	}
 
-	var wpRel vulndb.WPRelease
+	var wpRel *vulndb.WPRelease
 	if s.WordPress {
-		wpRel = s.wpReleaseAt(date)
-		t.WordPress = wpRel.Version
+		if wpRel = s.wpReleaseAt(date); wpRel != nil {
+			t.WordPress = wpRel.Version
+		}
 	}
 
-	for _, use := range s.Libs {
-		obs, ok := s.libObservationAt(use, week, date, wpRel)
+	for i := range s.Libs {
+		obs, ok := s.libObservationAt(&s.Libs[i], week, date, wpRel)
 		if !ok {
 			continue
+		}
+		if t.Libs == nil {
+			t.Libs = make([]LibObservation, 0, len(s.Libs)-i)
 		}
 		t.Libs = append(t.Libs, obs)
 	}
@@ -145,9 +149,10 @@ func (s *Site) truth(week int) PageTruth {
 	return t
 }
 
-// libObservationAt resolves one library use at a week; ok is false when the
-// library is not on the page that week.
-func (s *Site) libObservationAt(use LibUse, week int, date time.Time, wpRel vulndb.WPRelease) (LibObservation, bool) {
+// libObservationAt resolves one library use at a week, on a WordPress site
+// running release wpRel (nil: none); ok is false when the library is not on
+// the page that week.
+func (s *Site) libObservationAt(use *LibUse, week int, date time.Time, wpRel *vulndb.WPRelease) (LibObservation, bool) {
 	if week < use.AdoptWeek {
 		return LibObservation{}, false
 	}
@@ -157,16 +162,16 @@ func (s *Site) libObservationAt(use LibUse, week int, date time.Time, wpRel vuln
 		if use.SwitchTo == "" {
 			return LibObservation{}, false
 		}
-		cat, ok := vulndb.CatalogFor(use.SwitchTo)
-		if !ok {
+		x := catalogIndexes[use.SwitchTo]
+		if x == nil {
 			return LibObservation{}, false
 		}
-		rel := cat.LatestAsOf(WeekDate(use.DropWeek))
-		if rel.Version.IsZero() {
+		i := x.all.at(WeekDate(use.DropWeek).Unix())
+		if i < 0 {
 			return LibObservation{}, false
 		}
 		return LibObservation{
-			Slug: use.SwitchTo, Version: rel.Version,
+			Slug: use.SwitchTo, Version: x.versions[i],
 			External: use.External, Host: use.Host,
 			SRI: use.SRI, Crossorigin: use.Crossorigin,
 		}, true
@@ -180,7 +185,7 @@ func (s *Site) libObservationAt(use LibUse, week int, date time.Time, wpRel vuln
 	if use.ManagedByWP {
 		// WordPress-bundled jQuery / jQuery-Migrate: version (and, for
 		// Migrate, presence) follow the site's current WordPress release.
-		if wpRel.Version.IsZero() {
+		if wpRel == nil {
 			return LibObservation{}, false
 		}
 		switch use.Slug {
@@ -214,95 +219,78 @@ const (
 // DelayDays after it ships, optionally pinned to their initial major line,
 // and never downgrade — except regressing sites, which roll their first
 // in-study update back for a spell (Section 9's future-work behaviour).
-func libVersionAt(use LibUse, date time.Time) semver.Version {
-	if use.Policy == PolicyFrozen {
+func libVersionAt(use *LibUse, date time.Time) semver.Version {
+	x := catalogIndexes[use.Slug]
+	if use.Policy == PolicyFrozen || x == nil {
 		return use.Initial
 	}
 	if use.Regress {
-		if inWindow, prev := regressionState(use, date); inWindow {
+		if inWindow, prev := x.regressionState(use, date); inWindow {
 			return prev
 		}
 	}
-	return trajectoryVersion(use, date)
+	return x.trajectoryVersion(use, date)
 }
 
-// trajectoryVersion is the monotone adopt-with-delay trajectory.
-func trajectoryVersion(use LibUse, date time.Time) semver.Version {
-	cat, ok := vulndb.CatalogFor(use.Slug)
-	if !ok {
-		return use.Initial
-	}
-	cutoff := date.AddDate(0, 0, -use.DelayDays)
-	best := use.Initial
-	for _, rel := range cat.Releases {
-		if rel.Date.After(cutoff) {
-			continue
-		}
-		if use.MajorPinned && rel.Version.Major() != use.Initial.Major() {
-			continue
-		}
-		if best.Less(rel.Version) {
-			best = rel.Version
-		}
-	}
-	return best
+// trajectoryVersion is the monotone adopt-with-delay trajectory of a use of
+// x's library: the best release (of the initial major line, when pinned)
+// out DelayDays before date, or Initial when none is above it.
+func (x *releaseIndex) trajectoryVersion(use *LibUse, date time.Time) semver.Version {
+	return x.newest(x.seq(use.Initial, use.MajorPinned), use.Initial, daysBefore(date, use.DelayDays))
 }
 
-// regressionState reports whether date falls inside the use's roll-back
-// window, and the version the site reverts to.
-func regressionState(use LibUse, date time.Time) (bool, semver.Version) {
-	cat, ok := vulndb.CatalogFor(use.Slug)
-	if !ok {
+// regressionState reports whether date falls inside the roll-back window of
+// a use of x's library, and the version the site reverts to.
+//
+// The window opens after the first in-study update: the earliest adoption
+// instant (release date + delay) after the study start that raises the
+// shown version above what the site had the day before. That depends on
+// the use alone. A release raises the version when it is above Initial and
+// every release out a day earlier; with release dates on whole days, those
+// are the releases earlier in the date sequence. So past the releases
+// adopted by the study start, whose best (or Initial) is the floor, the
+// first update is the first position whose running best exceeds the floor.
+func (x *releaseIndex) regressionState(use *LibUse, date time.Time) (bool, semver.Version) {
+	q := x.seq(use.Initial, use.MajorPinned)
+	if q == nil {
 		return false, semver.Version{}
 	}
-	// The first in-study update is the earliest adoption instant
-	// (release date + delay) after the study start that actually raises
-	// the shown version above what the site had the instant before.
-	var firstUpdate time.Time
-	for _, rel := range cat.Releases {
-		if use.MajorPinned && rel.Version.Major() != use.Initial.Major() {
-			continue
-		}
-		adoption := rel.Date.AddDate(0, 0, use.DelayDays)
-		if !adoption.After(studyStart) {
-			continue
-		}
-		before := trajectoryVersion(use, adoption.AddDate(0, 0, -1))
-		if !before.Less(rel.Version) {
-			continue
-		}
-		if firstUpdate.IsZero() || adoption.Before(firstUpdate) {
-			firstUpdate = adoption
+	from := q.count(daysBefore(studyStart, use.DelayDays))
+	floor := use.Initial
+	if from > 0 {
+		if b := x.versions[q.best[from-1]]; floor.Less(b) {
+			floor = b
 		}
 	}
-	if firstUpdate.IsZero() {
+	first := x.firstAbove(q, floor, from)
+	if first == len(q.dates) {
 		return false, semver.Version{}
 	}
-	from := firstUpdate.AddDate(0, 0, regressionOnset)
-	to := from.AddDate(0, 0, regressionSpan)
-	if date.Before(from) || !date.Before(to) {
+	released := q.dates[first]
+	firstUpdate := released + int64(use.DelayDays)*secondsPerDay
+	open := firstUpdate + regressionOnset*secondsPerDay
+	closed := open + regressionSpan*secondsPerDay
+	if at := date.Unix(); at < open || at >= closed {
 		return false, semver.Version{}
 	}
-	return true, trajectoryVersion(use, firstUpdate.AddDate(0, 0, -1))
+	return true, x.newest(q, use.Initial, released-secondsPerDay)
 }
 
-// wpReleaseAt resolves the site's WordPress release at a date.
-func (s *Site) wpReleaseAt(date time.Time) vulndb.WPRelease {
-	initRel, _ := vulndb.WordPressFind(s.WPInitial)
-	if s.WPPolicy == PolicyFrozen {
-		return initRel
-	}
-	cutoff := date.AddDate(0, 0, -s.WPDelayDays)
-	best := initRel
-	for _, rel := range vulndb.WordPressReleases() {
-		if rel.Date.After(cutoff) {
-			continue
-		}
-		if best.Version.Less(rel.Version) {
-			best = rel
+// wpReleaseAt resolves the site's WordPress release at a date: a release of
+// the shared table, not to be modified, or nil when the site runs none (its
+// initial version is not a release and no release is out to replace it).
+func (s *Site) wpReleaseAt(date time.Time) *vulndb.WPRelease {
+	at := wpIndex.find(s.WPInitial)
+	if s.WPPolicy != PolicyFrozen {
+		if i := wpIndex.all.at(daysBefore(date, s.WPDelayDays)); i >= 0 &&
+			(at < 0 || wpReleases[at].Version.Less(wpReleases[i].Version)) {
+			at = i
 		}
 	}
-	return best
+	if at < 0 {
+		return nil
+	}
+	return &wpReleases[at]
 }
 
 // failRoll returns a deterministic uniform [0,1) for (site, week).

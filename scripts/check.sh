@@ -21,6 +21,14 @@ go build ./...
 echo "==> go test -race"
 go test -race -timeout 30m ./...
 
+# Segments commit concurrently at every week barrier: the store's fault,
+# checkpoint and resume tests again, five times over, under the race
+# detector.
+echo "==> go test -race -count=5 (concurrent segment commits)"
+go test -race -count=5 -timeout 30m \
+	-run 'TestFaultScheduleCommitsOrSalvages|TestCheckpoint|TestResumeCrashEquivalence' \
+	./internal/store ./internal/core
+
 # Budgeted fuzz smoke runs of every fuzz target (FUZZTIME each, 3s by
 # default).
 sh scripts/fuzz-smoke.sh
@@ -36,6 +44,8 @@ echo "==> bench smoke (bundle record decode, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkDecodeRecord' -benchmem -benchtime 1x ./internal/wexbundle
 echo "==> bench smoke (store record decode, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkDecodeObservation' -benchmem -benchtime 1x ./internal/store
+echo "==> bench smoke (generator truth, 1 iteration)"
+go test -run '^$' -bench 'BenchmarkSiteTruth' -benchmem -benchtime 1x ./internal/webgen
 echo "==> bench smoke (synthetic web request mix, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkServeRequestMix' -benchmem -benchtime 1x ./internal/webserver
 echo "==> bench smoke (nine collectors over a randomized stream, 1 iteration)"

@@ -5,9 +5,11 @@
 // 201 weeks, then cmd/analyze over the store gendata wrote (analyze reads
 // the shape from the store's manifest), and prints each side's wall time,
 // observations per second and peak RSS. Peak RSS is the child's rusage
-// Maxrss, so no external timing tool is needed. The analyze
-// line also prints the SHA-256 of the report, so two builds can be checked
-// for byte-identical output at the same sizes.
+// Maxrss, so no external timing tool is needed. Each line also prints a
+// SHA-256, so two builds can be checked for byte-identical output at the
+// same sizes: the gendata line's is over the store's segment files in
+// segment order (with one segment, the file's own sha256sum), the analyze
+// line's the report's.
 //
 // Run it from the module root; it builds both commands from that checkout
 // into a temporary directory, which it removes when done:
@@ -69,7 +71,7 @@ func run(sizes []int) error {
 		return fmt.Errorf("building gendata and analyze: %w", err)
 	}
 	fmt.Printf("# %s/%s, %d CPUs, %d weeks per domain\n", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), weeks)
-	fmt.Printf("%-8s %-8s %10s %12s %10s  %s\n", "domains", "side", "wall_s", "obs_per_s", "rss_mb", "report_sha256")
+	fmt.Printf("%-8s %-8s %10s %12s %10s  %s\n", "domains", "side", "wall_s", "obs_per_s", "rss_mb", "sha256 (segments | report)")
 	for _, n := range sizes {
 		storePath := filepath.Join(dir, fmt.Sprintf("d%d.store", n))
 		obs := n * weeks
@@ -78,7 +80,11 @@ func run(sizes []int) error {
 		if err != nil {
 			return fmt.Errorf("gendata %d: %w", n, err)
 		}
-		gen.print(n, "gendata", "")
+		segs, err := segmentsSHA(storePath)
+		if err != nil {
+			return fmt.Errorf("gendata %d: %w", n, err)
+		}
+		gen.print(n, "gendata", segs)
 		report := sha256.New()
 		an, err := measure(report, obs, filepath.Join(dir, "analyze"), "-in", storePath)
 		if err != nil {
@@ -90,6 +96,31 @@ func run(sizes []int) error {
 		}
 	}
 	return nil
+}
+
+// segmentsSHA returns the SHA-256 of a store's segment files, read in
+// segment order.
+func segmentsSHA(storePath string) (string, error) {
+	files, err := filepath.Glob(filepath.Join(storePath, "seg-*.jsonl.gz"))
+	if err != nil {
+		return "", err
+	}
+	if len(files) == 0 {
+		return "", fmt.Errorf("%s: no segment files", storePath)
+	}
+	h := sha256.New()
+	for _, name := range files { // Glob sorts, and the indices are zero-padded
+		f, err := os.Open(name)
+		if err != nil {
+			return "", err
+		}
+		_, err = io.Copy(h, f)
+		f.Close()
+		if err != nil {
+			return "", err
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // sample is one child process's cost.
