@@ -39,7 +39,7 @@ func main() {
 	bundleScan := flag.Bool("bundle-scan", false, "append a bundle-detection summary: how many library detections came from content signatures vs URLs")
 	flag.Parse()
 
-	run, err := study(*in)
+	run, err := store.ReadStudy(*in)
 	if err != nil {
 		log.Fatalf("analyze: %v", err)
 	}
@@ -61,19 +61,6 @@ func main() {
 	if *bundleScan {
 		writeBundleSummary(w, res.Libs.SignatureReach())
 	}
-}
-
-// study returns the study a sealed store's manifest records.
-func study(dir string) (store.RunID, error) {
-	man, err := store.ReadManifest(dir)
-	if err != nil {
-		return store.RunID{}, err
-	}
-	if man.Run == nil {
-		return store.RunID{}, fmt.Errorf("%s: its %s records no study (the store was sealed by an earlier release, or salvaged by a prefix scan, which has no journal to take one from)",
-			dir, store.ManifestName)
-	}
-	return *man.Run, nil
 }
 
 // writeBundleSummary reports how many library detections were recovered

@@ -20,7 +20,7 @@ func TestStudyComesFromTheManifest(t *testing.T) {
 	if _, err := core.WriteStore(context.Background(), core.Config{Domains: 6, Weeks: 3, Seed: 2, StorePath: dir}); err != nil {
 		t.Fatal(err)
 	}
-	run, err := study(dir)
+	run, err := store.ReadStudy(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestStudyComesFromTheManifest(t *testing.T) {
 	if _, err := store.ReadManifest(dir); err != nil {
 		t.Fatalf("the manifest without its run no longer reads: %v", err)
 	}
-	_, err = study(dir)
+	_, err = store.ReadStudy(dir)
 	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "records no study") {
 		t.Errorf("manifest without a run: error = %v, want one naming %s and that it records no study", err, dir)
 	}

@@ -12,7 +12,9 @@
 // A restart takes its run from coordinator.json: the run flags (-domains,
 // -weeks, -seed, -bundle-frac, -bundle-scan, -partitions, -lease-ttl)
 // default to the persisted values, and one set to another value, a zero
-// value included, is refused before anything is served.
+// value included, is refused before anything is served. -dir names where
+// the run is, not which run it is: a moved directory restarts at its new
+// path.
 //
 // Usage:
 //
@@ -32,6 +34,7 @@ import (
 	"time"
 
 	"clientres/internal/distcrawl"
+	"clientres/internal/store"
 	"clientres/internal/webgen"
 )
 
@@ -119,10 +122,9 @@ func main() {
 }
 
 // restartSpec returns the run a coordinator over spec.Dir serves: the
-// RunSpec its coordinator.json persisted when there is one, else spec. A
-// run flag in set, the flags the user gave, must name the persisted value:
-// a flag at its zero value cannot be told from an absent one once it is in
-// spec, so the check is made against the flags themselves.
+// RunSpec its coordinator.json persisted, by store.Recorded over the flags
+// in set, or spec when there is none. The run keeps the asked Dir: it names
+// where the run is, not which run it is.
 func restartSpec(spec distcrawl.RunSpec, set map[string]bool) (distcrawl.RunSpec, error) {
 	persisted, err := distcrawl.ReadSpec(spec.Dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -131,22 +133,10 @@ func restartSpec(spec distcrawl.RunSpec, set map[string]bool) (distcrawl.RunSpec
 	if err != nil {
 		return spec, err
 	}
-	for _, f := range []struct {
-		flag            string
-		asked, recorded any
-	}{
-		{"domains", spec.Domains, persisted.Domains},
-		{"weeks", spec.Weeks, persisted.Weeks},
-		{"seed", spec.Seed, persisted.Seed},
-		{"bundle-frac", spec.Bundling.Fraction, persisted.Bundling.Fraction},
-		{"bundle-scan", spec.BundleScan, persisted.BundleScan},
-		{"partitions", spec.Partitions, persisted.Partitions},
-		{"lease-ttl", spec.LeaseTTL, persisted.LeaseTTL},
-	} {
-		if set[f.flag] && f.asked != f.recorded {
-			return spec, fmt.Errorf("restart %s: %s %v asked, %s recorded %v",
-				spec.Dir, f.flag, f.asked, distcrawl.StateName, f.recorded)
-		}
+	run, err := store.Recorded(spec, persisted, func(f store.Field) bool { return set[f.Flag] }, distcrawl.StateName)
+	if err != nil {
+		return spec, fmt.Errorf("restart %s: %w", spec.Dir, err)
 	}
-	return persisted, nil
+	run.Dir = spec.Dir
+	return run, nil
 }

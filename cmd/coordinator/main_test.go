@@ -1,6 +1,11 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,5 +65,50 @@ func TestRestartTakesTheRunFromItsState(t *testing.T) {
 	fresh.Dir = t.TempDir()
 	if got, err := restartSpec(fresh, map[string]bool{}); err != nil || got != fresh {
 		t.Errorf("fresh directory: run %+v, err %v; want the flags' run", got, err)
+	}
+}
+
+// TestRestartOverAMovedDirKeepsItsRun: -dir names where a run is, not which
+// run it is. A coordinator restarted over a directory that was moved
+// continues the run persisted there, with its accepted spans and its next
+// epoch, and writes nothing at the old path.
+func TestRestartOverAMovedDirKeepsItsRun(t *testing.T) {
+	root := t.TempDir()
+	from, to := filepath.Join(root, "a"), filepath.Join(root, "b")
+	c, err := distcrawl.NewCoordinator(distcrawl.RunSpec{Domains: 20, Weeks: 4, Seed: 3,
+		Partitions: 2, Dir: from, LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := c.Lease("w0")
+	if resp := c.Commit(distcrawl.CommitRequest{Worker: "w0", Partition: l.Partition, Epoch: l.Epoch, Week: l.StartWeek}); !resp.OK {
+		t.Fatalf("commit refused: %+v", resp)
+	}
+	spans := c.Spans()
+	if err := os.Rename(from, to); err != nil {
+		t.Fatal(err)
+	}
+
+	flags := distcrawl.RunSpec{Domains: 2000, Weeks: webgen.StudyWeeks, Seed: 1, Bundling: webgen.DefaultBundling(0),
+		Partitions: 4, Dir: to, LeaseTTL: 10 * time.Second}
+	got, err := restartSpec(flags, map[string]bool{"dir": true})
+	if err != nil {
+		t.Fatalf("restart over the moved directory: %v", err)
+	}
+	if got.Dir != to {
+		t.Errorf("restart over %s serves the run at %s", to, got.Dir)
+	}
+	moved, err := distcrawl.NewCoordinator(got)
+	if err != nil {
+		t.Fatalf("restart over the moved directory does not rehydrate: %v", err)
+	}
+	if !reflect.DeepEqual(moved.Spans(), spans) {
+		t.Errorf("rehydrated spans %+v, want the persisted %+v", moved.Spans(), spans)
+	}
+	if next := moved.Lease("w1"); !next.Assigned || next.Epoch != l.Epoch+1 {
+		t.Errorf("first lease after the move: %+v, want epoch %d", next, l.Epoch+1)
+	}
+	if _, err := os.Stat(from); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the restart wrote at the old path %s (stat: %v)", from, err)
 	}
 }

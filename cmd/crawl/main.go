@@ -132,53 +132,33 @@ func main() {
 	fmt.Printf("crawled %d domains x %d weeks into %s\n", cfg.Domains, cfg.Weeks, *out)
 }
 
-// recordedStudy returns cfg with the study its run already recorded: a
-// replay's in its bundle's sealed manifest, a resume's in the store's
-// checkpoint journal; any other run is returned as it is. A study flag in
-// set, the flags the user gave, must name the recorded value: a flag at
-// its zero value cannot be told from an absent one once it is in cfg, so
-// the check is made here, against the flags themselves.
+// recordedStudy returns cfg with the study its run already recorded, by
+// store.Recorded over the flags in set: a replay's in its bundle's sealed
+// manifest, a resume's in the store's checkpoint journal. Any other run is
+// returned as it is.
 func recordedStudy(cfg core.Config, set map[string]bool) (core.Config, error) {
 	var r store.RunID
+	var err error
 	var run, recorder string
 	switch {
 	case cfg.ReplayBundle != "":
-		man, err := store.ReadManifest(cfg.ReplayBundle)
-		if err != nil {
-			return cfg, err
-		}
-		if man.Run == nil {
-			return cfg, fmt.Errorf("replay %s: the bundle's manifest records no study (sealed by an earlier release, or salvaged by a prefix scan)", cfg.ReplayBundle)
-		}
-		r = *man.Run
+		r, err = store.ReadStudy(cfg.ReplayBundle)
 		run, recorder = "replay "+cfg.ReplayBundle, "the bundle"
 	case cfg.Resume:
-		ck, err := store.ReadCheckpoint(cfg.StorePath)
-		if err != nil {
-			return cfg, err
-		}
-		r = ck.Run
-		run, recorder = "resume "+cfg.StorePath, "the journal"
+		var ck store.Checkpoint
+		ck, err = store.ReadCheckpoint(cfg.StorePath)
+		r, run, recorder = ck.Run, "resume "+cfg.StorePath, "the journal"
 	default:
 		return cfg, nil
 	}
-	rec := core.Config{Domains: r.Domains, Weeks: r.Weeks, Seed: r.Seed, BundleScan: r.BundleScan,
-		Bundling: webgen.Bundling{Fraction: r.BundleFraction, MinifyP: r.BundleMinifyP,
-			BannerP: r.BundleBannerP, SourceMapP: r.BundleSourceMapP}}
-	for _, f := range []struct {
-		flag            string
-		asked, recorded any
-	}{
-		{"domains", cfg.Domains, rec.Domains},
-		{"weeks", cfg.Weeks, rec.Weeks},
-		{"seed", cfg.Seed, rec.Seed},
-		{"bundle-frac", cfg.Bundling.Fraction, rec.Bundling.Fraction},
-		{"bundle-scan", cfg.BundleScan, rec.BundleScan},
-	} {
-		if set[f.flag] && f.asked != f.recorded {
-			return cfg, fmt.Errorf("%s: %s %v asked, %s recorded %v", run, f.flag, f.asked, recorder, f.recorded)
-		}
+	if err != nil {
+		return cfg, err
 	}
-	cfg.Domains, cfg.Weeks, cfg.Seed, cfg.Bundling, cfg.BundleScan = rec.Domains, rec.Weeks, rec.Seed, rec.Bundling, rec.BundleScan
+	if r, err = store.Recorded(cfg.RunID(), r, func(f store.Field) bool { return set[f.Flag] }, recorder); err != nil {
+		return cfg, fmt.Errorf("%s: %w", run, err)
+	}
+	cfg.Domains, cfg.Weeks, cfg.Seed, cfg.BundleScan = r.Domains, r.Weeks, r.Seed, r.BundleScan
+	cfg.Bundling = webgen.Bundling{Fraction: r.BundleFraction, MinifyP: r.BundleMinifyP,
+		BannerP: r.BundleBannerP, SourceMapP: r.BundleSourceMapP}
 	return cfg, nil
 }

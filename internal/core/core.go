@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"time"
 
 	"clientres/internal/alexa"
@@ -298,9 +299,9 @@ func (cfg Config) normalized() (Config, error) {
 }
 
 // recorded takes a replay's study — Domains, Weeks, Seed, BundleScan — from
-// the bundle.json of the run that recorded it: a zero field takes the
-// recorded value, and a set field that differs is refused, since a replay of
-// another study fetches what the archive never held.
+// the bundle.json of the run that recorded it, by store.Recorded with a
+// non-zero field counted as set: a replay of another study fetches what the
+// archive never held. The replay keeps the Bundling it asks for.
 func (cfg *Config) recorded() error {
 	m, err := wexbundle.ReadMeta(cfg.ReplayBundle)
 	if err != nil {
@@ -309,20 +310,13 @@ func (cfg *Config) recorded() error {
 	if m.Domains < 1 || m.Weeks < 1 {
 		return fmt.Errorf("core: replay %s: %s records no study shape", cfg.ReplayBundle, wexbundle.MetaName)
 	}
-	differs := func(what string, asked, recorded any) error {
-		return fmt.Errorf("core: replay %s: %s %v asked, the bundle recorded %v", cfg.ReplayBundle, what, asked, recorded)
+	ask := store.RunID{Domains: cfg.Domains, Weeks: cfg.Weeks, Seed: cfg.Seed, BundleScan: cfg.BundleScan}
+	rec := store.RunID{Domains: m.Domains, Weeks: m.Weeks, Seed: m.Seed, BundleScan: m.BundleScan}
+	nonZero := func(f store.Field) bool { return !reflect.ValueOf(f.Value).IsZero() }
+	if rec, err = store.Recorded(ask, rec, nonZero, "the bundle"); err != nil {
+		return fmt.Errorf("core: replay %s: %w", cfg.ReplayBundle, err)
 	}
-	switch {
-	case cfg.Domains != 0 && cfg.Domains != m.Domains:
-		return differs("domains", cfg.Domains, m.Domains)
-	case cfg.Weeks != 0 && cfg.Weeks != m.Weeks:
-		return differs("weeks", cfg.Weeks, m.Weeks)
-	case cfg.Seed != 0 && cfg.Seed != m.Seed:
-		return differs("seed", cfg.Seed, m.Seed)
-	case cfg.BundleScan && !m.BundleScan:
-		return differs("bundle scan", true, false)
-	}
-	cfg.Domains, cfg.Weeks, cfg.Seed, cfg.BundleScan = m.Domains, m.Weeks, m.Seed, m.BundleScan
+	cfg.Domains, cfg.Weeks, cfg.Seed, cfg.BundleScan = rec.Domains, rec.Weeks, rec.Seed, rec.BundleScan
 	return nil
 }
 

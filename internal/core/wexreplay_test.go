@@ -172,7 +172,7 @@ func TestReplayTakesTheRecordedStudy(t *testing.T) {
 		{name: "weeks", edit: func(c *Config) { c.Weeks = 201 }, want: "weeks 201 asked, the bundle recorded 3"},
 		{name: "seed", edit: func(c *Config) { c.Seed = 1 }, want: "seed 1 asked, the bundle recorded 4"},
 		{name: "bundle scan", edit: func(c *Config) { c.BundleScan = true },
-			meta: `{"version":1,"domains":30,"weeks":3,"seed":4}`, want: "bundle scan true asked, the bundle recorded false"},
+			meta: `{"version":1,"domains":30,"weeks":3,"seed":4}`, want: "bundle-scan true asked, the bundle recorded false"},
 		{name: "no shape", meta: `{"version":1}`, want: "bundle.json records no study shape"},
 		{name: "corrupt", meta: `{"version":1,"domains":3`, want: "corrupt bundle.json"},
 		{name: "missing", meta: "-", want: "no such file"},

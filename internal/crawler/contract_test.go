@@ -161,30 +161,3 @@ func TestCrawlWeekRaceWithSharedState(t *testing.T) {
 		t.Errorf("drained %d pages, want %d", got, len(domains))
 	}
 }
-
-func TestInaccessibleEdgeCases(t *testing.T) {
-	healthy := Outcome{Status: 200, Bytes: 400} // exactly at the threshold
-	deadBigBody := Outcome{Status: 0, Bytes: 5000}
-	boundary := Outcome{Status: 200, Bytes: 399} // one byte under
-	broken := Outcome{Status: 500, Bytes: 2000}
-	cases := []struct {
-		name     string
-		outcomes []Outcome
-		want     bool
-	}{
-		{"exactly four broken weeks", []Outcome{broken, deadBigBody, boundary, broken}, true},
-		{"healthy at the 400-byte boundary saves it", []Outcome{broken, broken, healthy, broken}, false},
-		{"status 0 is an error even with a large body", []Outcome{deadBigBody, deadBigBody, deadBigBody, deadBigBody}, true},
-		{"399 bytes is an empty page despite status 200", []Outcome{boundary, boundary, boundary, boundary}, true},
-		{"three weeks of history is inaccessible", []Outcome{healthy, healthy, healthy}, true},
-		{"more than four weeks, all broken", []Outcome{broken, broken, broken, broken, broken}, true},
-		{"more than four weeks, one healthy", []Outcome{broken, broken, healthy, broken, broken}, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := Inaccessible(c.outcomes); got != c.want {
-				t.Errorf("Inaccessible(%+v) = %v, want %v", c.outcomes, got, c.want)
-			}
-		})
-	}
-}

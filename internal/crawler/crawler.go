@@ -515,43 +515,3 @@ func (c *Crawler) CrawlWeek(ctx context.Context, week int, domains []string, fn 
 	}
 	return ctx.Err()
 }
-
-// Outcome summarizes a fetch for the inaccessible-domain filter.
-type Outcome struct {
-	// Status 0 means the connection failed outright.
-	Status int
-	// Bytes is the body length.
-	Bytes int
-}
-
-// ErrorOrEmpty reports whether an outcome is an error page or an empty page
-// under the paper's criteria: non-200 status, or a body under 400 bytes
-// (every such page was manually confirmed to be an error or anti-bot page).
-func (o Outcome) ErrorOrEmpty() bool { return o.Status != 200 || o.Bytes < 400 }
-
-// Inaccessible implements the paper's filter: a domain is removed from the
-// dataset when it answered with an error or empty page for all four
-// consecutive weeks of the last month of the collection period.
-func Inaccessible(lastFourWeeks []Outcome) bool {
-	if len(lastFourWeeks) < 4 {
-		return true // never seen healthy in the final month
-	}
-	for _, o := range lastFourWeeks {
-		if !o.ErrorOrEmpty() {
-			return false
-		}
-	}
-	return true
-}
-
-// FilterInaccessible returns the set of domains to prune given each domain's
-// outcomes over the final four snapshot weeks.
-func FilterInaccessible(byDomain map[string][]Outcome) map[string]bool {
-	out := make(map[string]bool)
-	for domain, outcomes := range byDomain {
-		if Inaccessible(outcomes) {
-			out[domain] = true
-		}
-	}
-	return out
-}

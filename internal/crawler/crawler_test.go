@@ -128,83 +128,31 @@ func TestCrawlWeekContextCancel(t *testing.T) {
 	}
 }
 
-func TestOutcomeErrorOrEmpty(t *testing.T) {
-	cases := []struct {
-		o    Outcome
-		want bool
-	}{
-		{Outcome{Status: 200, Bytes: 2048}, false},
-		{Outcome{Status: 200, Bytes: 399}, true},
-		{Outcome{Status: 404, Bytes: 2048}, true},
-		{Outcome{Status: 0, Bytes: 0}, true},
-		{Outcome{Status: 200, Bytes: 400}, false},
-	}
-	for _, c := range cases {
-		if got := c.o.ErrorOrEmpty(); got != c.want {
-			t.Errorf("ErrorOrEmpty(%+v) = %v, want %v", c.o, got, c.want)
-		}
-	}
-}
-
-func TestInaccessibleFilter(t *testing.T) {
-	healthy := Outcome{Status: 200, Bytes: 1000}
-	broken := Outcome{Status: 404, Bytes: 50}
-	cases := []struct {
-		outcomes []Outcome
-		want     bool
-	}{
-		{[]Outcome{broken, broken, broken, broken}, true},
-		{[]Outcome{broken, broken, healthy, broken}, false}, // one healthy week saves it
-		{[]Outcome{healthy, healthy, healthy, healthy}, false},
-		{[]Outcome{broken, broken}, true}, // absent from the last month
-		{nil, true},
-	}
-	for i, c := range cases {
-		if got := Inaccessible(c.outcomes); got != c.want {
-			t.Errorf("case %d: Inaccessible = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-func TestFilterInaccessible(t *testing.T) {
-	healthy := Outcome{Status: 200, Bytes: 1000}
-	broken := Outcome{Status: 503, Bytes: 30}
-	byDomain := map[string][]Outcome{
-		"alive.com": {healthy, healthy, broken, healthy},
-		"gone.com":  {broken, broken, broken, broken},
-		"flaky.com": {broken, healthy, broken, broken},
-	}
-	pruned := FilterInaccessible(byDomain)
-	if !pruned["gone.com"] || pruned["alive.com"] || pruned["flaky.com"] {
-		t.Errorf("pruned = %v", pruned)
-	}
-}
-
 func TestPrunedRateMatchesPaper(t *testing.T) {
 	// End-to-end accessibility: crawl the last four weeks of a small
 	// ecosystem, apply the paper's filter, and expect roughly the paper's
-	// ~78 % retention.
+	// ~78 % retention. The filter keeps a domain whose landing page was, in
+	// at least one of the four weeks, neither an error (non-200) nor empty
+	// (under 400 bytes).
 	eco, srv := startServer(t, 400)
 	c := New(Config{BaseURL: srv.URL, Workers: 32})
-	byDomain := map[string][]Outcome{}
+	kept := map[string]bool{}
 	lastWeeks := []int{eco.Cfg.Weeks - 4, eco.Cfg.Weeks - 3, eco.Cfg.Weeks - 2, eco.Cfg.Weeks - 1}
 	domains := make([]string, len(eco.Sites))
 	for i, s := range eco.Sites {
 		domains[i] = s.Domain.Name
 	}
-	var mu sync.Mutex
 	for _, w := range lastWeeks {
 		err := c.CrawlWeek(context.Background(), w, domains, func(p Page) {
-			mu.Lock()
-			byDomain[p.Domain] = append(byDomain[p.Domain], Outcome{Status: p.Status, Bytes: len(p.Body)})
-			mu.Unlock()
+			if p.Status == 200 && len(p.Body) >= 400 {
+				kept[p.Domain] = true
+			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	pruned := FilterInaccessible(byDomain)
-	frac := 1 - float64(len(pruned))/float64(len(domains))
+	frac := float64(len(kept)) / float64(len(domains))
 	if frac < 0.60 || frac > 0.92 {
 		t.Errorf("retention after filter = %.3f, want ~0.78", frac)
 	}

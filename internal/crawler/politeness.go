@@ -16,6 +16,10 @@ type Politeness struct {
 
 	mu    sync.Mutex
 	hosts map[string]*hostGate
+
+	// testHookClaim, when set, is called with each start Acquire claims on
+	// a host's schedule, under the host's lock.
+	testHookClaim func(start time.Time)
 }
 
 type hostGate struct {
@@ -73,6 +77,9 @@ func (p *Politeness) Acquire(ctx context.Context, host string) error {
 		start = now
 	}
 	g.next = start.Add(p.minGap)
+	if p.testHookClaim != nil {
+		p.testHookClaim(start)
+	}
 	g.mu.Unlock()
 	if wait := time.Until(start); wait > 0 {
 		t := time.NewTimer(wait)

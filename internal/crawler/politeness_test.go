@@ -10,12 +10,18 @@ import (
 )
 
 // Concurrent acquirers on one host start at least minGap apart. The starts
-// are claimed under a lock on the host's schedule, so the guarantee is
-// exact up to timer granularity; the assertion allows a small slop.
+// are claimed under a lock on the host's schedule, and the test reads each
+// start there, where a descheduled goroutine cannot shift it; each Acquire
+// must also return no earlier than the start it claimed. The assertion
+// allows a small slop.
 func TestPolitenessGapEnforcedUnderConcurrency(t *testing.T) {
 	const n = 5
 	minGap := 40 * time.Millisecond
 	p := NewPoliteness(1, minGap)
+	// One slot: the acquirer holding it is the last to have claimed a start.
+	var mu sync.Mutex
+	var claimed time.Time
+	p.testHookClaim = func(start time.Time) { mu.Lock(); claimed = start; mu.Unlock() }
 	starts := make([]time.Time, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -26,7 +32,12 @@ func TestPolitenessGapEnforcedUnderConcurrency(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			starts[i] = time.Now()
+			mu.Lock()
+			starts[i] = claimed
+			mu.Unlock()
+			if now := time.Now(); now.Before(starts[i]) {
+				t.Errorf("Acquire returned %v before its claimed start", starts[i].Sub(now))
+			}
 			p.Release("one.example")
 		}(i)
 	}

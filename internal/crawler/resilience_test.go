@@ -24,12 +24,16 @@ import (
 // each alive-but-faulted (domain, week) and each dead domain must cost
 // exactly one connection failure, everything else exactly one success.
 // Fault parameters are chosen so every fault type defeats the client
-// timeout: Stall (600ms) and Drip (300ms) both exceed the 150ms budget,
-// and reset/truncate kill the body unconditionally.
+// timeout and no healthy fetch meets it, by margins no load closes: a
+// healthy loopback fetch takes milliseconds against the 3s budget, the
+// stall (60s) and the slow-loris drip (30s before its first chunk) outlast
+// it by an order of magnitude and end only when the client hangs up, and
+// reset/truncate kill the body unconditionally. Enough workers take every
+// stalled fetch at once, so the test waits about one timeout.
 func TestChaosCrawlWeekCounters(t *testing.T) {
 	eco := webgen.New(webgen.Config{Domains: 150, Seed: 11})
 	ws := webserver.New(eco)
-	chaos := &webserver.Chaos{Seed: 7, Rate: 0.5, Stall: 600 * time.Millisecond, Drip: 300 * time.Millisecond}
+	chaos := &webserver.Chaos{Seed: 7, Rate: 0.5, Stall: time.Minute, Drip: 30 * time.Second}
 	ws.Chaos = chaos
 	srv := httptest.NewServer(ws)
 	defer srv.Close()
@@ -56,8 +60,8 @@ func TestChaosCrawlWeekCounters(t *testing.T) {
 	}
 
 	c := New(Config{
-		BaseURL: srv.URL, Workers: 16, Retries: NoRetries,
-		Timeout: 150 * time.Millisecond,
+		BaseURL: srv.URL, Workers: 150, Retries: NoRetries,
+		Timeout: 3 * time.Second,
 	})
 	var inCallback atomic.Int32
 	gotFail, gotOK := 0, 0 // deliberately unsynchronized: the contract test

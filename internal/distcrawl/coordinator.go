@@ -71,8 +71,8 @@ type Coordinator struct {
 // state under spec.Dir. If a state journal from a previous coordinator
 // run exists there, it is rehydrated — leases resume with their recorded
 // deadlines (stale ones simply expire at the next sweep) — after
-// verifying it describes the same run; pass a different Dir for a
-// different run.
+// verifying it describes the same run, wherever its directory has moved;
+// pass a different Dir for a different run.
 func NewCoordinator(spec RunSpec) (*Coordinator, error) {
 	if spec.Partitions < 1 {
 		return nil, fmt.Errorf("distcrawl: %d partitions", spec.Partitions)
@@ -110,14 +110,15 @@ func NewCoordinator(spec RunSpec) (*Coordinator, error) {
 	return c, nil
 }
 
-// parseState decodes a persisted assignment state and refuses one that
-// belongs to another run or that the coordinator could not serve: a
-// partition missing or null, or a frontier outside [0, spec.Weeks].
+// parseState decodes a persisted assignment state at spec.Dir and refuses
+// one that belongs to another run or that the coordinator could not serve:
+// a partition missing or null, or a frontier outside [0, spec.Weeks].
 func parseState(data []byte, spec RunSpec) (coordState, error) {
 	var st coordState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return coordState{}, fmt.Errorf("distcrawl: corrupt state: %w", err)
 	}
+	st.Spec.Dir = spec.Dir
 	if st.Spec != spec {
 		return coordState{}, fmt.Errorf("distcrawl: state belongs to a different run (have %+v, want %+v)", st.Spec, spec)
 	}

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"clientres/internal/crawler"
+	"clientres/internal/store"
 	"clientres/internal/webgen"
 )
 
@@ -67,6 +68,13 @@ type RunSpec struct {
 	Dir string `json:"dir"`
 	// LeaseTTL is how long an assignment stays valid without a renewal.
 	LeaseTTL time.Duration `json:"lease_ttl"`
+}
+
+// Fields are the run's fields a user sets: its study's, partitions and
+// lease-ttl. Dir names where the run is stored, not which run it is.
+func (s RunSpec) Fields() []store.Field {
+	study := store.RunID{Domains: s.Domains, Weeks: s.Weeks, Seed: s.Seed, BundleFraction: s.Bundling.Fraction, BundleScan: s.BundleScan}
+	return append(study.Fields(), store.Field{Flag: "partitions", Value: s.Partitions}, store.Field{Flag: "lease-ttl", Value: s.LeaseTTL})
 }
 
 // RegisterRequest introduces a worker to the coordinator.

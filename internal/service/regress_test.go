@@ -214,6 +214,8 @@ func TestAbandonedAuditsCountOneHitOrMiss(t *testing.T) {
 	release := make(chan struct{}, 16)
 	cfg := Config{Workers: 4}
 	cfg.testHookAuditStart = func() { started <- struct{}{}; <-release }
+	gone := make(chan struct{}, 1)
+	cfg.testHookClientGone = func() { gone <- struct{}{} }
 	s := newTestServer(t, cfg)
 	lookups := func() int64 { return s.met.cacheHits.Load() + s.met.cacheMisses.Load() }
 
@@ -228,6 +230,14 @@ func TestAbandonedAuditsCountOneHitOrMiss(t *testing.T) {
 	}()
 	<-started
 	cancel()
+	// The audit is released only once the handler has seen its client
+	// leave, so the reply cannot race the cancellation.
+	select {
+	case <-gone:
+	case <-time.After(10 * time.Second):
+		release <- struct{}{}
+		t.Fatal("the handler never saw its client leave")
+	}
 	release <- struct{}{}
 	if code := <-status; code != http.StatusServiceUnavailable {
 		t.Fatalf("abandoned single audit status = %d, want 503", code)

@@ -82,6 +82,9 @@ type Config struct {
 	// picks up each audit job — the shutdown test uses it to hold K audits
 	// in flight across Shutdown.
 	testHookAuditStart func()
+	// testHookClientGone, when set, is called by a single audit's handler
+	// as it sees its client leave, before it drains the worker's reply.
+	testHookClientGone func()
 }
 
 // discardHandler is the nil-Logger handler. Its Enabled is false, so a
@@ -636,6 +639,9 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 			// is already paid for — drain the worker's buffered reply and
 			// bank it in the cache so the client's retry is a hit, rather
 			// than dropping a fully-computed response on the floor.
+			if s.cfg.testHookClientGone != nil {
+				s.cfg.testHookClientGone()
+			}
 			if s.cache != nil {
 				s.bank(key, <-job.reply)
 			}

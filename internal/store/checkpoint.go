@@ -61,6 +61,34 @@ type RunID struct {
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
+// Fields are the study's fields a user sets, by flag name.
+func (r RunID) Fields() []Field {
+	return []Field{{"domains", r.Domains}, {"weeks", r.Weeks}, {"seed", r.Seed},
+		{"bundle-frac", r.BundleFraction}, {"bundle-scan", r.BundleScan}}
+}
+
+// Field is one field of a recorded run, named by the flag that sets it.
+type Field struct {
+	Flag  string
+	Value any
+}
+
+// Recorded is the one rule for continuing a recorded run (a resume, a
+// replay, a restart), whose record is a RunID or a coordinator's RunSpec:
+// the run is the recorded one, and each field of ask that set reports must
+// name its recorded value, or the run is refused, naming the field, both
+// values and the recorder. A command's set is the flags its user gave, as a
+// flag at zero in ask may have been left unset.
+func Recorded[S interface{ Fields() []Field }](ask, recorded S, set func(Field) bool, recorder string) (S, error) {
+	have := recorded.Fields()
+	for i, f := range ask.Fields() {
+		if set(f) && f.Value != have[i].Value {
+			return ask, fmt.Errorf("%s %v asked, %s recorded %v", f.Flag, f.Value, recorder, have[i].Value)
+		}
+	}
+	return recorded, nil
+}
+
 // Checkpoint is the on-disk journal state: everything through week
 // CommittedWeeks-1 is durably on disk at the recorded per-segment offsets.
 type Checkpoint struct {

@@ -434,6 +434,19 @@ func IsSegmented(path string) bool {
 	return err == nil
 }
 
+// ReadStudy returns the study a sealed store's or bundle's manifest
+// records, and refuses a manifest that records none.
+func ReadStudy(dir string) (RunID, error) {
+	man, err := ReadManifest(dir)
+	if err != nil {
+		return RunID{}, err
+	}
+	if man.Run == nil {
+		return RunID{}, fmt.Errorf("store: %s: its %s records no study (sealed by an earlier release, or salvaged by a prefix scan)", dir, ManifestName)
+	}
+	return *man.Run, nil
+}
+
 // ReadManifest loads and validates a segmented store's manifest. A path
 // that is not a directory is refused whatever it holds: one segment file
 // of a store carries no proof that its run was sealed.

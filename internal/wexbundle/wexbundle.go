@@ -37,9 +37,9 @@ import (
 const MetaName = "bundle.json"
 
 // Meta is the identity of the study a bundle recorded. A replay of the
-// bundle (core.Config.ReplayBundle, cmd/crawl -replay) takes its study from
-// here: the operator supplies none of it, and a study that disagrees with
-// it is refused.
+// bundle through core.Config.ReplayBundle takes its study from here, by
+// store.Recorded (cmd/crawl -replay takes it from the bundle's manifest
+// first, bundler adoption included, which Meta lacks).
 type Meta struct {
 	Version int   `json:"version"`
 	Domains int   `json:"domains,omitempty"`

@@ -29,6 +29,14 @@ go test -race -count=5 -timeout 30m \
 	-run 'TestFaultScheduleCommitsOrSalvages|TestCheckpoint|TestResumeCrashEquivalence' \
 	./internal/store ./internal/core
 
+# Tests of timing, cancellation and restarts whose verdict must not depend
+# on the scheduler, ten times over under the race detector and the gate's
+# own load: a correct tree passes them every time.
+echo "==> go test -race -count=10 (schedule-independent tests)"
+go test -race -count=10 -timeout 30m \
+	-run 'TestPolitenessGapEnforcedUnderConcurrency|TestChaosCrawlWeekCounters|TestAbandonedAuditsCountOneHitOrMiss|TestRestartOverAMovedDirKeepsItsRun' \
+	./internal/crawler ./internal/service ./cmd/coordinator
+
 # Budgeted fuzz smoke runs of every fuzz target (FUZZTIME each, 3s by
 # default).
 sh scripts/fuzz-smoke.sh
